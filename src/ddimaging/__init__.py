@@ -13,7 +13,6 @@ from .decomposition import (
     assemble_global,
     consensus_residual,
     essential_domain,
-    pair_jumps,
     partition_rect,
     project_consensus,
     restrict_global,
@@ -32,7 +31,6 @@ from .models import (
 )
 from .operators import (
     BlurKernel,
-    RestrictedOp,
     adjoint_grad_plus,
     adjoint_hessian,
     blur,

@@ -17,18 +17,20 @@ import re
 import sys
 
 from .decomposition import OverlapLayout
-from .models import ChanVese, HessianL1, TVL1Deblur, energy, salt_pepper, threshold_half
+from .models import (
+    ChanVese,
+    HessianL1,
+    TVL1Deblur,
+    energy,
+    salt_pepper,
+    stencil_of,
+    threshold_half,
+)
 from .operators import BlurKernel, blur
 from .pgmio import load_pgm, save_pgm
-from .solvers import (
-    default_eta,
-    default_inner,
-    default_tol,
-    reference_energy,
-    solve_dd,
-    solve_single,
-)
-from .models import stencil_of
+from .solvers import default_inner, reference_energy, solve_dd, solve_single
+
+MODELS = {"ccv": ChanVese, "tvl1": TVL1Deblur, "hessl1": HessianL1}
 
 CSV_HEADER = "n,energy,rel_gap,consensus_residual,d_n,e_n,psnr,elapsed_s"
 
@@ -77,12 +79,8 @@ def _parse_subdomains(text):
     return p, q
 
 
-def _default_alpha(model_name):
-    return {"ccv": 10.0, "tvl1": 10.0, "hessl1": 1.0}[model_name]
-
-
 def _build_model(args, f):
-    alpha = args.alpha if args.alpha is not None else _default_alpha(args.model)
+    alpha = args.alpha if args.alpha is not None else MODELS[args.model].defaults.alpha
     if args.model == "ccv":
         return ChanVese(f, alpha=alpha, c1=args.c1, c2=args.c2)
     if args.model == "tvl1":
@@ -113,8 +111,8 @@ def cmd_solve(args):
     ground_truth = load_pgm(args.ground_truth) if args.ground_truth else None
     model = _build_model(args, f)
     p, q = _parse_subdomains(args.subdomains)
-    eta = args.eta if args.eta is not None else default_eta(model)
-    tol = args.tol if args.tol is not None else default_tol(model)
+    eta = args.eta if args.eta is not None else model.defaults.eta
+    tol = args.tol if args.tol is not None else model.defaults.tol
     timing = not args.no_timing
 
     e_star = args.reference_energy
@@ -138,7 +136,7 @@ def cmd_solve(args):
 
     if args.output:
         save_pgm(result.u, args.output)
-        if isinstance(model, ChanVese):
+        if args.model == "ccv":
             save_pgm(threshold_half(result.u), _mask_path(args.output))
     if args.metrics:
         write_metrics(result.rows, args.metrics)
@@ -158,7 +156,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(sp):
-        sp.add_argument("--model", choices=("ccv", "tvl1", "hessl1"),
+        sp.add_argument("--model", choices=tuple(MODELS),
                         required=True, help="variational model")
         sp.add_argument("--alpha", type=float, default=None,
                         help="fidelity weight (default: 10/10/1 by model)")

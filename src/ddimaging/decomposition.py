@@ -218,21 +218,3 @@ def consensus_residual(stacked, layout):
     """Norm of the inconsistency: distance from the consensus subspace."""
     return norm2(stacked - project_consensus(stacked, layout))
 
-
-def pair_jumps(stacked, layout):
-    """Pairwise disagreement fields on shared pixels.
-
-    Yields (s, t, mask, diff) for s < t with overlapping enlarged masks,
-    where diff = copy_s - copy_t on the shared mask and zero elsewhere.
-    Shared pixels can belong to more than two subdomains; these fields are
-    diagnostics and carry no weighting.
-    """
-    out = []
-    for s in range(layout.count):
-        for t in range(s + 1, layout.count):
-            shared = layout.tilde[s] & layout.tilde[t]
-            if not shared.any():
-                continue
-            diff = (stacked[s] - stacked[t]) * shared
-            out.append((s, t, shared, diff))
-    return out

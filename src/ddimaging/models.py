@@ -1,28 +1,95 @@
-"""Variational imaging models: energies, integrands, and corruption synthesis.
+"""Variational imaging models: saddle-point declarations, energies, integrands.
 
-Three convex models over images u in [0,1]^(M x N):
+Every model minimizes, over images u on an M x N grid,
 
-* ChanVese:   alpha*<u, g> + box indicator + ||grad u||_1 with
-              g = (f - c1)^2 - (f - c2)^2 (two-phase segmentation with
-              fixed region values, minimized by a relaxed mask).
+    J(u) = w*<u, c>  +  [u in [0,1]^(M x N)]  +  sum_b r_b * ||K_b u - f_b||_1
+
+with K_b linear and ||.||_1 summing pointwise magnitudes.  Each model class
+declares this structure once as a Saddle: its dual blocks (K_b, its adjoint,
+the radius r_b that bounds the block's dual variable, an optional data shift
+f_b), the optional linear term (w, c), whether u is confined to the unit box,
+the bound on the squared norm of the stacked operator (K_b)_b, which limits
+the primal-dual step sizes, and the enlargement stencil matching the
+integrand's footprint.  Its Defaults give alpha, the coupling weight eta, the
+stop tolerance, the inner iteration budget and the baseline's primal step.
+
+* ChanVese:   alpha*<u, g> + box + ||grad u||_1 with g = (f - c1)^2 - (f - c2)^2
+              (two-phase segmentation with fixed region values, minimized by
+              a relaxed mask).
 * TVL1Deblur: alpha*||A u - f||_1 + ||grad u||_1 with A a uniform blur.
 * HessianL1:  alpha*||u - f||_1 + ||H u||_1 with H the backward-of-forward
               second differences (denoising; the data map is the identity).
 
-energy() evaluates the objective; integrand() returns the pointwise energy
-density T(u) whose sum equals energy(u), with +inf marking box violations
-for ChanVese.  Each model's integrand at a pixel reads u only inside a fixed
-stencil footprint of that pixel, which is what stencil_of() reports and what
-the subdomain enlargement in the decomposition relies on.
+energy(), integrand() and stencil_of() read the declaration, and so do the
+solvers.  integrand() returns the pointwise energy density whose sum equals
+energy(u), with +inf marking box violations.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import add
+from typing import Optional
 
 import numpy as np
 
+from . import operators
 from .decomposition import Stencil
-from .fields import inner, magnitude
-from .operators import BlurKernel, blur, grad_plus, hessian
+from .fields import magnitude
+# blur, grad_plus and hessian are applied through the blocks' operator names
+from .operators import BlurKernel, blur, grad_plus, hessian  # noqa: F401
+
+
+@dataclass(frozen=True, eq=False)
+class Block:
+    """One dual block: the term radius * ||K u - shift||_1.
+
+    K and its adjoint are named, not held (None is the identity), and are
+    resolved in a namespace at call time, by default the operators module.
+    The solvers pass their own module namespace, so a wrapper installed on
+    one of its attributes (a profiler, a tracer) sees every application.
+    args follow the field in each call; channels is the trailing channel
+    count of K u (0 for a scalar field).
+    """
+
+    op: Optional[str]
+    adjoint: Optional[str]
+    radius: float
+    channels: int = 0
+    shift: Optional[np.ndarray] = None
+    args: tuple = ()
+
+    def forward(self, u, ns=vars(operators)):
+        return u if self.op is None else ns[self.op](u, *self.args)
+
+    def transpose(self, y, ns=vars(operators)):
+        return y if self.adjoint is None else ns[self.adjoint](y, *self.args)
+
+
+TV = Block("grad_plus", "adjoint_grad_plus", 1.0, channels=2)
+HESSIAN = Block("hessian", "adjoint_hessian", 1.0, channels=4)
+
+
+@dataclass(frozen=True, eq=False)
+class Saddle:
+    """The saddle-point structure of a model (see the module docstring)."""
+
+    blocks: tuple
+    bound: float
+    stencil: Stencil
+    linear: Optional[tuple] = None  # (w, c)
+    box: bool = False
+
+
+@dataclass(frozen=True)
+class Defaults:
+    """Model defaults; cp_tau=None runs the baseline at sigma = tau = 1/sqrt(bound)."""
+
+    alpha: float
+    eta: float
+    tol: float
+    inner_iters: int
+    cp_tau: Optional[float] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,14 +99,19 @@ class ChanVese:
     c1: float
     c2: float
 
+    defaults = Defaults(alpha=10.0, eta=1.0, tol=1e-4, inner_iters=10)
+
     def __post_init__(self):
-        _check_image(self.f)
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        _check_params(self, alpha=self.alpha, c1=self.c1, c2=self.c2)
         if self.c1 == self.c2:
             raise ValueError("region values c1 and c2 must differ")
         g = (self.f - self.c1) ** 2 - (self.f - self.c2) ** 2
         object.__setattr__(self, "g", g)
+
+    @cached_property
+    def saddle(self):
+        return Saddle(blocks=(TV,), bound=8.0, stencil=Stencil("forward1"),
+                      linear=(self.alpha, self.g), box=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,10 +120,16 @@ class TVL1Deblur:
     alpha: float
     kernel: BlurKernel
 
+    defaults = Defaults(alpha=10.0, eta=10.0, tol=1e-3, inner_iters=50, cp_tau=0.02)
+
     def __post_init__(self):
-        _check_image(self.f)
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        _check_params(self, alpha=self.alpha)
+
+    @cached_property
+    def saddle(self):
+        data = Block("blur", "blur", self.alpha, shift=self.f, args=(self.kernel,))
+        return Saddle(blocks=(data, TV), bound=9.0,
+                      stencil=Stencil("band", self.kernel.halfwidth))
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,21 +137,67 @@ class HessianL1:
     f: np.ndarray
     alpha: float
 
+    defaults = Defaults(alpha=1.0, eta=20.0, tol=1e-3, inner_iters=50, cp_tau=0.02)
+
     def __post_init__(self):
-        _check_image(self.f)
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        _check_params(self, alpha=self.alpha)
+
+    @cached_property
+    def saddle(self):
+        data = Block(None, None, self.alpha, shift=self.f)
+        return Saddle(blocks=(data, HESSIAN), bound=65.0, stencil=Stencil("backfwd"))
 
 
-MODELS = (ChanVese, TVL1Deblur, HessianL1)
-
-
-def _check_image(f):
-    f = np.asarray(f)
+def _check_params(model, **values):
+    f = np.asarray(model.f)
     if f.ndim != 2 or f.size == 0:
         raise ValueError(f"data image must be a nonempty 2-D array, got shape {f.shape}")
     if not np.isfinite(f).all():
         raise ValueError("data image must be finite")
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not model.alpha > 0:
+        raise ValueError(f"alpha must be positive, got {model.alpha!r}")
+
+
+def objective_terms(model, u, ns=None, core=None, shifts=None, linear=None):
+    """The weighted terms of the objective at u as (weight, density) pairs.
+
+    The linear term comes first, then the blocks in declaration order; the
+    density of the linear term is u*c, that of a block |K u - f| pointwise.
+    With core given these are the terms of one subdomain: every K u is
+    masked to the core tile, and shifts and linear replace the declared
+    data shifts and linear vector (the masked ones).  ns is the namespace
+    the operators are resolved in, this module's by default.
+    """
+    sd = model.saddle
+    ns = globals() if ns is None else ns
+    out = []
+    if sd.linear is not None:
+        weight, c = sd.linear
+        out.append((weight, u * (c if linear is None else linear)))
+    for b, blk in enumerate(sd.blocks):
+        r = blk.forward(u, ns)
+        if core is not None:
+            r = r * (core[..., None] if blk.channels else core)
+        shift = blk.shift if shifts is None else shifts[b]
+        if shift is not None:
+            r = r - shift
+        out.append((blk.radius, magnitude(r)))
+    return out
+
+
+def weighted_sum(terms):
+    """Sum of weight * (summed density) in term order."""
+    return reduce(add, (w * float(np.sum(d)) for w, d in terms))
+
+
+def _as_field(model, u):
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != model.f.shape:
+        raise ValueError(f"shape mismatch: {u.shape} vs {model.f.shape}")
+    return u
 
 
 def _box_ok(u):
@@ -81,43 +205,26 @@ def _box_ok(u):
 
 
 def energy(model, u):
-    """Objective value at u.  ChanVese returns +inf outside the box."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != model.f.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {model.f.shape}")
-    if isinstance(model, ChanVese):
-        if not _box_ok(u):
-            return float("inf")
-        return model.alpha * inner(u, model.g) + float(np.sum(magnitude(grad_plus(u))))
-    if isinstance(model, TVL1Deblur):
-        fid = float(np.sum(np.abs(blur(u, model.kernel) - model.f)))
-        return model.alpha * fid + float(np.sum(magnitude(grad_plus(u))))
-    if isinstance(model, HessianL1):
-        fid = float(np.sum(np.abs(u - model.f)))
-        return model.alpha * fid + float(np.sum(magnitude(hessian(u))))
-    raise TypeError(f"unknown model {type(model).__name__}")
+    """Objective value at u; +inf outside the box for box-constrained models."""
+    u = _as_field(model, u)
+    if model.saddle.box and not _box_ok(u):
+        return float("inf")
+    return weighted_sum(objective_terms(model, u))
 
 
 def integrand(model, u):
     """Pointwise energy density T(u) with sum(T) == energy(model, u).
 
-    The fidelity weight alpha is folded into the density.  For ChanVese,
-    pixels violating the box constraint carry +inf.
+    The weights are folded into the density.  For box-constrained models,
+    pixels violating the box carry +inf.
     """
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != model.f.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {model.f.shape}")
-    if isinstance(model, ChanVese):
-        t = model.alpha * (u * model.g) + magnitude(grad_plus(u))
+    u = _as_field(model, u)
+    t = reduce(add, (w * d for w, d in objective_terms(model, u)))
+    if model.saddle.box:
         bad = (u < 0.0) | (u > 1.0)
         if bad.any():
             t = np.where(bad, np.inf, t)
-        return t
-    if isinstance(model, TVL1Deblur):
-        return model.alpha * np.abs(blur(u, model.kernel) - model.f) + magnitude(grad_plus(u))
-    if isinstance(model, HessianL1):
-        return model.alpha * np.abs(u - model.f) + magnitude(hessian(u))
-    raise TypeError(f"unknown model {type(model).__name__}")
+    return t
 
 
 def local_energy(model, layout, s, u_s):
@@ -136,13 +243,7 @@ def local_energy(model, layout, s, u_s):
 
 def stencil_of(model):
     """The enlargement rule matching the model's integrand footprint."""
-    if isinstance(model, ChanVese):
-        return Stencil("forward1")
-    if isinstance(model, TVL1Deblur):
-        return Stencil("band", model.kernel.halfwidth)
-    if isinstance(model, HessianL1):
-        return Stencil("backfwd")
-    raise TypeError(f"unknown model {type(model).__name__}")
+    return model.saddle.stencil
 
 
 def salt_pepper(u, p, seed):

@@ -204,57 +204,3 @@ def op_norm_sq_estimate(op, adjoint, shape, iters=100, seed=0):
         x = y / n
     return est
 
-
-# ---------------------------------------------------------------------------
-# subdomain-restricted application
-# ---------------------------------------------------------------------------
-
-
-class RestrictedOp:
-    """An operator confined to one subdomain of an overlapping layout.
-
-    The forward map restricts its argument to the enlarged patch of
-    subdomain s and masks the result to the core tile; the adjoint restricts
-    to the core and masks back to the enlarged patch, so it is the exact
-    dense transpose of the forward map on all of pixel space.  Because the
-    enlarged patch contains the full stencil footprint of the core tile,
-    the input restriction never changes values on the core: the forward map
-    agrees with the unrestricted operator there for any extension.
-
-    kind is one of "grad_plus", "hessian", "blur", "identity"; "blur" needs
-    a BlurKernel.
-    """
-
-    KINDS = ("grad_plus", "hessian", "blur", "identity")
-
-    def __init__(self, kind, layout, s, kernel=None):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown restricted operator kind {kind!r}")
-        if kind == "blur" and kernel is None:
-            raise ValueError("blur restriction needs a kernel")
-        self.kind = kind
-        self.layout = layout
-        self.s = s
-        self.kernel = kernel
-
-    def __call__(self, u):
-        core = self.layout.core_f[self.s]
-        u = np.asarray(u, dtype=np.float64) * self.layout.tilde_f[self.s]
-        if self.kind == "grad_plus":
-            return grad_plus(u) * core[..., None]
-        if self.kind == "hessian":
-            return hessian(u) * core[..., None]
-        if self.kind == "blur":
-            return blur(u, self.kernel) * core
-        return u * core
-
-    def adjoint(self, w):
-        core = self.layout.core_f[self.s]
-        tilde = self.layout.tilde_f[self.s]
-        if self.kind == "grad_plus":
-            return adjoint_grad_plus(w * core[..., None]) * tilde
-        if self.kind == "hessian":
-            return adjoint_hessian(w * core[..., None]) * tilde
-        if self.kind == "blur":
-            return blur(w * core, self.kernel) * tilde
-        return np.asarray(w, dtype=np.float64) * core * tilde

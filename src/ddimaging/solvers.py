@@ -1,4 +1,4 @@
-"""Decoupled augmented Lagrangian outer loop and primal-dual inner solvers.
+"""Decoupled augmented Lagrangian outer loop and the primal-dual iteration.
 
 The global problem min E(u) is rewritten over per-subdomain copies that must
 agree on overlaps.  One outer step, with eta the coupling weight and P the
@@ -13,23 +13,29 @@ subdomain (optionally on a thread pool); only the consensus averaging sees
 more than one subdomain, and it always sums in ascending subdomain order,
 which makes runs with different worker counts identical bit for bit.
 
-Local problems are solved by an accelerated first-order primal-dual method
-exploiting the eta-strong convexity of the proximal term: after each step
+Every model declares its saddle-point structure (models.Saddle), and one
+routine, primal_dual(), solves both the local problems and the whole-image
+baseline.  It is the primal-dual method of Chambolle & Pock, "A first-order
+primal-dual algorithm for convex problems with applications to imaging"
+(JMIV 2011): a local problem is eta-strongly convex, so after each step
 
     theta = 1/sqrt(1 + 2*gamma*tau),  tau <- theta*tau,  sigma <- sigma/theta
 
-with 0 <= gamma <= eta, warm-started primal and dual variables, and step
-sizes reset at every outer iteration.  Fixed iteration budgets are the
-default; a gap-targeted mode instead runs each local solve until its duality
-gap (an exact suboptimality certificate, computed from the running dual
-variables) falls below a tolerance, which the Lyapunov monotonicity tests
-rely on.
+with 0 <= gamma <= eta (Alg. 2), warm-started primal and dual variables, and
+step sizes reset at every outer iteration.  The baseline is the case eta = 0,
+gamma = 0 (so theta = 1, Alg. 1) with no masks.  Fixed iteration budgets are
+the default; a gap-targeted mode instead runs each local solve until its
+duality gap (an exact suboptimality certificate, computed from the running
+dual variables) falls below a tolerance, which the Lyapunov monotonicity
+tests rely on.
 """
 
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -38,9 +44,11 @@ from .decomposition import (
     consensus_norm_sq,
     stack_sum,
 )
-from .fields import inner, magnitude, norm2, project_ball, project_box01, psnr
-from .models import ChanVese, HessianL1, TVL1Deblur, energy, stencil_of
-from .operators import (
+from .fields import inner, norm2, project_ball, psnr
+from .models import energy, objective_terms, stencil_of, weighted_sum
+# the blocks name their operators; primal_dual() and duality_gap() look the
+# names up in this module at call time
+from .operators import (  # noqa: F401
     adjoint_grad_plus,
     adjoint_hessian,
     blur,
@@ -51,20 +59,14 @@ from .operators import (
 _BOUND_TOL = 1.0 + 1e-9
 
 
-def step_product_bound(model):
-    """Largest admissible sigma*tau for the model's inner saddle problem.
+def _check_eta(eta):
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and positive, got {eta!r}")
 
-    The bound is 1 over the squared norm of the stacked linear operator:
-    8 for the forward gradient alone, 8+1 with a unit-norm data map, and
-    64+1 with the second-difference operator.
-    """
-    if isinstance(model, ChanVese):
-        return 1.0 / 8.0
-    if isinstance(model, TVL1Deblur):
-        return 1.0 / 9.0
-    if isinstance(model, HessianL1):
-        return 1.0 / 65.0
-    raise TypeError(f"unknown model {type(model).__name__}")
+
+def _check_tol(tol):
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,10 @@ class InnerParams:
     max_iters: int = 500_000
 
     def __post_init__(self):
+        for name in ("sigma0", "tau0", "gamma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (self.sigma0 > 0 and self.tau0 > 0):
             raise ValueError("step sizes must be positive")
         if self.gamma < 0:
@@ -98,47 +104,21 @@ class InnerParams:
 
 
 def default_inner(model, eta, **overrides):
-    """Default inner parameters for a model at coupling weight eta."""
-    if isinstance(model, ChanVese):
-        base = dict(sigma0=1.0 / math.sqrt(8.0), tau0=1.0 / math.sqrt(8.0),
-                    gamma=0.125 * eta, iters=10)
-    elif isinstance(model, TVL1Deblur):
-        base = dict(sigma0=1.0 / 3.0, tau0=1.0 / 3.0, gamma=0.125 * eta, iters=50)
-    elif isinstance(model, HessianL1):
-        base = dict(sigma0=1.0 / math.sqrt(65.0), tau0=1.0 / math.sqrt(65.0),
-                    gamma=0.125 * eta, iters=50)
-    else:
-        raise TypeError(f"unknown model {type(model).__name__}")
+    """Default inner parameters for a model at coupling weight eta.
+
+    sigma0 = tau0 = 1/sqrt(bound) spend the whole admissible step product,
+    and gamma = eta/8 accelerates within the local strong convexity.
+    """
+    _check_eta(eta)
+    step = 1.0 / math.sqrt(model.saddle.bound)
+    base = dict(sigma0=step, tau0=step, gamma=0.125 * eta,
+                iters=model.defaults.inner_iters)
     base.update(overrides)
     return InnerParams(**base)
 
 
-def default_eta(model):
-    if isinstance(model, ChanVese):
-        return 1.0
-    if isinstance(model, TVL1Deblur):
-        return 10.0
-    return 20.0
-
-
-def default_tol(model):
-    return 1e-4 if isinstance(model, ChanVese) else 1e-3
-
-
-def cp_defaults(model):
-    """Full-domain baseline step sizes (non-accelerated)."""
-    if isinstance(model, ChanVese):
-        s = 1.0 / math.sqrt(8.0)
-        return s, s
-    if isinstance(model, TVL1Deblur):
-        return 1.0 / (9.0 * 0.02), 0.02
-    if isinstance(model, HessianL1):
-        return 1.0 / (65.0 * 0.02), 0.02
-    raise TypeError(f"unknown model {type(model).__name__}")
-
-
 # ---------------------------------------------------------------------------
-# local solvers (one subdomain, full-size arrays masked by the layout)
+# the primal-dual iteration
 # ---------------------------------------------------------------------------
 
 
@@ -147,126 +127,146 @@ def acceleration_schedule(sigma, tau, gamma):
     return theta, sigma / theta, tau * theta
 
 
-def local_solve_ccv(u, p, uhat, gcore, core, tilde, eta, alpha, prm):
-    """Local segmentation subproblem on one enlarged patch.
+def zero_duals(model, lead=()):
+    """One zero dual array per block, with leading axes `lead`."""
+    return [np.zeros(lead + model.f.shape + ((b.channels,) if b.channels else ()))
+            for b in model.saddle.blocks]
 
-    Dual ascent on the core-masked forward gradient with unit-ball
-    projection, closed-form primal resolvent with box clamping, then the
-    acceleration schedule and overrelaxation.  Returns (u, p, iterations,
-    last gap or None).
+
+@dataclass
+class Local:
+    """Subdomain s's problem min J_s(u) + (eta/2)||u - uhat||^2.
+
+    J_s reads K u on the core tile only and u lives on the enlarged patch
+    tilde; shifts and linear are the model's data shifts and linear vector
+    masked to the core (None where the model has none).
     """
-    sigma, tau = prm.sigma0, prm.tau0
-    u = u.copy()
-    p = p.copy()
-    ubar = u.copy()
-    core2 = core[..., None]
-    limit = prm.iters if prm.gap_tol is None else prm.max_iters
-    gap = None
+
+    core: np.ndarray
+    tilde: np.ndarray
+    shifts: list
+    linear: Optional[np.ndarray]
+    uhat: np.ndarray
+    eta: float
+
+    @classmethod
+    def of(cls, model, layout, s, uhat, eta):
+        core = layout.core_f[s]
+        sd = model.saddle
+        return cls(core=core, tilde=layout.tilde_f[s],
+                   shifts=[None if b.shift is None else b.shift * core
+                           for b in sd.blocks],
+                   linear=None if sd.linear is None else sd.linear[1] * core,
+                   uhat=uhat, eta=eta)
+
+
+def _transpose_sum(model, duals):
+    """K* y: the blocks' adjoints summed in declaration order."""
+    return reduce(add, (blk.transpose(y, globals())
+                        for blk, y in zip(model.saddle.blocks, duals)))
+
+
+def primal_dual(model, u, duals, sigma, tau, gamma, limit, local=None, check=None):
+    """Primal-dual iteration on the model's saddle problem.
+
+    Each step: dual ascent and ball projection per block, the primal
+    resolvent (clamped to [0, 1] for box models), the acceleration schedule
+    and the overrelaxation.  local=None is the whole image without a
+    proximal term; with a Local the operators are masked to its core, the
+    primal resolvent includes the proximal term and the iterate is confined
+    to its patch.  Runs up to `limit` iterations; check(it, u, duals), when
+    given, runs after each one, and a true return stops the iteration.
+    Returns (u, duals, iterations); the arguments are not modified.
+    """
+    sd = model.saddle
+    duals = list(duals)
+    if local is None:
+        masks = [None] * len(duals)
+        shifts = [blk.shift for blk in sd.blocks]
+        lin = None if sd.linear is None else sd.linear[1]
+    else:
+        masks = [local.core[..., None] if blk.channels else local.core
+                 for blk in sd.blocks]
+        shifts, lin = local.shifts, local.linear
+    if lin is not None:
+        lin = sd.linear[0] * lin
+    ubar = u
     it = 0
     while it < limit:
-        p = project_ball(p + sigma * (grad_plus(ubar) * core2), 1.0)
-        unew = (u - tau * (adjoint_grad_plus(p) + alpha * gcore)
-                + (tau * eta) * uhat) / (1.0 + tau * eta)
-        np.clip(unew, 0.0, 1.0, out=unew)
-        unew *= tilde
-        theta, sigma, tau = acceleration_schedule(sigma, tau, prm.gamma)
+        for b, blk in enumerate(sd.blocks):
+            ku = blk.forward(ubar, globals())
+            if masks[b] is not None:
+                ku = ku * masks[b]
+            if shifts[b] is not None:
+                ku = ku - shifts[b]
+            duals[b] = project_ball(duals[b] + sigma * ku, blk.radius)
+        v = _transpose_sum(model, duals)
+        if lin is not None:
+            v = v + lin
+        if local is None:
+            unew = u - tau * v
+        else:
+            unew = ((u - tau * v + (tau * local.eta) * local.uhat)
+                    / (1.0 + tau * local.eta))
+        if sd.box:
+            np.clip(unew, 0.0, 1.0, out=unew)
+        if local is not None:
+            unew *= local.tilde
+        theta, sigma, tau = acceleration_schedule(sigma, tau, gamma)
         ubar = (1.0 + theta) * unew - theta * u
         u = unew
         it += 1
-        if prm.gap_tol is not None and it % prm.gap_check == 0:
-            gap = gap_ccv(u, p, uhat, gcore, core, tilde, eta, alpha)
-            if gap <= prm.gap_tol:
-                break
-    return u, p, it, gap
+        if check is not None and check(it, u, duals):
+            break
+    return u, duals, it
 
 
-def gap_ccv(u, p, uhat, gcore, core, tilde, eta, alpha):
-    """Duality gap of the local segmentation subproblem at (u, p)."""
-    v = alpha * gcore + adjoint_grad_plus(p) * tilde
-    prim = (alpha * inner(u, gcore)
-            + float(np.sum(magnitude(grad_plus(u)) * core))
+def duality_gap(model, local, u, duals):
+    """Duality gap of a local problem at (u, duals).
+
+    The primal value at u minus the dual value at duals; it bounds the
+    suboptimality of u from above and vanishes at the saddle point.
+    """
+    sd = model.saddle
+    eta, uhat = local.eta, local.uhat
+    v = _transpose_sum(model, duals) * local.tilde
+    if local.linear is not None:
+        v = v + sd.linear[0] * local.linear
+    prim = (weighted_sum(objective_terms(model, u, globals(), local.core,
+                                         local.shifts, local.linear))
             + 0.5 * eta * norm2(u - uhat) ** 2)
-    w = np.clip(uhat - v / eta, 0.0, 1.0) * tilde
+    w = uhat - v / eta
+    if sd.box:
+        w = np.clip(w, 0.0, 1.0)
+    w = w * local.tilde
     dual = inner(w, v) + 0.5 * eta * norm2(w - uhat) ** 2
+    for shift, y in zip(local.shifts, duals):
+        if shift is not None:
+            dual = dual - inner(shift, y)
     return prim - dual
 
 
-def local_solve_tvl1(u, p, q, uhat, fcore, core, tilde, eta, alpha, kernel, prm):
-    """Local deblurring subproblem: gradient dual p, data-fit dual q."""
-    sigma, tau = prm.sigma0, prm.tau0
-    u = u.copy()
-    p = p.copy()
-    q = q.copy()
-    ubar = u.copy()
-    core2 = core[..., None]
-    limit = prm.iters if prm.gap_tol is None else prm.max_iters
+def local_solve(model, local, u, duals, prm):
+    """Solve one local problem from a warm start with InnerParams prm.
+
+    Returns (u, duals, iterations, last duality gap or None).
+    """
     gap = None
-    it = 0
-    while it < limit:
-        p = project_ball(p + sigma * (grad_plus(ubar) * core2), 1.0)
-        q = project_ball(q + sigma * (blur(ubar, kernel) * core - fcore), alpha)
-        unew = (u - tau * (adjoint_grad_plus(p) + blur(q, kernel))
-                + (tau * eta) * uhat) / (1.0 + tau * eta)
-        unew *= tilde
-        theta, sigma, tau = acceleration_schedule(sigma, tau, prm.gamma)
-        ubar = (1.0 + theta) * unew - theta * u
-        u = unew
-        it += 1
-        if prm.gap_tol is not None and it % prm.gap_check == 0:
-            gap = gap_tvl1(u, p, q, uhat, fcore, core, tilde, eta, alpha, kernel)
-            if gap <= prm.gap_tol:
-                break
-    return u, p, q, it, gap
 
+    def gap_reached(it, u, duals):
+        nonlocal gap
+        if it % prm.gap_check:
+            return False
+        gap = duality_gap(model, local, u, duals)
+        return gap <= prm.gap_tol
 
-def gap_tvl1(u, p, q, uhat, fcore, core, tilde, eta, alpha, kernel):
-    """Duality gap of the local deblurring subproblem at (u, p, q)."""
-    v = (adjoint_grad_plus(p) + blur(q, kernel)) * tilde
-    prim = (alpha * float(np.sum(np.abs(blur(u, kernel) * core - fcore)))
-            + float(np.sum(magnitude(grad_plus(u)) * core))
-            + 0.5 * eta * norm2(u - uhat) ** 2)
-    w = (uhat - v / eta) * tilde
-    dual = inner(w, v) + 0.5 * eta * norm2(w - uhat) ** 2 - inner(fcore, q)
-    return prim - dual
-
-
-def local_solve_hessl1(u, t, q, uhat, fcore, core, tilde, eta, alpha, prm):
-    """Local denoising subproblem: second-difference dual t, data dual q."""
-    sigma, tau = prm.sigma0, prm.tau0
-    u = u.copy()
-    t = t.copy()
-    q = q.copy()
-    ubar = u.copy()
-    core4 = core[..., None]
-    limit = prm.iters if prm.gap_tol is None else prm.max_iters
-    gap = None
-    it = 0
-    while it < limit:
-        t = project_ball(t + sigma * (hessian(ubar) * core4), 1.0)
-        q = project_ball(q + sigma * (ubar * core - fcore), alpha)
-        unew = (u - tau * (adjoint_hessian(t) + q)
-                + (tau * eta) * uhat) / (1.0 + tau * eta)
-        unew *= tilde
-        theta, sigma, tau = acceleration_schedule(sigma, tau, prm.gamma)
-        ubar = (1.0 + theta) * unew - theta * u
-        u = unew
-        it += 1
-        if prm.gap_tol is not None and it % prm.gap_check == 0:
-            gap = gap_hessl1(u, t, q, uhat, fcore, core, tilde, eta, alpha)
-            if gap <= prm.gap_tol:
-                break
-    return u, t, q, it, gap
-
-
-def gap_hessl1(u, t, q, uhat, fcore, core, tilde, eta, alpha):
-    """Duality gap of the local denoising subproblem at (u, t, q)."""
-    v = (adjoint_hessian(t) + q) * tilde
-    prim = (alpha * float(np.sum(np.abs(u * core - fcore)))
-            + float(np.sum(magnitude(hessian(u)) * core))
-            + 0.5 * eta * norm2(u - uhat) ** 2)
-    w = (uhat - v / eta) * tilde
-    dual = inner(w, v) + 0.5 * eta * norm2(w - uhat) ** 2 - inner(fcore, q)
-    return prim - dual
+    if prm.gap_tol is None:
+        limit, check = prm.iters, None
+    else:
+        limit, check = prm.max_iters, gap_reached
+    u, duals, it = primal_dual(model, u, duals, prm.sigma0, prm.tau0,
+                               prm.gamma, limit, local, check)
+    return u, duals, it, gap
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +285,11 @@ class StepInfo:
 class DecoupledAlm:
     """State and one-step driver of the decoupled augmented Lagrangian loop.
 
-    Holds the stacked primal copies, the multiplier, the per-subdomain dual
-    variables (warm-started across outer steps), and the current consensus
-    average.  All iterates start at zero, which makes the multiplier
-    orthogonal to the consensus subspace and keeps it so by induction.
+    Holds the stacked primal copies, the multiplier, one stacked dual array
+    per block of the model (warm-started across outer steps), and the
+    current consensus average.  All iterates start at zero, which makes the
+    multiplier orthogonal to the consensus subspace and keeps it so by
+    induction.
     """
 
     def __init__(self, model, layout, eta, inner_prm, workers=1):
@@ -296,14 +297,14 @@ class DecoupledAlm:
             raise ValueError(
                 f"layout stencil {layout.stencil} does not match the model's "
                 f"{stencil_of(model)}")
-        if not eta > 0:
-            raise ValueError("eta must be positive")
+        _check_eta(eta)
         if inner_prm.gamma > eta * _BOUND_TOL:
             raise ValueError("gamma must not exceed eta")
-        if inner_prm.sigma0 * inner_prm.tau0 > step_product_bound(model) * _BOUND_TOL:
+        bound = 1.0 / model.saddle.bound
+        if inner_prm.sigma0 * inner_prm.tau0 > bound * _BOUND_TOL:
             raise ValueError(
                 f"sigma0*tau0 = {inner_prm.sigma0 * inner_prm.tau0} exceeds "
-                f"the admissible bound {step_product_bound(model)}")
+                f"the admissible bound {bound}")
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.model = model
@@ -316,40 +317,16 @@ class DecoupledAlm:
         self.u = np.zeros((s_count, m, n))
         self.lam = np.zeros((s_count, m, n))
         self.avg = np.zeros((m, n))
-        if isinstance(model, ChanVese):
-            self.p = np.zeros((s_count, m, n, 2))
-            self.gcore = model.g[None] * layout.core_f
-        elif isinstance(model, TVL1Deblur):
-            self.p = np.zeros((s_count, m, n, 2))
-            self.q = np.zeros((s_count, m, n))
-            self.fcore = model.f[None] * layout.core_f
-        elif isinstance(model, HessianL1):
-            self.t = np.zeros((s_count, m, n, 4))
-            self.q = np.zeros((s_count, m, n))
-            self.fcore = model.f[None] * layout.core_f
-        else:
-            raise TypeError(f"unknown model {type(model).__name__}")
+        self.duals = zero_duals(model, (s_count,))
         self.n = 0
 
     def _solve_one(self, s, uhat_s):
-        lay = self.layout
-        core, tilde = lay.core_f[s], lay.tilde_f[s]
-        mdl = self.model
-        if isinstance(mdl, ChanVese):
-            u, p, it, gap = local_solve_ccv(
-                self.u[s], self.p[s], uhat_s, self.gcore[s], core, tilde,
-                self.eta, mdl.alpha, self.inner)
-            self.u[s], self.p[s] = u, p
-        elif isinstance(mdl, TVL1Deblur):
-            u, p, q, it, gap = local_solve_tvl1(
-                self.u[s], self.p[s], self.q[s], uhat_s, self.fcore[s], core,
-                tilde, self.eta, mdl.alpha, mdl.kernel, self.inner)
-            self.u[s], self.p[s], self.q[s] = u, p, q
-        else:
-            u, t, q, it, gap = local_solve_hessl1(
-                self.u[s], self.t[s], self.q[s], uhat_s, self.fcore[s], core,
-                tilde, self.eta, mdl.alpha, self.inner)
-            self.u[s], self.t[s], self.q[s] = u, t, q
+        local = Local.of(self.model, self.layout, s, uhat_s, self.eta)
+        u, duals, it, gap = local_solve(self.model, local, self.u[s],
+                                        [y[s] for y in self.duals], self.inner)
+        self.u[s] = u
+        for y, d in zip(self.duals, duals):
+            y[s] = d
         return it, gap
 
     def step(self):
@@ -397,20 +374,6 @@ def lyapunov_metric(layout, eta, avg_a, lam_a, avg_b, lam_b):
             + norm2(lam_a - lam_b) ** 2 / eta)
 
 
-def diagnostics(layout, eta, prev, cur, reference=None):
-    """Per-step Lyapunov quantities from (avg, lam) snapshots.
-
-    Returns (d, e): d is the metric between consecutive iterates, e the
-    metric from the current iterate to the reference pair (None without a
-    reference).
-    """
-    d = lyapunov_metric(layout, eta, prev[0], prev[1], cur[0], cur[1])
-    e = None
-    if reference is not None:
-        e = lyapunov_metric(layout, eta, cur[0], cur[1], reference[0], reference[1])
-    return d, e
-
-
 # ---------------------------------------------------------------------------
 # stop rule
 # ---------------------------------------------------------------------------
@@ -450,61 +413,48 @@ class CpResult:
 def cp_full(model, iters, sigma=None, tau=None, tol=None, on_iter=None):
     """Non-accelerated primal-dual baseline on the whole image.
 
-    Runs `iters` iterations (or stops earlier when tol is given and the
-    joint stop rule fires between consecutive iterates).  Records the energy
-    after every iteration; the best value over the trace is an upper bound
-    on the minimum and serves as the reference energy.  on_iter(n, u, e) is
-    called after each iteration when provided.
+    primal_dual() at gamma = 0 without masks.  Runs `iters` iterations (or
+    stops earlier when tol is given and the joint stop rule fires between
+    consecutive iterates).  Records the energy after every iteration; the
+    best value over the trace is an upper bound on the minimum and serves as
+    the reference energy.  on_iter(n, u, e) is called after each iteration
+    when provided.  Default steps are tau = the model's cp_tau with
+    sigma = 1/(bound*tau), or sigma = tau = 1/sqrt(bound) without one.
     """
-    if sigma is None or tau is None:
-        sigma_d, tau_d = cp_defaults(model)
-        sigma = sigma_d if sigma is None else sigma
-        tau = tau_d if tau is None else tau
-    if sigma * tau > step_product_bound(model) * _BOUND_TOL:
+    if tol is not None:
+        _check_tol(tol)
+    bound = model.saddle.bound
+    cp_tau = model.defaults.cp_tau
+    if cp_tau is None:
+        sigma_d = tau_d = 1.0 / math.sqrt(bound)
+    else:
+        sigma_d, tau_d = 1.0 / (bound * cp_tau), cp_tau
+    sigma = sigma_d if sigma is None else sigma
+    tau = tau_d if tau is None else tau
+    if sigma * tau > (1.0 / bound) * _BOUND_TOL:
         raise ValueError(
-            f"sigma*tau = {sigma * tau} exceeds the admissible bound "
-            f"{step_product_bound(model)}")
+            f"sigma*tau = {sigma * tau} exceeds the admissible bound {1.0 / bound}")
     f = model.f
     u = np.zeros_like(f, dtype=np.float64)
-    ubar = u.copy()
-    p = np.zeros(f.shape + (2,))
-    is_ccv = isinstance(model, ChanVese)
-    is_tvl1 = isinstance(model, TVL1Deblur)
-    is_hess = isinstance(model, HessianL1)
-    if is_tvl1 or is_hess:
-        q = np.zeros_like(f, dtype=np.float64)
-    if is_hess:
-        t = np.zeros(f.shape + (4,))
     e_f = energy(model, f) if tol is not None else None
-    e_prev = energy(model, u)
-    u_prev = u.copy()
     energies = []
+    e_prev, u_prev = energy(model, u), u
     converged = False
-    n_done = 0
-    for n in range(1, iters + 1):
-        if is_ccv:
-            p = project_ball(p + sigma * grad_plus(ubar), 1.0)
-            unew = project_box01(u - tau * (adjoint_grad_plus(p) + model.alpha * model.g))
-        elif is_tvl1:
-            p = project_ball(p + sigma * grad_plus(ubar), 1.0)
-            q = project_ball(q + sigma * (blur(ubar, model.kernel) - f), model.alpha)
-            unew = u - tau * (adjoint_grad_plus(p) + blur(q, model.kernel))
-        else:
-            t = project_ball(t + sigma * hessian(ubar), 1.0)
-            q = project_ball(q + sigma * (ubar - f), model.alpha)
-            unew = u - tau * (adjoint_hessian(t) + q)
-        ubar = 2.0 * unew - u
-        u = unew
+
+    def record(n, u, duals):
+        nonlocal converged, e_prev, u_prev
         e = energy(model, u)
         energies.append(e)
-        n_done = n
         if on_iter is not None:
             on_iter(n, u, e)
         if tol is not None and stop_check(e_prev, e, u_prev, u, f, tol, e_f):
             converged = True
-            break
-        e_prev = e
-        u_prev = u
+            return True
+        e_prev, u_prev = e, u
+        return False
+
+    u, _, n_done = primal_dual(model, u, zero_duals(model), sigma, tau, 0.0,
+                               iters, check=record)
     return CpResult(u=u, energies=np.array(energies), converged=converged,
                     iters=n_done)
 
@@ -563,6 +513,7 @@ def solve_dd(model, layout, eta, inner_prm, tol, max_outer, workers=1,
     residual, consecutive-iterate metric, optional relative energy gap and
     PSNR, and cumulative wall time (None when timing is False).
     """
+    _check_tol(tol)
     alm = DecoupledAlm(model, layout, eta, inner_prm, workers=workers)
     e_f = energy(model, model.f)
     u_prev = alm.assemble()

@@ -151,9 +151,20 @@ def test_missing_input_is_io_error(tmp_path):
     assert code == 1
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(tmp_path, capsys):
     assert main(["solve", "--model", "nosuch", "--input", "x.pgm"]) == 1
     assert main([]) == 1
+    src, _ = _write_scene(tmp_path)
+    for flags, named in ((["--eta", "inf", "--subdomains", "2x2"], "eta"),
+                         (["--tol", "nan"], "tol"),
+                         (["--tol", "0"], "tol"),
+                         (["--tol", "-1", "--subdomains", "2x2"], "tol"),
+                         (["--alpha", "inf"], "alpha"),
+                         (["--c1", "nan"], "c1")):
+        capsys.readouterr()
+        code = main(["solve", "--model", "ccv", "--input", str(src)] + flags)
+        assert code == 1, flags
+        assert named in capsys.readouterr().err, flags
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,29 @@ def test_energy_lower_bounds():
         assert energy(HessianL1(f=f, alpha=1.0), u) >= 0.0
 
 
+def test_model_constructors_reject_bad_parameters():
+    f = np.full((4, 4), 0.5)
+    kernel = BlurKernel(1)
+    cases = [
+        (lambda: ChanVese(f=f, alpha=0.0, c1=0.6, c2=0.1), "0.0"),
+        (lambda: ChanVese(f=f, alpha=math.inf, c1=0.6, c2=0.1), "inf"),
+        (lambda: ChanVese(f=f, alpha=1.0, c1=math.nan, c2=0.1), "nan"),
+        (lambda: ChanVese(f=f, alpha=1.0, c1=0.6, c2=-math.inf), "-inf"),
+        (lambda: ChanVese(f=f, alpha=1.0, c1=0.6, c2=0.6), "differ"),
+        (lambda: TVL1Deblur(f=f, alpha=math.nan, kernel=kernel), "nan"),
+        (lambda: HessianL1(f=f, alpha=math.inf), "inf"),
+        (lambda: HessianL1(f=f, alpha=-1.0), "-1.0"),
+        (lambda: HessianL1(f=np.full((2, 2), math.nan), alpha=1.0), "finite"),
+    ]
+    for make, named in cases:
+        try:
+            make()
+        except ValueError as exc:
+            assert named in str(exc), str(exc)
+        else:
+            raise AssertionError(f"accepted ({named})")
+
+
 # ---------------------------------------------------------------------------
 # integrand
 # ---------------------------------------------------------------------------

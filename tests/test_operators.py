@@ -1,10 +1,10 @@
 import numpy as np
 
-from ddimaging.decomposition import OverlapLayout, Stencil
+from ddimaging.decomposition import OverlapLayout
 from ddimaging.fields import inner
+from ddimaging.models import ChanVese, HessianL1, TVL1Deblur, stencil_of
 from ddimaging.operators import (
     BlurKernel,
-    RestrictedOp,
     adjoint_dxm,
     adjoint_dxp,
     adjoint_dym,
@@ -224,80 +224,71 @@ def test_norm_estimate_scaling():
 
 
 # ---------------------------------------------------------------------------
-# restricted operators
+# the models' dual blocks restricted to one subdomain
 # ---------------------------------------------------------------------------
 
 
-def _layouts_for_kinds():
+def _blocks_with_layouts():
+    """Every declared dual block, with a 2x2 layout under its model's stencil.
+
+    Covers the forward gradient (under forward1 and band(2)), the blur, the
+    identity and the second differences.
+    """
     shape = (6, 7)
-    return [
-        ("grad_plus", OverlapLayout.from_grid(shape, 2, 2, Stencil("forward1")), None),
-        ("hessian", OverlapLayout.from_grid(shape, 2, 2, Stencil("backfwd")), None),
-        ("blur", OverlapLayout.from_grid(shape, 2, 2, Stencil("band", 2)), BlurKernel(2)),
-        ("identity", OverlapLayout.from_grid(shape, 2, 2, Stencil("forward1")), None),
-    ]
+    f = np.full(shape, 0.5)
+    out = []
+    for model in (ChanVese(f=f, alpha=1.0, c1=0.6, c2=0.1),
+                  TVL1Deblur(f=f, alpha=1.0, kernel=BlurKernel(2)),
+                  HessianL1(f=f, alpha=1.0)):
+        layout = OverlapLayout.from_grid(shape, 2, 2, stencil_of(model))
+        out.extend((blk, layout) for blk in model.saddle.blocks)
+    return out
+
+
+def _core_mask(blk, layout, s):
+    core = layout.core_f[s]
+    return core[..., None] if blk.channels else core
+
+
+def _restricted(blk, layout, s):
+    """Forward core*K(tilde*u) and adjoint tilde*K*(core*w) of one block."""
+    mask, tilde = _core_mask(blk, layout, s), layout.tilde_f[s]
+    return (lambda u: blk.forward(u * tilde) * mask,
+            lambda w: blk.transpose(w * mask) * tilde)
 
 
 def test_restricted_adjoint_is_dense_transpose():
-    for kind, layout, kernel in _layouts_for_kinds():
+    for blk, layout in _blocks_with_layouts():
         for s in range(layout.count):
-            op = RestrictedOp(kind, layout, s, kernel=kernel)
+            op, adjoint = _restricted(blk, layout, s)
             fwd = dense_matrix(op, layout.shape, None)
             adj_in_shape = op(np.zeros(layout.shape)).shape
-            adj = dense_matrix(op.adjoint, adj_in_shape, None)
-            assert np.allclose(adj, fwd.T, rtol=0, atol=1e-14), (kind, s)
+            adj = dense_matrix(adjoint, adj_in_shape, None)
+            assert np.allclose(adj, fwd.T, rtol=0, atol=1e-14), (blk.op, s)
 
 
 def test_restricted_matches_global_on_core():
     rng = np.random.default_rng(8)
-    for kind, layout, kernel in _layouts_for_kinds():
-        full = {
-            "grad_plus": grad_plus,
-            "hessian": hessian,
-            "blur": lambda x: blur(x, kernel),
-            "identity": lambda x: x,
-        }[kind]
+    for blk, layout in _blocks_with_layouts():
         u = rng.standard_normal(layout.shape)
         for s in range(layout.count):
-            op = RestrictedOp(kind, layout, s, kernel=kernel)
+            op, _ = _restricted(blk, layout, s)
             got = op(u * layout.tilde_f[s])
-            want = full(u)
-            core = layout.core_f[s]
-            if want.ndim == 3:
-                want = want * core[..., None]
-            else:
-                want = want * core
-            assert np.array_equal(got, want), (kind, s)
+            want = blk.forward(u) * _core_mask(blk, layout, s)
+            assert np.array_equal(got, want), (blk.op, s)
 
 
 def test_core_values_ignore_extension_outside_patch():
     # the enlargement is big enough: junk outside it cannot reach the core
     rng = np.random.default_rng(9)
-    for kind, layout, kernel in _layouts_for_kinds():
-        full = {
-            "grad_plus": grad_plus,
-            "hessian": hessian,
-            "blur": lambda x: blur(x, kernel),
-            "identity": lambda x: x,
-        }[kind]
+    for blk, layout in _blocks_with_layouts():
         u = rng.standard_normal(layout.shape)
         for s in range(layout.count):
             inside = u * layout.tilde_f[s]
             junk = inside + 1e6 * rng.standard_normal(layout.shape) * (
                 1.0 - layout.tilde_f[s]
             )
-            a = full(inside)
-            b = full(junk)
-            core = layout.core_f[s]
-            mask = core[..., None] if a.ndim == 3 else core
-            assert np.array_equal(a * mask, b * mask), (kind, s)
-
-
-def test_restricted_rejects_unknown_kind():
-    layout = OverlapLayout.from_grid((4, 4), 1, 1, Stencil("forward1"))
-    try:
-        RestrictedOp("laplace", layout, 0)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("bad kind accepted")
+            a = blk.forward(inside)
+            b = blk.forward(junk)
+            mask = _core_mask(blk, layout, s)
+            assert np.array_equal(a * mask, b * mask), (blk.op, s)

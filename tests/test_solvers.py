@@ -3,27 +3,32 @@ import math
 import numpy as np
 
 from ddimaging.decomposition import OverlapLayout, Stencil
-from ddimaging.fields import magnitude, norm2
+from ddimaging.fields import magnitude, norm2, project_ball, project_box01
 from ddimaging.models import ChanVese, HessianL1, TVL1Deblur, energy, stencil_of
-from ddimaging.operators import BlurKernel
+from ddimaging.operators import (
+    BlurKernel,
+    adjoint_grad_plus,
+    adjoint_hessian,
+    blur,
+    grad_plus,
+    hessian,
+)
 from ddimaging.solvers import (
     DecoupledAlm,
     InnerParams,
+    Local,
     acceleration_schedule,
-    cp_defaults,
     cp_full,
     default_inner,
-    diagnostics,
-    gap_ccv,
-    local_solve_ccv,
-    local_solve_hessl1,
-    local_solve_tvl1,
+    duality_gap,
+    local_solve,
     lyapunov_metric,
+    primal_dual,
     reference_energy,
     solve_dd,
     solve_single,
-    step_product_bound,
     stop_check,
+    zero_duals,
 )
 
 from conftest import blob_scene
@@ -59,7 +64,9 @@ def test_schedule_identity_without_strong_convexity():
 
 def test_inner_params_validation():
     for bad in (dict(sigma0=0.0), dict(tau0=-1.0), dict(gamma=-0.1),
-                dict(iters=0), dict(gap_tol=0.0), dict(gap_check=0)):
+                dict(iters=0), dict(gap_tol=0.0), dict(gap_check=0),
+                dict(gamma=math.inf), dict(sigma0=math.nan),
+                dict(gap_tol=math.nan)):
         kw = dict(sigma0=0.3, tau0=0.3, gamma=0.1, iters=5)
         kw.update(bad)
         try:
@@ -76,12 +83,19 @@ def test_step_bounds_and_defaults():
               TVL1Deblur(f=f, alpha=1, kernel=BlurKernel(4)),
               HessianL1(f=f, alpha=1)]
     for model, bound in zip(models, (1.0 / 8.0, 1.0 / 9.0, 1.0 / 65.0)):
-        assert step_product_bound(model) == bound
-        sigma, tau = cp_defaults(model)
-        assert sigma * tau <= bound * (1.0 + 1e-9)
+        assert 1.0 / model.saddle.bound == bound
+        cp_full(model, 1)  # the default baseline steps pass the bound check
+        try:
+            cp_full(model, 1, sigma=1.0, tau=1.0)
+        except ValueError:
+            pass
+        else:
+            raise AssertionError("oversized baseline steps accepted")
         prm = default_inner(model, eta=2.0)
+        assert prm.sigma0 == prm.tau0 == 1.0 / math.sqrt(model.saddle.bound)
         assert prm.sigma0 * prm.tau0 <= bound * (1.0 + 1e-9)
         assert prm.gamma == 0.125 * 2.0
+        assert prm.iters == model.defaults.inner_iters
 
 
 def test_alm_rejects_bad_configs():
@@ -90,12 +104,13 @@ def test_alm_rejects_bad_configs():
     layout = OverlapLayout.from_grid((6, 6), 2, 2, Stencil("forward1"))
     good = default_inner(model, eta=1.0)
     DecoupledAlm(model, layout, 1.0, good)
-    try:
-        DecoupledAlm(model, layout, -1.0, good)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("negative eta accepted")
+    for eta in (-1.0, math.inf, math.nan):
+        try:
+            DecoupledAlm(model, layout, eta, good)
+        except ValueError as exc:
+            assert repr(eta) in str(exc)
+        else:
+            raise AssertionError(f"eta {eta!r} accepted")
     try:
         DecoupledAlm(model, layout, 1.0, default_inner(model, 1.0, gamma=2.0))
     except ValueError:
@@ -116,6 +131,16 @@ def test_alm_rejects_bad_configs():
         pass
     else:
         raise AssertionError("stencil mismatch accepted")
+    for tol in (math.nan, math.inf, 0.0, -1.0):
+        for call in (lambda: solve_dd(model, layout, 1.0, good, tol, 3),
+                     lambda: solve_single(model, tol, 3),
+                     lambda: cp_full(model, 3, tol=tol)):
+            try:
+                call()
+            except ValueError as exc:
+                assert repr(tol) in str(exc)
+            else:
+                raise AssertionError(f"tol {tol!r} accepted")
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +189,9 @@ def test_ccv_local_prox_matches_grid():
                   + 0.5 * eta * ((a - uhat[0, 0]) ** 2 + (b - uhat[0, 1]) ** 2))
         k = np.unravel_index(np.argmin(e_grid), e_grid.shape)
         u_star = np.array([[grid[k[0]], grid[k[1]]]])
-        u, p, it, gap = local_solve_ccv(
-            np.zeros((1, 2)), np.zeros((1, 2, 2)), uhat, model.g,
-            layout.core_f[0], layout.tilde_f[0], eta, model.alpha, prm)
+        local = Local.of(model, layout, 0, uhat, eta)
+        u, _, it, gap = local_solve(model, local, np.zeros((1, 2)),
+                                    zero_duals(model), prm)
         assert gap is not None and gap <= 1e-12
         assert np.abs(u - u_star).max() <= 2e-3
         e_solver = (model.alpha * (model.g[0, 0] * u[0, 0] + model.g[0, 1] * u[0, 1])
@@ -225,10 +250,9 @@ def test_tvl1_local_prox_matches_grid():
             return alpha * fid + tv + 0.5 * eta * prox
 
         u_star, e_star = hierarchical_grid_min(e_fn)
-        u, p, q, it, gap = local_solve_tvl1(
-            np.zeros((2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2)), uhat,
-            model.f, layout.core_f[0], layout.tilde_f[0], eta, alpha, kernel,
-            prm)
+        local = Local.of(model, layout, 0, uhat, eta)
+        u, _, it, gap = local_solve(model, local, np.zeros((2, 2)),
+                                    zero_duals(model), prm)
         assert gap is not None and gap <= 1e-11
         got = np.array([u[0, 0], u[0, 1], u[1, 0], u[1, 1]])
         assert np.abs(got - u_star).max() <= 2e-3
@@ -259,9 +283,9 @@ def test_hessl1_local_prox_matches_grid():
             return alpha * fid + mag01 + mag10 + mag11 + 0.5 * eta * prox
 
         u_star, e_star = hierarchical_grid_min(e_fn)
-        u, t, q, it, gap = local_solve_hessl1(
-            np.zeros((2, 2)), np.zeros((2, 2, 4)), np.zeros((2, 2)), uhat,
-            model.f, layout.core_f[0], layout.tilde_f[0], eta, alpha, prm)
+        local = Local.of(model, layout, 0, uhat, eta)
+        u, _, it, gap = local_solve(model, local, np.zeros((2, 2)),
+                                    zero_duals(model), prm)
         assert gap is not None and gap <= 1e-11
         got = np.array([u[0, 0], u[0, 1], u[1, 0], u[1, 1]])
         assert np.abs(got - u_star).max() <= 2e-3
@@ -276,7 +300,7 @@ def test_gap_certifies_suboptimality():
     layout = _single_tile((6, 6), model)
     eta = 1.0
     uhat = rng.uniform(-0.1, 1.1, size=(6, 6))
-    core, tilde = layout.core_f[0], layout.tilde_f[0]
+    local = Local.of(model, layout, 0, uhat, eta)
 
     def local_energy_at(u):
         from ddimaging.operators import grad_plus
@@ -286,18 +310,68 @@ def test_gap_certifies_suboptimality():
 
     prm_exact = default_inner(model, eta, gap_tol=1e-13, gap_check=50,
                               max_iters=500_000)
-    u_star, _, _, _ = local_solve_ccv(
-        np.zeros((6, 6)), np.zeros((6, 6, 2)), uhat, model.g, core, tilde,
-        eta, model.alpha, prm_exact)
+    u_star, _, _, _ = local_solve(model, local, np.zeros((6, 6)),
+                                  zero_duals(model), prm_exact)
     e_star = local_energy_at(u_star)
     for iters in (5, 20, 80):
         prm = default_inner(model, eta, iters=iters)
-        u, p, _, _ = local_solve_ccv(
-            np.zeros((6, 6)), np.zeros((6, 6, 2)), uhat, model.g, core,
-            tilde, eta, model.alpha, prm)
-        gap = gap_ccv(u, p, uhat, model.g, core, tilde, eta, model.alpha)
+        u, duals, _, _ = local_solve(model, local, np.zeros((6, 6)),
+                                     zero_duals(model), prm)
+        gap = duality_gap(model, local, u, duals)
         assert gap >= -1e-10
         assert local_energy_at(u) - e_star <= gap + 1e-10
+
+
+def _cp_alg1(model, step, iters):
+    """Chambolle-Pock Alg. 1 written out per model, with its energy trace."""
+    f = model.f
+    u = np.zeros_like(f)
+    ubar = u.copy()
+    p = np.zeros(f.shape + (2,))
+    t = np.zeros(f.shape + (4,))
+    q = np.zeros_like(f)
+    energies = []
+    for _ in range(iters):
+        if isinstance(model, ChanVese):
+            p = project_ball(p + step * grad_plus(ubar), 1.0)
+            unew = project_box01(
+                u - step * (adjoint_grad_plus(p) + model.alpha * model.g))
+        elif isinstance(model, TVL1Deblur):
+            p = project_ball(p + step * grad_plus(ubar), 1.0)
+            q = project_ball(q + step * (blur(ubar, model.kernel) - f), model.alpha)
+            unew = u - step * (adjoint_grad_plus(p) + blur(q, model.kernel))
+        else:
+            t = project_ball(t + step * hessian(ubar), 1.0)
+            q = project_ball(q + step * (ubar - f), model.alpha)
+            unew = u - step * (adjoint_hessian(t) + q)
+        ubar = 2.0 * unew - u
+        u = unew
+        energies.append(energy(model, u))
+    return u, np.array(energies)
+
+
+def test_cp_full_is_primal_dual_at_eta_zero():
+    # the baseline is the accelerated routine at eta = 0 and gamma = 0 (so
+    # theta = 1) on a single subdomain with unit masks, and both are the
+    # plain Alg. 1 iteration, bit for bit
+    rng = np.random.default_rng(25)
+    f = rng.uniform(0, 1, size=(12, 10))
+    for model in (ChanVese(f=f, alpha=2.0, c1=0.6, c2=0.1),
+                  TVL1Deblur(f=f, alpha=3.0, kernel=BlurKernel(1)),
+                  HessianL1(f=f, alpha=1.0)):
+        step = 1.0 / math.sqrt(model.saddle.bound)
+        res = cp_full(model, 300, sigma=step, tau=step)
+        layout = _single_tile(f.shape, model)
+        local = Local.of(model, layout, 0, np.zeros(f.shape), 0.0)
+        trace = []
+        u, _, it = primal_dual(
+            model, np.zeros(f.shape), zero_duals(model), step, step, 0.0, 300,
+            local, lambda n, u, duals: trace.append(energy(model, u)))
+        u_alg1, trace_alg1 = _cp_alg1(model, step, 300)
+        assert it == res.iters == 300
+        assert u.tobytes() == res.u.tobytes() == u_alg1.tobytes()
+        assert (np.array(trace).tobytes() == res.energies.tobytes()
+                == trace_alg1.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +424,10 @@ def test_dual_variables_stay_feasible():
                            default_inner(model, eta, iters=7))
         for _ in range(4):
             alm.step()
-        duals = alm.t if isinstance(model, HessianL1) else alm.p
-        for s in range(layout.count):
-            assert magnitude(duals[s]).max() <= 1.0 + 1e-12
-        if not isinstance(model, ChanVese):
-            assert np.abs(alm.q).max() <= model.alpha * (1.0 + 1e-12)
+        assert len(alm.duals) == len(model.saddle.blocks)
+        for blk, duals in zip(model.saddle.blocks, alm.duals):
+            for s in range(layout.count):
+                assert magnitude(duals[s]).max() <= blk.radius * (1.0 + 1e-12)
 
 
 def test_bitwise_determinism_across_worker_counts():
@@ -386,9 +459,7 @@ def test_step_metric_matches_lyapunov_helper():
         d_direct = lyapunov_metric(layout, 1.5, prev[0], prev[1],
                                    cur[0], cur[1])
         assert abs(info.d_n - d_direct) <= 1e-10 * max(1.0, d_direct)
-        d2, e2 = diagnostics(layout, 1.5, prev, cur, reference=cur)
-        assert abs(d2 - d_direct) <= 1e-12 * max(1.0, d_direct)
-        assert e2 == 0.0
+        assert lyapunov_metric(layout, 1.5, cur[0], cur[1], cur[0], cur[1]) == 0.0
         prev = cur
 
 
