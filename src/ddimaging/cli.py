@@ -12,9 +12,11 @@ before the stop rule fired, 1 on usage or I/O errors.
 """
 
 import argparse
+import dataclasses
 import math
 import re
 import sys
+from functools import partial
 
 from .decomposition import OverlapLayout
 from .models import (
@@ -28,11 +30,13 @@ from .models import (
 )
 from .operators import BlurKernel, blur
 from .pgmio import load_pgm, save_pgm
-from .solvers import default_inner, reference_energy, solve_dd, solve_single
+from .solvers import (MetricsRow, check_tol, default_inner, reference_energy,
+                      solve_dd, solve_single)
 
 MODELS = {"ccv": ChanVese, "tvl1": TVL1Deblur, "hessl1": HessianL1}
 
-CSV_HEADER = "n,energy,rel_gap,consensus_residual,d_n,e_n,psnr,elapsed_s"
+CSV_FIELDS = [f.name for f in dataclasses.fields(MetricsRow)]
+CSV_HEADER = ",".join(CSV_FIELDS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,17 +60,17 @@ def write_metrics(rows, path):
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in rows:
-            cells = [
-                str(r.n),
-                _fmt(r.energy),
-                _fmt(r.rel_gap),
-                _fmt(r.consensus_residual),
-                _fmt(r.d_n),
-                _fmt(r.e_n),
-                _fmt(r.psnr),
-                _fmt(r.elapsed_s, ".6f"),
-            ]
+            cells = [_fmt(getattr(r, name), ".6f" if name == "elapsed_s" else ".17g")
+                     for name in CSV_FIELDS]
             fh.write(",".join(cells) + "\n")
+
+
+def positive_int(text):
+    """argparse type for counts and budgets: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_subdomains(text):
@@ -111,28 +115,28 @@ def cmd_solve(args):
     ground_truth = load_pgm(args.ground_truth) if args.ground_truth else None
     model = _build_model(args, f)
     p, q = _parse_subdomains(args.subdomains)
-    eta = args.eta if args.eta is not None else model.defaults.eta
     tol = args.tol if args.tol is not None else model.defaults.tol
-    timing = not args.no_timing
+    check_tol(tol)
+
+    # every input is checked before the (possibly long) reference run
+    if p * q == 1:
+        for flag, value in (("--eta", args.eta), ("--inner-iters", args.inner_iters)):
+            if value is not None:
+                raise ValueError(f"{flag} is for decomposed runs, not --subdomains 1x1")
+        run = partial(solve_single, model, tol, args.max_outer or 50_000)
+    else:
+        eta = args.eta if args.eta is not None else model.defaults.eta
+        layout = OverlapLayout.from_grid(f.shape, p, q, stencil_of(model))
+        inner_prm = default_inner(
+            model, eta, iters=args.inner_iters or model.defaults.inner_iters)
+        run = partial(solve_dd, model, layout, eta, inner_prm, tol,
+                      args.max_outer or 500, workers=args.workers)
 
     e_star = args.reference_energy
     if e_star is None and args.compute_reference_iters is not None:
         e_star = reference_energy(model, args.compute_reference_iters)
-
-    if p * q == 1:
-        max_iters = args.max_outer if args.max_outer is not None else 50_000
-        result = solve_single(model, tol, max_iters, e_star=e_star,
-                              ground_truth=ground_truth, timing=timing)
-    else:
-        max_outer = args.max_outer if args.max_outer is not None else 500
-        layout = OverlapLayout.from_grid(f.shape, p, q, stencil_of(model))
-        overrides = {}
-        if args.inner_iters is not None:
-            overrides["iters"] = args.inner_iters
-        inner_prm = default_inner(model, eta, **overrides)
-        result = solve_dd(model, layout, eta, inner_prm, tol, max_outer,
-                          workers=args.workers, e_star=e_star,
-                          ground_truth=ground_truth, timing=timing)
+    result = run(e_star=e_star, ground_truth=ground_truth,
+                 timing=not args.no_timing)
 
     if args.output:
         save_pgm(result.u, args.output)
@@ -186,18 +190,18 @@ def build_parser():
     sp.add_argument("--subdomains", default="1x1",
                     help="PxQ subdomain grid (1x1 runs the whole-image baseline)")
     sp.add_argument("--eta", type=float, default=None,
-                    help="coupling weight (default 1/10/20 by model)")
+                    help="coupling weight (default 1/10/20 by model; not for 1x1)")
     sp.add_argument("--tol", type=float, default=None,
                     help="stop tolerance (default 1e-4 ccv, 1e-3 otherwise)")
-    sp.add_argument("--max-outer", type=int, default=None,
+    sp.add_argument("--max-outer", type=positive_int, default=None,
                     help="iteration budget (outer steps, or baseline iterations for 1x1)")
-    sp.add_argument("--inner-iters", type=int, default=None,
+    sp.add_argument("--inner-iters", type=positive_int, default=None,
                     help="inner iterations per outer step (default 10 ccv, 50 otherwise)")
-    sp.add_argument("--workers", type=int, default=1,
+    sp.add_argument("--workers", type=positive_int, default=1,
                     help="thread count for local solves (results identical for any count)")
     sp.add_argument("--reference-energy", type=float, default=None,
                     help="known minimum energy for the rel_gap column")
-    sp.add_argument("--compute-reference-iters", type=int, default=None,
+    sp.add_argument("--compute-reference-iters", type=positive_int, default=None,
                     help="compute the reference energy with this many baseline iterations")
     sp.add_argument("--no-timing", action="store_true",
                     help="leave elapsed_s empty so metrics files are bit-reproducible")

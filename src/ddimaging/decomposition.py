@@ -141,10 +141,10 @@ class OverlapLayout:
     tiles : list of half-open boxes, row-major
     core, tilde : (S, M, N) bool
         Tile masks and their stencil enlargements.
-    core_f, tilde_f : (S, M, N) float64
-        The same masks as 0/1 floats, for arithmetic.
     counts : (M, N) float64
         How many enlarged masks contain each pixel (>= 1 everywhere).
+    interface : (M, N) bool
+        Pixels contained in two or more enlarged masks.
     """
 
     def __init__(self, shape, tiles, stencil):
@@ -167,9 +167,7 @@ class OverlapLayout:
         self.tiles = list(tiles)
         self.core = core
         self.tilde = tilde
-        self.core_f = core.astype(np.float64)
-        self.tilde_f = tilde.astype(np.float64)
-        self.counts = self.tilde_f.sum(axis=0)
+        self.counts = tilde.sum(axis=0, dtype=np.float64)
         self.interface = self.counts >= 2.0
 
     @classmethod
@@ -184,7 +182,7 @@ class OverlapLayout:
 def restrict_global(u, layout):
     """Stack a global field into per-subdomain copies on the enlarged masks."""
     u = np.asarray(u, dtype=np.float64)
-    return u[None, :, :] * layout.tilde_f
+    return u[None, :, :] * layout.tilde
 
 
 def stack_sum(stacked, layout):
@@ -206,7 +204,7 @@ def project_consensus(stacked, layout):
     Every pixel copy becomes the mean over the subdomains sharing that
     pixel; pixels owned by a single subdomain are returned unchanged.
     """
-    return assemble_global(stacked, layout)[None, :, :] * layout.tilde_f
+    return assemble_global(stacked, layout)[None, :, :] * layout.tilde
 
 
 def consensus_norm_sq(avg, layout):

@@ -45,11 +45,11 @@ class Block:
     """One dual block: the term radius * ||K u - shift||_1.
 
     K and its adjoint are named, not held (None is the identity), and are
-    resolved in a namespace at call time, by default the operators module.
-    The solvers pass their own module namespace, so a wrapper installed on
-    one of its attributes (a profiler, a tracer) sees every application.
-    args follow the field in each call; channels is the trailing channel
-    count of K u (0 for a scalar field).
+    resolved at call time in a namespace ns, falling back to the operators
+    module.  The solvers pass their own module namespace, so a wrapper
+    installed on one of its attributes (a profiler, a tracer) sees every
+    application.  args follow the field in each call; channels is the
+    trailing channel count of K u (0 for a scalar field).
     """
 
     op: Optional[str]
@@ -60,10 +60,14 @@ class Block:
     args: tuple = ()
 
     def forward(self, u, ns=vars(operators)):
-        return u if self.op is None else ns[self.op](u, *self.args)
+        return u if self.op is None else _operator(self.op, ns)(u, *self.args)
 
     def transpose(self, y, ns=vars(operators)):
-        return y if self.adjoint is None else ns[self.adjoint](y, *self.args)
+        return y if self.adjoint is None else _operator(self.adjoint, ns)(y, *self.args)
+
+
+def _operator(name, ns):
+    return ns[name] if name in ns else getattr(operators, name)
 
 
 TV = Block("grad_plus", "adjoint_grad_plus", 1.0, channels=2)

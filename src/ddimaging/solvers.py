@@ -40,10 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decomposition import (
-    consensus_norm_sq,
-    stack_sum,
-)
+from .decomposition import consensus_norm_sq, restrict_global, stack_sum
 from .fields import inner, norm2, project_ball, psnr
 from .models import energy, objective_terms, stencil_of, weighted_sum
 # the blocks name their operators; primal_dual() and duality_gap() look the
@@ -64,7 +61,7 @@ def _check_eta(eta):
         raise ValueError(f"eta must be finite and positive, got {eta!r}")
 
 
-def _check_tol(tol):
+def check_tol(tol):
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
@@ -138,8 +135,9 @@ class Local:
     """Subdomain s's problem min J_s(u) + (eta/2)||u - uhat||^2.
 
     J_s reads K u on the core tile only and u lives on the enlarged patch
-    tilde; shifts and linear are the model's data shifts and linear vector
-    masked to the core (None where the model has none).
+    tilde, both 0/1 floats (faster to multiply than booleans); shifts and
+    linear are the model's data shifts and linear vector masked to the core
+    (None where the model has none).
     """
 
     core: np.ndarray
@@ -151,9 +149,9 @@ class Local:
 
     @classmethod
     def of(cls, model, layout, s, uhat, eta):
-        core = layout.core_f[s]
+        core = layout.core[s].astype(np.float64)
         sd = model.saddle
-        return cls(core=core, tilde=layout.tilde_f[s],
+        return cls(core=core, tilde=layout.tilde[s].astype(np.float64),
                    shifts=[None if b.shift is None else b.shift * core
                            for b in sd.blocks],
                    linear=None if sd.linear is None else sd.linear[1] * core,
@@ -287,9 +285,9 @@ class DecoupledAlm:
 
     Holds the stacked primal copies, the multiplier, one stacked dual array
     per block of the model (warm-started across outer steps), and the
-    current consensus average.  All iterates start at zero, which makes the
-    multiplier orthogonal to the consensus subspace and keeps it so by
-    induction.
+    consensus average `avg`, the global image.  All iterates start at zero,
+    which makes the multiplier orthogonal to the consensus subspace and
+    keeps it so by induction.
     """
 
     def __init__(self, model, layout, eta, inner_prm, workers=1):
@@ -320,8 +318,9 @@ class DecoupledAlm:
         self.duals = zero_duals(model, (s_count,))
         self.n = 0
 
-    def _solve_one(self, s, uhat_s):
-        local = Local.of(self.model, self.layout, s, uhat_s, self.eta)
+    def _solve_one(self, s):
+        uhat = self.avg * self.layout.tilde[s] - self.lam[s] / self.eta
+        local = Local.of(self.model, self.layout, s, uhat, self.eta)
         u, duals, it, gap = local_solve(self.model, local, self.u[s],
                                         [y[s] for y in self.duals], self.inner)
         self.u[s] = u
@@ -333,16 +332,13 @@ class DecoupledAlm:
         """One outer iteration; returns its consensus residual and metrics."""
         lay = self.layout
         eta = self.eta
-        uhat = self.avg[None] * lay.tilde_f - self.lam / eta
-        indices = range(lay.count)
         if self.workers > 1:
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                results = list(pool.map(self._solve_one, indices,
-                                        (uhat[s] for s in indices)))
+                results = list(pool.map(self._solve_one, range(lay.count)))
         else:
-            results = [self._solve_one(s, uhat[s]) for s in indices]
+            results = [self._solve_one(s) for s in range(lay.count)]
         avg_new = stack_sum(self.u, lay) / lay.counts
-        resid_vec = self.u - avg_new[None] * lay.tilde_f
+        resid_vec = self.u - restrict_global(avg_new, lay)
         self.lam += eta * resid_vec
         residual = norm2(resid_vec)
         d_n = (eta * consensus_norm_sq(self.avg - avg_new, lay)
@@ -352,10 +348,6 @@ class DecoupledAlm:
         return StepInfo(residual=residual, d_n=d_n,
                         inner_iters=[r[0] for r in results],
                         gaps=[r[1] for r in results])
-
-    def assemble(self):
-        """Current global image u = membership average of the copies."""
-        return self.avg.copy()
 
     def multiplier_consensus_norm(self):
         """Norm of the multiplier's consensus component (zero in theory)."""
@@ -422,7 +414,7 @@ def cp_full(model, iters, sigma=None, tau=None, tol=None, on_iter=None):
     sigma = 1/(bound*tau), or sigma = tau = 1/sqrt(bound) without one.
     """
     if tol is not None:
-        _check_tol(tol)
+        check_tol(tol)
     bound = model.saddle.bound
     cp_tau = model.defaults.cp_tau
     if cp_tau is None:
@@ -479,7 +471,6 @@ class MetricsRow:
     rel_gap: Optional[float] = None
     consensus_residual: Optional[float] = None
     d_n: Optional[float] = None
-    e_n: Optional[float] = None
     psnr: Optional[float] = None
     elapsed_s: Optional[float] = None
 
@@ -513,10 +504,10 @@ def solve_dd(model, layout, eta, inner_prm, tol, max_outer, workers=1,
     residual, consecutive-iterate metric, optional relative energy gap and
     PSNR, and cumulative wall time (None when timing is False).
     """
-    _check_tol(tol)
+    check_tol(tol)
     alm = DecoupledAlm(model, layout, eta, inner_prm, workers=workers)
     e_f = energy(model, model.f)
-    u_prev = alm.assemble()
+    u_prev = alm.avg
     e_prev = energy(model, u_prev)
     rows = []
     converged = False
@@ -541,7 +532,7 @@ def solve_dd(model, layout, eta, inner_prm, tol, max_outer, workers=1,
             break
         e_prev = e
         u_prev = u
-    return SolveResult(u=alm.assemble(), rows=rows, converged=converged,
+    return SolveResult(u=alm.avg, rows=rows, converged=converged,
                        iters=alm.n, mult_ortho_max=mult_ortho)
 
 

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 
+from ddimaging import cli
 from ddimaging.cli import CSV_HEADER, main, write_metrics
 from ddimaging.models import ChanVese, salt_pepper, threshold_half
 from ddimaging.operators import BlurKernel, blur
@@ -78,9 +79,9 @@ def test_solve_ccv_single_domain(tmp_path):
     assert first[0] == "1"
     assert first[2] == ""          # no reference energy -> empty rel_gap
     assert first[3] == "0"         # single domain: zero consensus residual
-    assert first[4] == "" and first[5] == ""
-    assert float(first[6]) > 0.0   # psnr vs supplied ground truth
-    assert float(first[7]) >= 0.0
+    assert first[4] == ""          # no d_n without a coupling weight
+    assert float(first[5]) > 0.0   # psnr vs supplied ground truth
+    assert float(first[6]) >= 0.0
     mask = load_pgm(tmp_path / "seg.mask.pgm")
     assert np.isin(mask, (0.0, 1.0)).all()
     got = load_pgm(out)
@@ -101,7 +102,7 @@ def test_solve_decomposed_and_reference_gap(tmp_path):
     assert last[2] != ""                  # rel_gap present
     assert abs(float(last[2])) <= 1e-2
     assert last[4] != ""                  # d_n recorded for the dd path
-    assert last[7] == ""                  # --no-timing leaves elapsed empty
+    assert last[6] == ""                  # --no-timing leaves elapsed empty
     model = ChanVese(f=u, alpha=10.0, c1=0.6, c2=0.1)
     e_out = energy(model, load_pgm(out))
     assert math.isfinite(e_out)
@@ -151,18 +152,38 @@ def test_missing_input_is_io_error(tmp_path):
     assert code == 1
 
 
-def test_usage_error_exit_code(tmp_path, capsys):
+def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
+    def no_reference(model, iters):
+        raise AssertionError("reference energy computed before input checks")
+
+    # every case also asks for a long reference run, which must not start
+    monkeypatch.setattr(cli, "reference_energy", no_reference)
     assert main(["solve", "--model", "nosuch", "--input", "x.pgm"]) == 1
     assert main([]) == 1
     src, _ = _write_scene(tmp_path)
     for flags, named in ((["--eta", "inf", "--subdomains", "2x2"], "eta"),
                          (["--tol", "nan"], "tol"),
+                         (["--tol", "nan", "--subdomains", "2x2"], "tol"),
                          (["--tol", "0"], "tol"),
                          (["--tol", "-1", "--subdomains", "2x2"], "tol"),
                          (["--alpha", "inf"], "alpha"),
-                         (["--c1", "nan"], "c1")):
+                         (["--c1", "nan"], "c1"),
+                         (["--inner-iters", "0", "--subdomains", "2x2"], "iters"),
+                         (["--subdomains", "30x30"], "30x30"),
+                         (["--workers", "0", "--subdomains", "2x2"], "--workers"),
+                         (["--max-outer", "0", "--subdomains", "2x2"], "--max-outer"),
+                         (["--max-outer", "-3"], "--max-outer"),
+                         (["--compute-reference-iters", "0"],
+                          "--compute-reference-iters"),
+                         # the whole-image baseline has no coupling weight
+                         # and no inner solves
+                         (["--eta", "inf"], "--eta"),
+                         (["--eta", "1", "--subdomains", "1x1"], "--eta"),
+                         (["--inner-iters", "0"], "--inner-iters"),
+                         (["--inner-iters", "5"], "--inner-iters")):
         capsys.readouterr()
-        code = main(["solve", "--model", "ccv", "--input", str(src)] + flags)
+        code = main(["solve", "--model", "ccv", "--input", str(src),
+                     "--compute-reference-iters", "20000"] + flags)
         assert code == 1, flags
         assert named in capsys.readouterr().err, flags
 
@@ -185,16 +206,17 @@ def test_energy_prints_value(tmp_path, capsys):
 def test_write_metrics_rendering(tmp_path):
     rows = [
         MetricsRow(n=1, energy=1.25, rel_gap=None, consensus_residual=0.5,
-                   d_n=None, e_n=None, psnr=math.inf, elapsed_s=0.125),
+                   d_n=None, psnr=math.inf, elapsed_s=0.125),
         MetricsRow(n=2, energy=-3.0, rel_gap=1e-17, consensus_residual=0.0,
-                   d_n=2.0, e_n=4.0, psnr=None, elapsed_s=None),
+                   d_n=2.0, psnr=None, elapsed_s=None),
     ]
     path = tmp_path / "m.csv"
     write_metrics(rows, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == CSV_HEADER
-    assert lines[1] == "1,1.25,,0.5,,,inf,0.125000"
-    assert lines[2] == "2,-3,1.0000000000000001e-17,0,2,4,,"
+    assert CSV_HEADER == "n,energy,rel_gap,consensus_residual,d_n,psnr,elapsed_s"
+    assert lines[1] == "1,1.25,,0.5,,inf,0.125000"
+    assert lines[2] == "2,-3,1.0000000000000001e-17,0,2,,"
 
 
 def test_console_entry_point(tmp_path):

@@ -208,8 +208,8 @@ def test_single_subdomain_is_whole_grid():
 def test_consensus_average_example():
     layout = OverlapLayout.from_grid((4, 4), 2, 1, Stencil("forward1"))
     stacked = np.zeros((2, 4, 4))
-    stacked[0] = 1.0 * layout.tilde_f[0]
-    stacked[1] = 3.0 * layout.tilde_f[1]
+    stacked[0] = 1.0 * layout.tilde[0]
+    stacked[1] = 3.0 * layout.tilde[1]
     out = project_consensus(stacked, layout)
     shared = layout.tilde[0] & layout.tilde[1]
     assert (out[0][shared] == 2.0).all()
@@ -221,7 +221,7 @@ def test_consensus_average_example():
 def test_consensus_idempotent_bitwise():
     rng = np.random.default_rng(2)
     layout = OverlapLayout.from_grid((8, 9), 2, 3, Stencil("band", 1))
-    stacked = rng.standard_normal((layout.count, 8, 9)) * layout.tilde_f
+    stacked = rng.standard_normal((layout.count, 8, 9)) * layout.tilde
     once = project_consensus(stacked, layout)
     twice = project_consensus(once, layout)
     assert np.array_equal(once, twice)
@@ -232,8 +232,8 @@ def test_consensus_self_adjoint_and_nonexpansive():
     for st in (Stencil("forward1"), Stencil("band", 2), Stencil("backfwd")):
         layout = OverlapLayout.from_grid((7, 7), 2, 2, st)
         for _ in range(20):
-            a = rng.standard_normal((layout.count, 7, 7)) * layout.tilde_f
-            b = rng.standard_normal((layout.count, 7, 7)) * layout.tilde_f
+            a = rng.standard_normal((layout.count, 7, 7)) * layout.tilde
+            b = rng.standard_normal((layout.count, 7, 7)) * layout.tilde
             lhs = inner(project_consensus(a, layout), b)
             rhs = inner(a, project_consensus(b, layout))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
@@ -243,7 +243,7 @@ def test_consensus_self_adjoint_and_nonexpansive():
 def test_jump_vanishes_after_projection():
     rng = np.random.default_rng(4)
     layout = OverlapLayout.from_grid((6, 6), 3, 2, Stencil("backfwd"))
-    stacked = rng.standard_normal((layout.count, 6, 6)) * layout.tilde_f
+    stacked = rng.standard_normal((layout.count, 6, 6)) * layout.tilde
     proj = project_consensus(stacked, layout)
     pairs = 0
     for s in range(layout.count):
@@ -267,7 +267,7 @@ def test_restrict_then_assemble_roundtrip():
 def test_assemble_ignores_inconsistency_direction():
     rng = np.random.default_rng(6)
     layout = OverlapLayout.from_grid((6, 8), 2, 2, Stencil("band", 1))
-    stacked = rng.standard_normal((layout.count, 6, 8)) * layout.tilde_f
+    stacked = rng.standard_normal((layout.count, 6, 8)) * layout.tilde
     a = assemble_global(stacked, layout)
     b = assemble_global(project_consensus(stacked, layout), layout)
     assert np.allclose(a, b, rtol=0, atol=1e-13)
@@ -276,7 +276,7 @@ def test_assemble_ignores_inconsistency_direction():
 def test_consensus_norm_sq_matches_stacked_norm():
     rng = np.random.default_rng(8)
     layout = OverlapLayout.from_grid((7, 6), 2, 2, Stencil("forward1"))
-    stacked = rng.standard_normal((layout.count, 7, 6)) * layout.tilde_f
+    stacked = rng.standard_normal((layout.count, 7, 6)) * layout.tilde
     proj = project_consensus(stacked, layout)
     avg = assemble_global(stacked, layout)
     assert abs(consensus_norm_sq(avg, layout) - norm2(proj) ** 2) <= 1e-10
@@ -285,7 +285,7 @@ def test_consensus_norm_sq_matches_stacked_norm():
 def test_pythagoras_for_projection():
     rng = np.random.default_rng(9)
     layout = OverlapLayout.from_grid((6, 6), 2, 3, Stencil("backfwd"))
-    stacked = rng.standard_normal((layout.count, 6, 6)) * layout.tilde_f
+    stacked = rng.standard_normal((layout.count, 6, 6)) * layout.tilde
     proj = project_consensus(stacked, layout)
     res = consensus_residual(stacked, layout)
     lhs = norm2(stacked) ** 2

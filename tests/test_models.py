@@ -213,7 +213,7 @@ def test_local_energies_sum_to_global():
         for _ in range(5):
             u = rng.uniform(0, 1, size=(8, 9))
             total = sum(
-                local_energy(model, layout, s, u * layout.tilde_f[s])
+                local_energy(model, layout, s, u * layout.tilde[s])
                 for s in range(layout.count)
             )
             e = energy(model, u)
@@ -234,10 +234,8 @@ def test_local_energy_extension_independent():
         layout = OverlapLayout.from_grid((8, 8), 2, 2, stencil_of(model))
         u = rng.uniform(0.1, 0.9, size=(8, 8))
         for s in range(layout.count):
-            inside = u * layout.tilde_f[s]
-            other = inside + rng.uniform(0.1, 0.9, size=(8, 8)) * (
-                1.0 - layout.tilde_f[s]
-            )
+            inside = u * layout.tilde[s]
+            other = inside + rng.uniform(0.1, 0.9, size=(8, 8)) * ~layout.tilde[s]
             a = local_energy(model, layout, s, inside)
             b = local_energy(model, layout, s, other)
             assert a == b
@@ -249,7 +247,7 @@ def test_local_energy_infeasible_is_infinite():
     layout = OverlapLayout.from_grid((4, 4), 2, 2, stencil_of(model))
     u = np.full((4, 4), 0.5)
     u[0, 0] = 1.5
-    assert local_energy(model, layout, 0, u * layout.tilde_f[0]) == math.inf
+    assert local_energy(model, layout, 0, u * layout.tilde[0]) == math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -246,13 +246,13 @@ def _blocks_with_layouts():
 
 
 def _core_mask(blk, layout, s):
-    core = layout.core_f[s]
+    core = layout.core[s]
     return core[..., None] if blk.channels else core
 
 
 def _restricted(blk, layout, s):
     """Forward core*K(tilde*u) and adjoint tilde*K*(core*w) of one block."""
-    mask, tilde = _core_mask(blk, layout, s), layout.tilde_f[s]
+    mask, tilde = _core_mask(blk, layout, s), layout.tilde[s]
     return (lambda u: blk.forward(u * tilde) * mask,
             lambda w: blk.transpose(w * mask) * tilde)
 
@@ -273,7 +273,7 @@ def test_restricted_matches_global_on_core():
         u = rng.standard_normal(layout.shape)
         for s in range(layout.count):
             op, _ = _restricted(blk, layout, s)
-            got = op(u * layout.tilde_f[s])
+            got = op(u * layout.tilde[s])
             want = blk.forward(u) * _core_mask(blk, layout, s)
             assert np.array_equal(got, want), (blk.op, s)
 
@@ -284,10 +284,8 @@ def test_core_values_ignore_extension_outside_patch():
     for blk, layout in _blocks_with_layouts():
         u = rng.standard_normal(layout.shape)
         for s in range(layout.count):
-            inside = u * layout.tilde_f[s]
-            junk = inside + 1e6 * rng.standard_normal(layout.shape) * (
-                1.0 - layout.tilde_f[s]
-            )
+            inside = u * layout.tilde[s]
+            junk = inside + 1e6 * rng.standard_normal(layout.shape) * ~layout.tilde[s]
             a = blk.forward(inside)
             b = blk.forward(junk)
             mask = _core_mask(blk, layout, s)
