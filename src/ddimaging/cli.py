@@ -117,6 +117,9 @@ def cmd_solve(args):
     p, q = _parse_subdomains(args.subdomains)
     tol = args.tol if args.tol is not None else model.defaults.tol
     check_tol(tol)
+    e_star = args.reference_energy
+    if e_star is not None and not math.isfinite(e_star):
+        raise ValueError(f"--reference-energy must be finite, got {e_star!r}")
 
     # every input is checked before the (possibly long) reference run
     if p * q == 1:
@@ -132,7 +135,6 @@ def cmd_solve(args):
         run = partial(solve_dd, model, layout, eta, inner_prm, tol,
                       args.max_outer or 500, workers=args.workers)
 
-    e_star = args.reference_energy
     if e_star is None and args.compute_reference_iters is not None:
         e_star = reference_energy(model, args.compute_reference_iters)
     result = run(e_star=e_star, ground_truth=ground_truth,

@@ -109,7 +109,12 @@ class ChanVese:
         _check_params(self, alpha=self.alpha, c1=self.c1, c2=self.c2)
         if self.c1 == self.c2:
             raise ValueError("region values c1 and c2 must differ")
-        g = (self.f - self.c1) ** 2 - (self.f - self.c2) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = (self.f - self.c1) ** 2 - (self.f - self.c2) ** 2
+            finite = np.isfinite(self.alpha * g).all()
+        if not finite:
+            raise ValueError(f"c1 = {self.c1!r} and c2 = {self.c2!r} make the "
+                             "linear term alpha*((f - c1)^2 - (f - c2)^2) non-finite")
         object.__setattr__(self, "g", g)
 
     @cached_property

@@ -56,13 +56,12 @@ def load_pgm(path):
             raise ValueError(f"{path}: expected {count} samples, got {values.size}")
     else:
         pos += 1  # exactly one whitespace byte after maxval
-        if maxval < 256:
-            raw = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
-        else:
-            raw = np.frombuffer(data, dtype=">u2", count=count, offset=pos)
-        if raw.size != count:
-            raise ValueError(f"{path}: truncated pixel data")
-        values = raw.astype(np.int64)
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+        need, have = count * dtype.itemsize, max(len(data) - pos, 0)
+        if have < need:
+            raise ValueError(f"{path}: truncated pixel data: {need} bytes needed, "
+                             f"{have} present")
+        values = np.frombuffer(data, dtype=dtype, count=count, offset=pos).astype(np.int64)
     if values.min() < 0 or values.max() > maxval:
         raise ValueError(f"{path}: sample outside [0, {maxval}]")
     field = values.astype(np.float64).reshape(height, width) / float(maxval)

@@ -23,11 +23,15 @@ primal-dual algorithm for convex problems with applications to imaging"
 
 with 0 <= gamma <= eta (Alg. 2), warm-started primal and dual variables, and
 step sizes reset at every outer iteration.  The baseline is the case eta = 0,
-gamma = 0 (so theta = 1, Alg. 1) with no masks.  Fixed iteration budgets are
-the default; a gap-targeted mode instead runs each local solve until its
-duality gap (an exact suboptimality certificate, computed from the running
-dual variables) falls below a tolerance, which the Lyapunov monotonicity
-tests rely on.
+gamma = 0 (so theta = 1, Alg. 1) with no masks.
+
+primal_dual() yields its iterates and never stops by itself; its callers own
+the loop.  local_solve() runs a fixed iteration budget by default; its
+gap-targeted mode instead runs until the local duality gap (an exact
+suboptimality certificate, computed from the running dual variables) falls
+below a tolerance, which the Lyapunov monotonicity tests rely on.  cp_full()
+records the energy trace and, given a tolerance, applies the same joint stop
+rule as solve_dd() between consecutive iterates.
 """
 
 import math
@@ -35,6 +39,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 from operator import add
 from typing import Optional
 
@@ -164,7 +169,7 @@ def _transpose_sum(model, duals):
                         for blk, y in zip(model.saddle.blocks, duals)))
 
 
-def primal_dual(model, u, duals, sigma, tau, gamma, limit, local=None, check=None):
+def primal_dual(model, u, duals, sigma, tau, gamma, local=None):
     """Primal-dual iteration on the model's saddle problem.
 
     Each step: dual ascent and ball projection per block, the primal
@@ -172,9 +177,9 @@ def primal_dual(model, u, duals, sigma, tau, gamma, limit, local=None, check=Non
     and the overrelaxation.  local=None is the whole image without a
     proximal term; with a Local the operators are masked to its core, the
     primal resolvent includes the proximal term and the iterate is confined
-    to its patch.  Runs up to `limit` iterations; check(it, u, duals), when
-    given, runs after each one, and a true return stops the iteration.
-    Returns (u, duals, iterations); the arguments are not modified.
+    to its patch.  Yields (u, duals) after every step and never ends: the
+    caller owns the loop and stops it (islice for a fixed budget).  The
+    arguments are not modified.
     """
     sd = model.saddle
     duals = list(duals)
@@ -189,8 +194,7 @@ def primal_dual(model, u, duals, sigma, tau, gamma, limit, local=None, check=Non
     if lin is not None:
         lin = sd.linear[0] * lin
     ubar = u
-    it = 0
-    while it < limit:
+    while True:
         for b, blk in enumerate(sd.blocks):
             ku = blk.forward(ubar, globals())
             if masks[b] is not None:
@@ -213,10 +217,7 @@ def primal_dual(model, u, duals, sigma, tau, gamma, limit, local=None, check=Non
         theta, sigma, tau = acceleration_schedule(sigma, tau, gamma)
         ubar = (1.0 + theta) * unew - theta * u
         u = unew
-        it += 1
-        if check is not None and check(it, u, duals):
-            break
-    return u, duals, it
+        yield u, duals
 
 
 def duality_gap(model, local, u, duals):
@@ -250,20 +251,13 @@ def local_solve(model, local, u, duals, prm):
     Returns (u, duals, iterations, last duality gap or None).
     """
     gap = None
-
-    def gap_reached(it, u, duals):
-        nonlocal gap
-        if it % prm.gap_check:
-            return False
-        gap = duality_gap(model, local, u, duals)
-        return gap <= prm.gap_tol
-
-    if prm.gap_tol is None:
-        limit, check = prm.iters, None
-    else:
-        limit, check = prm.max_iters, gap_reached
-    u, duals, it = primal_dual(model, u, duals, prm.sigma0, prm.tau0,
-                               prm.gamma, limit, local, check)
+    limit = prm.iters if prm.gap_tol is None else prm.max_iters
+    steps = primal_dual(model, u, duals, prm.sigma0, prm.tau0, prm.gamma, local)
+    for it, (u, duals) in enumerate(islice(steps, limit), 1):
+        if prm.gap_tol is not None and it % prm.gap_check == 0:
+            gap = duality_gap(model, local, u, duals)
+            if gap <= prm.gap_tol:
+                break
     return u, duals, it, gap
 
 
@@ -374,19 +368,35 @@ def lyapunov_metric(layout, eta, avg_a, lam_a, avg_b, lam_b):
 def stop_check(e_prev, e_cur, u_prev, u_cur, f, tol, e_f):
     """Joint relative energy-change and iterate-change criterion.
 
-    True when max(|e_prev - e_cur|/denom, ||u_prev - u_cur||/||f||) < tol,
-    where denom is |e_f| (the energy of the data image, passed in
-    precomputed) with fallback to 1 when |e_f| < 1e-12.
+    True when max(|e_prev - e_cur|/|e_f|, ||u_prev - u_cur||/||f||) < tol,
+    where e_f is the energy of the data image f (passed in precomputed);
+    either denominator falls back to 1 below 1e-12, so a black image solves.
     """
-    f_norm = norm2(f)
-    if f_norm == 0.0:
-        raise ValueError("stop rule needs nonzero data image")
     denom = abs(e_f)
     if denom < 1e-12:
         denom = 1.0
+    f_norm = norm2(f)
+    if f_norm < 1e-12:
+        f_norm = 1.0
     rel_e = abs(e_prev - e_cur) / denom
     rel_u = norm2(u_prev - u_cur) / f_norm
     return max(rel_e, rel_u) < tol
+
+
+class _StopRule:
+    """stop_check between consecutive iterates of a solve started at u = 0."""
+
+    def __init__(self, model, tol):
+        check_tol(tol)
+        self.model, self.tol = model, tol
+        self.e_f = energy(model, model.f)
+        u0 = np.zeros(model.f.shape)
+        self.prev = energy(model, u0), u0
+
+    def __call__(self, e, u):
+        """True when the rule fires between the previous iterate and (e, u)."""
+        (e_prev, u_prev), self.prev = self.prev, (e, u)
+        return stop_check(e_prev, e, u_prev, u, self.model.f, self.tol, self.e_f)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +423,7 @@ def cp_full(model, iters, sigma=None, tau=None, tol=None, on_iter=None):
     when provided.  Default steps are tau = the model's cp_tau with
     sigma = 1/(bound*tau), or sigma = tau = 1/sqrt(bound) without one.
     """
-    if tol is not None:
-        check_tol(tol)
+    stop = None if tol is None else _StopRule(model, tol)
     bound = model.saddle.bound
     cp_tau = model.defaults.cp_tau
     if cp_tau is None:
@@ -426,29 +435,21 @@ def cp_full(model, iters, sigma=None, tau=None, tol=None, on_iter=None):
     if sigma * tau > (1.0 / bound) * _BOUND_TOL:
         raise ValueError(
             f"sigma*tau = {sigma * tau} exceeds the admissible bound {1.0 / bound}")
-    f = model.f
-    u = np.zeros_like(f, dtype=np.float64)
-    e_f = energy(model, f) if tol is not None else None
+    u = np.zeros_like(model.f, dtype=np.float64)
+    steps = primal_dual(model, u, zero_duals(model), sigma, tau, 0.0)
     energies = []
-    e_prev, u_prev = energy(model, u), u
     converged = False
-
-    def record(n, u, duals):
-        nonlocal converged, e_prev, u_prev
+    n = 0
+    for n, (u, _) in enumerate(islice(steps, iters), 1):
         e = energy(model, u)
         energies.append(e)
         if on_iter is not None:
             on_iter(n, u, e)
-        if tol is not None and stop_check(e_prev, e, u_prev, u, f, tol, e_f):
+        if stop is not None and stop(e, u):
             converged = True
-            return True
-        e_prev, u_prev = e, u
-        return False
-
-    u, _, n_done = primal_dual(model, u, zero_duals(model), sigma, tau, 0.0,
-                               iters, check=record)
+            break
     return CpResult(u=u, energies=np.array(energies), converged=converged,
-                    iters=n_done)
+                    iters=n)
 
 
 def reference_energy(model, iters):
@@ -487,13 +488,31 @@ class SolveResult:
     mult_ortho_max: float = 0.0
 
 
-def _rel_gap(e, e_star):
-    if e_star is None:
-        return None
-    denom = abs(e_star)
-    if denom < 1e-12:
-        denom = 1.0
-    return (e - e_star) / denom
+class _Rows:
+    """The MetricsRows of one solve, timed from construction.
+
+    rel_gap is (e - e_star)/|e_star|, with the denominator 1 when
+    |e_star| < 1e-12.
+    """
+
+    def __init__(self, e_star, ground_truth, timing, on_row):
+        self.e_star, self.ground_truth = e_star, ground_truth
+        self.timing, self.on_row = timing, on_row
+        self.gap_denom = 1.0 if e_star is None or abs(e_star) < 1e-12 else abs(e_star)
+        self.rows = []
+        self.start = time.perf_counter()
+
+    def add(self, n, u, e, residual=0.0, d_n=None):
+        """Record iterate n; the defaults are the whole-image solve's."""
+        row = MetricsRow(
+            n=n, energy=e,
+            rel_gap=None if self.e_star is None else (e - self.e_star) / self.gap_denom,
+            consensus_residual=residual, d_n=d_n,
+            psnr=None if self.ground_truth is None else psnr(u, self.ground_truth),
+            elapsed_s=(time.perf_counter() - self.start) if self.timing else None)
+        self.rows.append(row)
+        if self.on_row is not None:
+            self.on_row(row)
 
 
 def solve_dd(model, layout, eta, inner_prm, tol, max_outer, workers=1,
@@ -504,35 +523,21 @@ def solve_dd(model, layout, eta, inner_prm, tol, max_outer, workers=1,
     residual, consecutive-iterate metric, optional relative energy gap and
     PSNR, and cumulative wall time (None when timing is False).
     """
-    check_tol(tol)
+    stop = _StopRule(model, tol)
     alm = DecoupledAlm(model, layout, eta, inner_prm, workers=workers)
-    e_f = energy(model, model.f)
-    u_prev = alm.avg
-    e_prev = energy(model, u_prev)
-    rows = []
+    rows = _Rows(e_star, ground_truth, timing, on_row)
     converged = False
     mult_ortho = 0.0
-    start = time.perf_counter()
     for n in range(1, max_outer + 1):
         info = alm.step()
-        u = alm.avg
-        e = energy(model, u)
+        e = energy(model, alm.avg)
         mult_ortho = max(mult_ortho, alm.multiplier_consensus_norm()
                          / max(1.0, norm2(alm.lam)))
-        row = MetricsRow(
-            n=n, energy=e, rel_gap=_rel_gap(e, e_star),
-            consensus_residual=info.residual, d_n=info.d_n,
-            psnr=None if ground_truth is None else psnr(u, ground_truth),
-            elapsed_s=(time.perf_counter() - start) if timing else None)
-        rows.append(row)
-        if on_row is not None:
-            on_row(row)
-        if stop_check(e_prev, e, u_prev, u, model.f, tol, e_f):
+        rows.add(n, alm.avg, e, info.residual, info.d_n)
+        if stop(e, alm.avg):
             converged = True
             break
-        e_prev = e
-        u_prev = u
-    return SolveResult(u=alm.avg, rows=rows, converged=converged,
+    return SolveResult(u=alm.avg, rows=rows.rows, converged=converged,
                        iters=alm.n, mult_ortho_max=mult_ortho)
 
 
@@ -544,19 +549,7 @@ def solve_single(model, tol, max_iters, e_star=None, ground_truth=None,
     identically zero and the consecutive-iterate metric is not defined
     without a coupling weight, so it stays empty.
     """
-    rows = []
-    start = time.perf_counter()
-
-    def record(n, u, e):
-        row = MetricsRow(
-            n=n, energy=e, rel_gap=_rel_gap(e, e_star),
-            consensus_residual=0.0,
-            psnr=None if ground_truth is None else psnr(u, ground_truth),
-            elapsed_s=(time.perf_counter() - start) if timing else None)
-        rows.append(row)
-        if on_row is not None:
-            on_row(row)
-
-    res = cp_full(model, max_iters, tol=tol, on_iter=record)
-    return SolveResult(u=res.u, rows=rows, converged=res.converged,
+    rows = _Rows(e_star, ground_truth, timing, on_row)
+    res = cp_full(model, max_iters, tol=tol, on_iter=rows.add)
+    return SolveResult(u=res.u, rows=rows.rows, converged=res.converged,
                        iters=res.iters)

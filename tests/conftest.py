@@ -1,5 +1,17 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
+
+
+def pytest_configure(config):
+    # The property tests run with database=None, but hypothesis also caches
+    # the literals of local source files in its home directory, from
+    # collection on: keep that in a directory removed when the run ends.
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 def camera_scene(m=128, n=128):

@@ -168,6 +168,12 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
                          (["--tol", "-1", "--subdomains", "2x2"], "tol"),
                          (["--alpha", "inf"], "alpha"),
                          (["--c1", "nan"], "c1"),
+                         # (f - c1)^2 overflows: the linear term is not finite
+                         (["--c1", "1e200", "--c2", "1e199", "--subdomains", "2x2"],
+                          "c1"),
+                         (["--reference-energy", "nan"], "--reference-energy"),
+                         (["--reference-energy", "-inf", "--subdomains", "2x2"],
+                          "--reference-energy"),
                          (["--inner-iters", "0", "--subdomains", "2x2"], "iters"),
                          (["--subdomains", "30x30"], "30x30"),
                          (["--workers", "0", "--subdomains", "2x2"], "--workers"),
@@ -186,6 +192,22 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
                      "--compute-reference-iters", "20000"] + flags)
         assert code == 1, flags
         assert named in capsys.readouterr().err, flags
+    code = main(["energy", "--model", "ccv", "--c1", "1e200", "--c2", "1e199",
+                 "--input", str(src)])
+    assert code == 1
+    assert "c1" in capsys.readouterr().err
+
+
+def test_black_image_solves(tmp_path):
+    # the stop rule divides by ||f||, with a fallback for an all-zero image
+    src = tmp_path / "black.pgm"
+    save_pgm(np.zeros((24, 24)), src)
+    for model, grid in (("ccv", "2x2"), ("hessl1", "1x1")):
+        out = tmp_path / f"{model}.pgm"
+        code = main(["solve", "--model", model, "--input", str(src),
+                     "--subdomains", grid, "--output", str(out)])
+        assert code == 0, model
+        assert not load_pgm(out).any(), model
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from ddimaging.decomposition import (
     OverlapLayout,
@@ -173,6 +174,20 @@ def test_perturbation_oracle_4x4():
 
 def test_perturbation_oracle_wider_band_4x4():
     run_perturbation_oracle((4, 4), np.random.default_rng(8), halfwidth=2)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(m=st.integers(1, 7), n=st.integers(1, 7), halfwidth=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_perturbation_oracle_random_grids(m, n, halfwidth, seed, data):
+    # any grid up to 7x7, square or not, any tile counts (one-pixel tiles
+    # included) and blur kernels up to 7 pixels wide, wider than most tiles
+    p = data.draw(st.integers(1, m), label="p")
+    q = data.draw(st.integers(1, n), label="q")
+    rng = np.random.default_rng(seed)
+    for model in _models_for((m, n), rng, halfwidth):
+        layout = OverlapLayout.from_grid((m, n), p, q, stencil_of(model))
+        perturbation_check(model, layout, rng)
 
 
 # ---------------------------------------------------------------------------

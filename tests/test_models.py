@@ -97,6 +97,8 @@ def test_model_constructors_reject_bad_parameters():
         (lambda: ChanVese(f=f, alpha=1.0, c1=math.nan, c2=0.1), "nan"),
         (lambda: ChanVese(f=f, alpha=1.0, c1=0.6, c2=-math.inf), "-inf"),
         (lambda: ChanVese(f=f, alpha=1.0, c1=0.6, c2=0.6), "differ"),
+        (lambda: ChanVese(f=f, alpha=1.0, c1=1e200, c2=1e199), "c1"),
+        (lambda: ChanVese(f=f, alpha=1e308, c1=0.6, c2=-1.0), "non-finite"),
         (lambda: TVL1Deblur(f=f, alpha=math.nan, kernel=kernel), "nan"),
         (lambda: HessianL1(f=f, alpha=math.inf), "inf"),
         (lambda: HessianL1(f=f, alpha=-1.0), "-1.0"),

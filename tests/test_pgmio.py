@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddimaging.pgmio import load_pgm, save_pgm
 
@@ -76,9 +77,12 @@ def test_load_rejects_bad_magic(tmp_path):
 
 def test_load_rejects_truncated_body(tmp_path):
     path = tmp_path / "short.pgm"
-    path.write_bytes(b"P5\n4 4\n255\n\x00\x01")
-    with pytest.raises(ValueError):
-        load_pgm(path)
+    for header, body in ((b"P5\n4 4\n255\n", b"\x00\x01"),
+                         (b"P5\n2 2\n65535\n", b"\x00\x01\x02\x03\x04\x05\x06")):
+        path.write_bytes(header + body)
+        with pytest.raises(ValueError, match="truncated") as exc:
+            load_pgm(path)
+        assert str(path) in str(exc.value)
 
 
 def test_load_rejects_ascii_sample_above_maxval(tmp_path):
@@ -107,3 +111,44 @@ def test_values_normalized_to_unit_range(tmp_path):
     path.write_text("P2\n2 1\n10\n0 10\n")
     u = load_pgm(path)
     assert np.array_equal(u, [[0.0, 1.0]])
+
+
+# ---------------------------------------------------------------------------
+# properties over random images (deterministic: derandomized, no database)
+# ---------------------------------------------------------------------------
+
+_settings = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+_maxvals = st.one_of(st.sampled_from([1, 255, 256, 65535]), st.integers(1, 65535))
+
+
+def _samples(shape, maxval, seed):
+    return np.random.default_rng(seed).integers(0, maxval + 1, size=shape)
+
+
+@_settings
+@given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9)), maxval=_maxvals,
+       binary=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_roundtrip_property(tmp_path_factory, shape, maxval, binary, seed):
+    # fields on the 1/maxval grid survive save/load exactly, in P2 and P5
+    path = tmp_path_factory.getbasetemp() / "roundtrip.pgm"
+    u = _samples(shape, maxval, seed) / maxval
+    save_pgm(u, path, maxval=maxval, binary=binary)
+    assert path.read_bytes()[:2] == (b"P5" if binary else b"P2")
+    back = load_pgm(path)
+    assert back.shape == shape
+    assert np.array_equal(back, u)
+
+
+@_settings
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)), maxval=_maxvals,
+       seed=st.integers(0, 2**32 - 1))
+def test_every_truncated_p5_body_is_rejected(tmp_path_factory, shape, maxval, seed):
+    path = tmp_path_factory.getbasetemp() / "truncated.pgm"
+    save_pgm(_samples(shape, maxval, seed) / maxval, path, maxval=maxval)
+    full = path.read_bytes()
+    header = len(b"P5\n%d %d\n%d\n" % (shape[1], shape[0], maxval))
+    for cut in range(header, len(full)):
+        path.write_bytes(full[:cut])
+        with pytest.raises(ValueError, match="truncated") as exc:
+            load_pgm(path)
+        assert str(path) in str(exc.value), cut
