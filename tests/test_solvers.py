@@ -608,8 +608,12 @@ def test_stop_check_denominator_fallback():
     # |e_f| below 1e-12 switches the energy denominator to 1
     assert not stop_check(0.0, 5e-4, u, u, f, 1e-4, e_f=0.0)
     assert stop_check(0.0, 5e-5, u, u, f, 1e-4, e_f=0.0)
+
+
+def test_stop_check_accepts_zero_data():
     # ||f|| below 1e-12 switches the iterate-change denominator to 1, so a
     # black image has a stop rule
+    u = np.ones((2, 2))
     black = np.zeros((2, 2))
     assert stop_check(1.0, 1.0, u, u + 2e-5, black, 1e-4, e_f=1.0)
     assert not stop_check(1.0, 1.0, u, u + 5e-4, black, 1e-4, e_f=1.0)
