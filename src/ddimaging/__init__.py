@@ -17,7 +17,7 @@ from .decomposition import (
     project_consensus,
     restrict_global,
 )
-from .fields import inner, magnitude, pnorm, project_ball, project_box01, psnr
+from .fields import inner, magnitude, project_ball, psnr
 from .models import (
     ChanVese,
     HessianL1,

@@ -46,30 +46,6 @@ def norm2(x):
     return float(np.sqrt(np.sum(x * x)))
 
 
-def pnorm(x, p):
-    """Field p-norm built on the pointwise magnitude.
-
-    Parameters
-    ----------
-    x : array
-        Scalar, vector, or tensor field.
-    p : int
-        1 or 2.  p=1 sums pointwise magnitudes; p=2 is the Euclidean norm
-        of the magnitude field, i.e. the usual 2-norm over all channels.
-    """
-    m = magnitude(x)
-    if p == 1:
-        return float(np.sum(m))
-    if p == 2:
-        return float(np.sqrt(np.sum(m * m)))
-    raise ValueError(f"p must be 1 or 2, got {p!r}")
-
-
-def project_box01(u):
-    """Clamp a scalar field to [0, 1] pointwise."""
-    return np.clip(np.asarray(u, dtype=np.float64), 0.0, 1.0)
-
-
 def project_ball(x, r):
     """Pointwise Euclidean projection onto the ball of radius r.
 

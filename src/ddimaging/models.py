@@ -170,29 +170,27 @@ def _check_params(model, **values):
         raise ValueError(f"alpha must be positive, got {model.alpha!r}")
 
 
-def objective_terms(model, u, ns=None, core=None, shifts=None, linear=None):
+def objective_terms(model, u, ns=None, core=None):
     """The weighted terms of the objective at u as (weight, density) pairs.
 
     The linear term comes first, then the blocks in declaration order; the
     density of the linear term is u*c, that of a block |K u - f| pointwise.
-    With core given these are the terms of one subdomain: every K u is
-    masked to the core tile, and shifts and linear replace the declared
-    data shifts and linear vector (the masked ones).  ns is the namespace
-    the operators are resolved in, this module's by default.
+    With core given these are the terms of one subdomain: every density is
+    masked to the core tile.  ns is the namespace the operators are resolved
+    in, this module's by default.
     """
     sd = model.saddle
     ns = globals() if ns is None else ns
     out = []
     if sd.linear is not None:
         weight, c = sd.linear
-        out.append((weight, u * (c if linear is None else linear)))
-    for b, blk in enumerate(sd.blocks):
+        out.append((weight, u * c if core is None else u * c * core))
+    for blk in sd.blocks:
         r = blk.forward(u, ns)
+        if blk.shift is not None:
+            r = r - blk.shift
         if core is not None:
             r = r * (core[..., None] if blk.channels else core)
-        shift = blk.shift if shifts is None else shifts[b]
-        if shift is not None:
-            r = r - shift
         out.append((blk.radius, magnitude(r)))
     return out
 

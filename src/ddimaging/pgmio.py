@@ -38,22 +38,33 @@ def load_pgm(path):
             raise ValueError(f"{path}: truncated header")
         return data[start:pos]
 
+    def integer(tok, what):
+        try:
+            return int(tok)
+        except ValueError:
+            raise ValueError(f"{path}: {what} is not an integer: {tok!r}") from None
+
     magic = token()
     if magic not in (b"P2", b"P5"):
         raise ValueError(f"{path}: not a PGM file (magic {magic!r})")
-    width = int(token())
-    height = int(token())
-    maxval = int(token())
+    width = integer(token(), "width")
+    height = integer(token(), "height")
+    maxval = integer(token(), "maxval")
     if width < 1 or height < 1:
         raise ValueError(f"{path}: bad dimensions {width}x{height}")
     if not 0 < maxval < 65536:
         raise ValueError(f"{path}: bad maxval {maxval}")
 
     count = width * height
+    outside = f"{path}: sample outside [0, {maxval}]"
     if magic == b"P2":
-        values = np.array([int(t) for t in data[pos:].split()], dtype=np.int64)
-        if values.size != count:
-            raise ValueError(f"{path}: expected {count} samples, got {values.size}")
+        samples = [integer(t, "sample") for t in data[pos:].split()]
+        if len(samples) != count:
+            raise ValueError(f"{path}: expected {count} samples, got {len(samples)}")
+        # checked before the int64 conversion, which overflows past 2**63
+        if not all(0 <= v <= maxval for v in samples):
+            raise ValueError(outside)
+        values = np.array(samples, dtype=np.int64)
     else:
         pos += 1  # exactly one whitespace byte after maxval
         dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
@@ -62,8 +73,8 @@ def load_pgm(path):
             raise ValueError(f"{path}: truncated pixel data: {need} bytes needed, "
                              f"{have} present")
         values = np.frombuffer(data, dtype=dtype, count=count, offset=pos).astype(np.int64)
-    if values.min() < 0 or values.max() > maxval:
-        raise ValueError(f"{path}: sample outside [0, {maxval}]")
+        if values.max() > maxval:
+            raise ValueError(outside)
     field = values.astype(np.float64).reshape(height, width) / float(maxval)
     return field
 

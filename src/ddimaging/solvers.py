@@ -25,6 +25,13 @@ with 0 <= gamma <= eta (Alg. 2), warm-started primal and dual variables, and
 step sizes reset at every outer iteration.  The baseline is the case eta = 0,
 gamma = 0 (so theta = 1, Alg. 1) with no masks.
 
+A local problem is the model with every block masked to the subdomain's
+core tile, (K u - f) * core, plus the proximal term.  Its iterate stays on
+the enlarged patch with no mask of its own, because the patch is the
+footprint of the operators on the tile: K* of a dual that vanishes off the
+tile vanishes off the patch.  A subdomain's duals vanish off its tile and
+the tiles partition the image, so each block keeps one global dual field.
+
 primal_dual() yields its iterates and never stops by itself; its callers own
 the loop.  local_solve() runs a fixed iteration budget by default; its
 gap-targeted mode instead runs until the local duality gap (an exact
@@ -129,9 +136,9 @@ def acceleration_schedule(sigma, tau, gamma):
     return theta, sigma / theta, tau * theta
 
 
-def zero_duals(model, lead=()):
-    """One zero dual array per block, with leading axes `lead`."""
-    return [np.zeros(lead + model.f.shape + ((b.channels,) if b.channels else ()))
+def zero_duals(model):
+    """One zero dual field per block, shaped like K u."""
+    return [np.zeros(model.f.shape + ((b.channels,) if b.channels else ()))
             for b in model.saddle.blocks]
 
 
@@ -139,28 +146,19 @@ def zero_duals(model, lead=()):
 class Local:
     """Subdomain s's problem min J_s(u) + (eta/2)||u - uhat||^2.
 
-    J_s reads K u on the core tile only and u lives on the enlarged patch
-    tilde, both 0/1 floats (faster to multiply than booleans); shifts and
-    linear are the model's data shifts and linear vector masked to the core
-    (None where the model has none).
+    J_s is the model with every block masked to the core tile, a 0/1 float
+    (faster to multiply than a boolean): r_b ||(K_b u - f_b) core||_1 plus
+    the linear term w*<u, c core>.  J_s reads u on the enlarged patch only,
+    and uhat vanishes off the patch, so the iterate stays on the patch.
     """
 
     core: np.ndarray
-    tilde: np.ndarray
-    shifts: list
-    linear: Optional[np.ndarray]
     uhat: np.ndarray
     eta: float
 
     @classmethod
-    def of(cls, model, layout, s, uhat, eta):
-        core = layout.core[s].astype(np.float64)
-        sd = model.saddle
-        return cls(core=core, tilde=layout.tilde[s].astype(np.float64),
-                   shifts=[None if b.shift is None else b.shift * core
-                           for b in sd.blocks],
-                   linear=None if sd.linear is None else sd.linear[1] * core,
-                   uhat=uhat, eta=eta)
+    def of(cls, layout, s, uhat, eta):
+        return cls(core=layout.core[s].astype(np.float64), uhat=uhat, eta=eta)
 
 
 def _transpose_sum(model, duals):
@@ -175,32 +173,28 @@ def primal_dual(model, u, duals, sigma, tau, gamma, local=None):
     Each step: dual ascent and ball projection per block, the primal
     resolvent (clamped to [0, 1] for box models), the acceleration schedule
     and the overrelaxation.  local=None is the whole image without a
-    proximal term; with a Local the operators are masked to its core, the
-    primal resolvent includes the proximal term and the iterate is confined
-    to its patch.  Yields (u, duals) after every step and never ends: the
-    caller owns the loop and stops it (islice for a fixed budget).  The
-    arguments are not modified.
+    proximal term; with a Local every block's K u - f_b and the linear term
+    are masked to its core and the primal resolvent includes the proximal
+    term.  Yields (u, duals) after every step and never ends: the caller
+    owns the loop and stops it (islice for a fixed budget).  The arguments
+    are not modified.
     """
     sd = model.saddle
     duals = list(duals)
-    if local is None:
-        masks = [None] * len(duals)
-        shifts = [blk.shift for blk in sd.blocks]
-        lin = None if sd.linear is None else sd.linear[1]
-    else:
+    masks = [None] * len(duals)
+    lin = None if sd.linear is None else sd.linear[0] * sd.linear[1]
+    if local is not None:
         masks = [local.core[..., None] if blk.channels else local.core
                  for blk in sd.blocks]
-        shifts, lin = local.shifts, local.linear
-    if lin is not None:
-        lin = sd.linear[0] * lin
+        lin = None if lin is None else lin * local.core
     ubar = u
     while True:
         for b, blk in enumerate(sd.blocks):
             ku = blk.forward(ubar, globals())
+            if blk.shift is not None:
+                ku = ku - blk.shift
             if masks[b] is not None:
                 ku = ku * masks[b]
-            if shifts[b] is not None:
-                ku = ku - shifts[b]
             duals[b] = project_ball(duals[b] + sigma * ku, blk.radius)
         v = _transpose_sum(model, duals)
         if lin is not None:
@@ -212,8 +206,6 @@ def primal_dual(model, u, duals, sigma, tau, gamma, local=None):
                     / (1.0 + tau * local.eta))
         if sd.box:
             np.clip(unew, 0.0, 1.0, out=unew)
-        if local is not None:
-            unew *= local.tilde
         theta, sigma, tau = acceleration_schedule(sigma, tau, gamma)
         ubar = (1.0 + theta) * unew - theta * u
         u = unew
@@ -224,24 +216,23 @@ def duality_gap(model, local, u, duals):
     """Duality gap of a local problem at (u, duals).
 
     The primal value at u minus the dual value at duals; it bounds the
-    suboptimality of u from above and vanishes at the saddle point.
+    suboptimality of u from above and vanishes at the saddle point.  The
+    duals vanish off the core, so <f_b core, y_b> = <f_b, y_b>.
     """
     sd = model.saddle
     eta, uhat = local.eta, local.uhat
-    v = _transpose_sum(model, duals) * local.tilde
-    if local.linear is not None:
-        v = v + sd.linear[0] * local.linear
-    prim = (weighted_sum(objective_terms(model, u, globals(), local.core,
-                                         local.shifts, local.linear))
+    v = _transpose_sum(model, duals)
+    if sd.linear is not None:
+        v = v + sd.linear[0] * sd.linear[1] * local.core
+    prim = (weighted_sum(objective_terms(model, u, globals(), local.core))
             + 0.5 * eta * norm2(u - uhat) ** 2)
     w = uhat - v / eta
     if sd.box:
         w = np.clip(w, 0.0, 1.0)
-    w = w * local.tilde
     dual = inner(w, v) + 0.5 * eta * norm2(w - uhat) ** 2
-    for shift, y in zip(local.shifts, duals):
-        if shift is not None:
-            dual = dual - inner(shift, y)
+    for blk, y in zip(sd.blocks, duals):
+        if blk.shift is not None:
+            dual = dual - inner(blk.shift, y)
     return prim - dual
 
 
@@ -277,11 +268,13 @@ class StepInfo:
 class DecoupledAlm:
     """State and one-step driver of the decoupled augmented Lagrangian loop.
 
-    Holds the stacked primal copies, the multiplier, one stacked dual array
-    per block of the model (warm-started across outer steps), and the
-    consensus average `avg`, the global image.  All iterates start at zero,
-    which makes the multiplier orthogonal to the consensus subspace and
-    keeps it so by induction.
+    Holds the stacked primal copies, the multiplier, one dual field per
+    block of the model (warm-started across outer steps), and the consensus
+    average `avg`, the global image.  A subdomain's duals vanish off its
+    tile and the tiles partition the image, so one field of the shape of
+    K u holds every subdomain's dual, each on its own tile.  All iterates
+    start at zero, which makes the multiplier orthogonal to the consensus
+    subspace and keeps it so by induction.
     """
 
     def __init__(self, model, layout, eta, inner_prm, workers=1):
@@ -309,17 +302,25 @@ class DecoupledAlm:
         self.u = np.zeros((s_count, m, n))
         self.lam = np.zeros((s_count, m, n))
         self.avg = np.zeros((m, n))
-        self.duals = zero_duals(model, (s_count,))
+        self.duals = zero_duals(model)
         self.n = 0
 
     def _solve_one(self, s):
+        i0, i1, j0, j1 = self.layout.tiles[s]
+        tile = np.s_[i0:i1, j0:j1]
         uhat = self.avg * self.layout.tilde[s] - self.lam[s] / self.eta
-        local = Local.of(self.model, self.layout, s, uhat, self.eta)
-        u, duals, it, gap = local_solve(self.model, local, self.u[s],
-                                        [y[s] for y in self.duals], self.inner)
+        local = Local.of(self.layout, s, uhat, self.eta)
+        duals = []
+        for y in self.duals:
+            d = np.zeros_like(y)
+            d[tile] = y[tile]
+            duals.append(d)
+        u, duals, it, gap = local_solve(self.model, local, self.u[s], duals,
+                                        self.inner)
         self.u[s] = u
+        # every worker writes its own tile only
         for y, d in zip(self.duals, duals):
-            y[s] = d
+            y[tile] = d[tile]
         return it, gap
 
     def step(self):

@@ -198,6 +198,17 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
     assert "c1" in capsys.readouterr().err
 
 
+def test_unreadable_pgm_is_an_error_not_a_traceback(tmp_path, capsys):
+    # a P2 sample beyond the int64 range used to escape as OverflowError
+    src = tmp_path / "huge.pgm"
+    src.write_text("P2\n2 2\n3\n1 2 3 100000000000000000000000\n")
+    code = main(["energy", "--model", "hessl1", "--input", str(src)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ddimaging: error: ") and str(src) in err
+    assert "Traceback" not in err
+
+
 def test_black_image_solves(tmp_path):
     # the stop rule divides by ||f||, with a fallback for an all-zero image
     src = tmp_path / "black.pgm"

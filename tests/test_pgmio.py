@@ -92,6 +92,19 @@ def test_load_rejects_ascii_sample_above_maxval(tmp_path):
         load_pgm(path)
 
 
+def test_load_names_the_file_on_bad_tokens(tmp_path):
+    path = tmp_path / "tokens.pgm"
+    for text, match in (("P2\n2 abc\n255\n0 0\n", "height is not an integer"),
+                        ("P2\n2 2\n255\n1 2 x 4\n", "sample is not an integer"),
+                        # beyond the int64 range, still outside [0, maxval]
+                        ("P2\n2 2\n3\n1 2 3 100000000000000000000000\n",
+                         r"sample outside \[0, 3\]")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match) as exc:
+            load_pgm(path)
+        assert str(path) in str(exc.value), text
+
+
 def test_load_rejects_bad_maxval(tmp_path):
     path = tmp_path / "mv.pgm"
     path.write_text("P2\n1 1\n0\n0\n")

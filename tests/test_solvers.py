@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -8,7 +9,7 @@ import numpy as np
 
 from ddimaging import models, solvers
 from ddimaging.decomposition import OverlapLayout, Stencil
-from ddimaging.fields import magnitude, norm2, project_ball, project_box01
+from ddimaging.fields import magnitude, norm2, project_ball
 from ddimaging.models import (
     Block,
     ChanVese,
@@ -204,7 +205,7 @@ def test_ccv_local_prox_matches_grid():
                   + 0.5 * eta * ((a - uhat[0, 0]) ** 2 + (b - uhat[0, 1]) ** 2))
         k = np.unravel_index(np.argmin(e_grid), e_grid.shape)
         u_star = np.array([[grid[k[0]], grid[k[1]]]])
-        local = Local.of(model, layout, 0, uhat, eta)
+        local = Local.of(layout, 0, uhat, eta)
         u, _, it, gap = local_solve(model, local, np.zeros((1, 2)),
                                     zero_duals(model), prm)
         assert gap is not None and gap <= 1e-12
@@ -265,7 +266,7 @@ def test_tvl1_local_prox_matches_grid():
             return alpha * fid + tv + 0.5 * eta * prox
 
         u_star, e_star = hierarchical_grid_min(e_fn)
-        local = Local.of(model, layout, 0, uhat, eta)
+        local = Local.of(layout, 0, uhat, eta)
         u, _, it, gap = local_solve(model, local, np.zeros((2, 2)),
                                     zero_duals(model), prm)
         assert gap is not None and gap <= 1e-11
@@ -298,7 +299,7 @@ def test_hessl1_local_prox_matches_grid():
             return alpha * fid + mag01 + mag10 + mag11 + 0.5 * eta * prox
 
         u_star, e_star = hierarchical_grid_min(e_fn)
-        local = Local.of(model, layout, 0, uhat, eta)
+        local = Local.of(layout, 0, uhat, eta)
         u, _, it, gap = local_solve(model, local, np.zeros((2, 2)),
                                     zero_duals(model), prm)
         assert gap is not None and gap <= 1e-11
@@ -315,7 +316,7 @@ def test_gap_certifies_suboptimality():
     layout = _single_tile((6, 6), model)
     eta = 1.0
     uhat = rng.uniform(-0.1, 1.1, size=(6, 6))
-    local = Local.of(model, layout, 0, uhat, eta)
+    local = Local.of(layout, 0, uhat, eta)
 
     def local_energy_at(u):
         from ddimaging.operators import grad_plus
@@ -349,8 +350,8 @@ def _cp_alg1(model, step, iters):
     for _ in range(iters):
         if isinstance(model, ChanVese):
             p = project_ball(p + step * grad_plus(ubar), 1.0)
-            unew = project_box01(
-                u - step * (adjoint_grad_plus(p) + model.alpha * model.g))
+            unew = np.clip(
+                u - step * (adjoint_grad_plus(p) + model.alpha * model.g), 0.0, 1.0)
         elif isinstance(model, TVL1Deblur):
             p = project_ball(p + step * grad_plus(ubar), 1.0)
             q = project_ball(q + step * (blur(ubar, model.kernel) - f), model.alpha)
@@ -377,7 +378,7 @@ def test_cp_full_is_primal_dual_at_eta_zero():
         step = 1.0 / math.sqrt(model.saddle.bound)
         res = cp_full(model, 300, sigma=step, tau=step)
         layout = _single_tile(f.shape, model)
-        local = Local.of(model, layout, 0, np.zeros(f.shape), 0.0)
+        local = Local.of(layout, 0, np.zeros(f.shape), 0.0)
         trace = []
         steps = primal_dual(model, np.zeros(f.shape), zero_duals(model),
                             step, step, 0.0, local)
@@ -441,9 +442,9 @@ def test_dual_variables_stay_feasible():
         for _ in range(4):
             alm.step()
         assert len(alm.duals) == len(model.saddle.blocks)
-        for blk, duals in zip(model.saddle.blocks, alm.duals):
-            for s in range(layout.count):
-                assert magnitude(duals[s]).max() <= blk.radius * (1.0 + 1e-12)
+        for blk, y in zip(model.saddle.blocks, alm.duals):
+            assert y.shape == shape + ((blk.channels,) if blk.channels else ())
+            assert magnitude(y).max() <= blk.radius * (1.0 + 1e-12)
 
 
 def test_bitwise_determinism_across_worker_counts():
@@ -452,16 +453,22 @@ def test_bitwise_determinism_across_worker_counts():
     model = TVL1Deblur(f=f, alpha=2.0, kernel=BlurKernel(1))
     layout = OverlapLayout.from_grid((18, 12), 2, 2, stencil_of(model))
     runs = []
-    for workers in (1, 4):
-        alm = DecoupledAlm(model, layout, 10.0,
-                           default_inner(model, 10.0, iters=10),
-                           workers=workers)
-        for _ in range(8):
-            alm.step()
-        runs.append((alm.u.copy(), alm.lam.copy(), alm.avg.copy()))
-    assert np.array_equal(runs[0][0], runs[1][0])
-    assert np.array_equal(runs[0][1], runs[1][1])
-    assert np.array_equal(runs[0][2], runs[1][2])
+    # the workers share the dual fields, each writing its own tiles; a
+    # short switch interval interleaves them as often as it can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 4):
+            alm = DecoupledAlm(model, layout, 10.0,
+                               default_inner(model, 10.0, iters=10),
+                               workers=workers)
+            for _ in range(8):
+                alm.step()
+            runs.append([alm.u.copy(), alm.lam.copy(), alm.avg.copy()] + alm.duals)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(*runs):
+        assert np.array_equal(a, b)
 
 
 # SHA-256 of alm.u and alm.lam after 4 outer steps of the set-up in
@@ -478,14 +485,17 @@ FROZEN_TRAJECTORY = {
 }
 
 
-def test_frozen_trajectory():
+def _frozen_cases():
     f = np.random.default_rng(20260).random((20, 18))
-    cases = {"ccv": ChanVese(f=f, alpha=10.0, c1=0.6, c2=0.1),
-             "tvl1": TVL1Deblur(f=f, alpha=10.0, kernel=BlurKernel(1)),
-             "hessl1": HessianL1(f=f, alpha=1.0)}
-    for name, model in cases.items():
+    return {"ccv": ChanVese(f=f, alpha=10.0, c1=0.6, c2=0.1),
+            "tvl1": TVL1Deblur(f=f, alpha=10.0, kernel=BlurKernel(1)),
+            "hessl1": HessianL1(f=f, alpha=1.0)}
+
+
+def test_frozen_trajectory():
+    for name, model in _frozen_cases().items():
         eta = model.defaults.eta
-        layout = OverlapLayout.from_grid(f.shape, 3, 2, stencil_of(model))
+        layout = OverlapLayout.from_grid(model.f.shape, 3, 2, stencil_of(model))
         for workers in (1, 2):
             alm = DecoupledAlm(model, layout, eta,
                                default_inner(model, eta, iters=7),
@@ -495,6 +505,39 @@ def test_frozen_trajectory():
             got = tuple(hashlib.sha256(a.tobytes()).hexdigest()
                         for a in (alm.u, alm.lam))
             assert got == FROZEN_TRAJECTORY[name], (name, workers)
+
+
+# After 2 outer steps of the same set-up in gap mode (gap_tol 1e-5, workers
+# 1): the per-step inner iteration counts, then the SHA-256 of alm.u,
+# alm.lam and each dual field plus 0.0 (which folds -0.0 into +0.0).
+FROZEN_GAP_TRAJECTORY = {
+    "ccv": ([[125, 175, 100, 150, 75, 100], [150, 75, 100, 50, 50, 75]],
+            "e9368611f9b95766e07c010954d5a8844730ed795c8f8b652b7fa49039910b28",
+            "6cb1b6213e82bc1e4e0c543ae3a48b1c7ef25a67eb91974f6b98a527358166ce",
+            ("475e95ee3bca4580822af47fa4b85d38d53d3380e61eee45db78bec15bd1f2f1",)),
+    "tvl1": ([[375, 400, 525, 375, 525, 350], [400, 600, 375, 375, 450, 325]],
+             "cfa684e4eee4cc47290128026ddb2bef215d7b978ccca4cc945cc136703f2309",
+             "5f4744bacb6fa30eae7a959924e5d4218db2027f2957a0b0e04e5100bff5de0a",
+             ("f0dd19d41adb57a3aaee633b142c26c45471160a3f927cb9940992591f718225",
+              "89cc02ba01b71f1abcc58a6aa764fd15089d737c9b49fa8cab5f9233cfe6d56c")),
+    "hessl1": ([[1650, 925, 1150, 825, 850, 700], [1050, 1025, 900, 775, 1100, 1300]],
+               "29d8de2b5d2b5755a50140406ded73db0fac28d91b4b05ad8a46544cc01c657f",
+               "18d633f1d4eeb344b095473f00b4bb02bde5c9a2da0964afa2e7b843b681aa54",
+               ("1a670cb0314c68eb35acd158a56feb0a714ebfbaa51d2d21700af1aa2cad0da1",
+                "a6c498b52f3fe93f9a03023612458b4bf3deec890ed498faa17c4f49cb146640")),
+}
+
+
+def test_frozen_gap_trajectory():
+    for name, model in _frozen_cases().items():
+        eta = model.defaults.eta
+        layout = OverlapLayout.from_grid(model.f.shape, 3, 2, stencil_of(model))
+        alm = DecoupledAlm(model, layout, eta,
+                           default_inner(model, eta, gap_tol=1e-5))
+        iters = [alm.step().inner_iters for _ in range(2)]
+        sha = [hashlib.sha256(a.tobytes()).hexdigest()
+               for a in [alm.u, alm.lam] + [y + 0.0 for y in alm.duals]]
+        assert (iters, sha[0], sha[1], tuple(sha[2:])) == FROZEN_GAP_TRAJECTORY[name], name
 
 
 @dataclass(frozen=True, eq=False)
@@ -532,6 +575,25 @@ def test_blocks_may_name_any_operator():
     info = alm.step()
     assert np.isfinite(alm.u).all() and math.isfinite(info.residual)
     assert info.inner_iters == [5] * layout.count
+
+
+def test_iterates_stay_on_their_patches():
+    # a local problem reads u on its patch only and uhat vanishes off it, so
+    # the primal copies and the multiplier stay exactly zero there
+    f = np.random.default_rng(36).random((13, 11))
+    for model in (ChanVese(f=f, alpha=10.0, c1=0.6, c2=0.1),
+                  # shifted data drives the iterates negative
+                  TVL1Deblur(f=f - 0.3, alpha=10.0, kernel=BlurKernel(2)),
+                  HessianL1(f=f - 0.3, alpha=1.0),
+                  _BackwardTVDenoise(f=f, alpha=1.5)):
+        eta = model.defaults.eta
+        layout = OverlapLayout.from_grid(f.shape, 3, 2, stencil_of(model))
+        alm = DecoupledAlm(model, layout, eta, default_inner(model, eta, iters=7))
+        for _ in range(4):
+            alm.step()
+        off = ~layout.tilde
+        assert not alm.u[off].any() and not alm.lam[off].any(), type(model)
+        assert alm.u[layout.tilde].any(), type(model)
 
 
 def test_step_metric_matches_lyapunov_helper():
