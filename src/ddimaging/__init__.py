@@ -10,11 +10,8 @@ uniform kernel, and second-order (Hessian) L1 denoising.
 from .decomposition import (
     OverlapLayout,
     Stencil,
-    assemble_global,
-    consensus_residual,
     essential_domain,
     partition_rect,
-    project_consensus,
     restrict_global,
 )
 from .fields import inner, magnitude, project_ball, psnr

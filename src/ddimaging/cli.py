@@ -65,21 +65,28 @@ def write_metrics(rows, path):
             fh.write(",".join(cells) + "\n")
 
 
+def natural_int(text):
+    """argparse type for seeds: a decimal integer >= 0, ASCII digits only."""
+    if not re.fullmatch(r"[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
+    return int(text)
+
+
 def positive_int(text):
-    """argparse type for counts and budgets: an integer >= 1."""
-    value = int(text)
+    """argparse type for counts, budgets and sizes: a decimal integer >= 1."""
+    value = natural_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
 def _parse_subdomains(text):
-    m = re.fullmatch(r"(\d+)x(\d+)", text)
+    m = re.fullmatch(r"([0-9]+)x([0-9]+)", text)
     if not m:
         raise ValueError(f"--subdomains expects PxQ (e.g. 4x4), got {text!r}")
     p, q = int(m.group(1)), int(m.group(2))
     if p < 1 or q < 1:
-        raise ValueError("subdomain counts must be >= 1")
+        raise ValueError(f"--subdomains counts must be >= 1, got {text!r}")
     return p, q
 
 
@@ -113,6 +120,10 @@ def cmd_corrupt(args):
 def cmd_solve(args):
     f = load_pgm(args.input)
     ground_truth = load_pgm(args.ground_truth) if args.ground_truth else None
+    if ground_truth is not None and ground_truth.shape != f.shape:
+        raise ValueError(f"{args.ground_truth}: ground truth is "
+                         f"{ground_truth.shape[0]}x{ground_truth.shape[1]}, "
+                         f"the input {f.shape[0]}x{f.shape[1]}")
     model = _build_model(args, f)
     p, q = _parse_subdomains(args.subdomains)
     tol = args.tol if args.tol is not None else model.defaults.tol
@@ -170,16 +181,16 @@ def build_parser():
                         help="foreground region value (ccv)")
         sp.add_argument("--c2", type=float, default=0.1,
                         help="background region value (ccv)")
-        sp.add_argument("--kernel-halfwidth", type=int, default=None,
+        sp.add_argument("--kernel-halfwidth", type=positive_int, default=None,
                         help="uniform blur halfwidth l, kernel side 2l+1 (tvl1)")
 
     sp = sub.add_parser("corrupt", help="blur and/or add salt-and-pepper noise")
     sp.add_argument("--input", required=True)
     sp.add_argument("--output", required=True)
-    sp.add_argument("--kernel-halfwidth", type=int, default=None)
+    sp.add_argument("--kernel-halfwidth", type=positive_int, default=None)
     sp.add_argument("--noise-sp", type=float, default=None,
                     help="salt-and-pepper corruption probability")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=natural_int, default=0)
     sp.set_defaults(func=cmd_corrupt)
 
     sp = sub.add_parser("solve", help="run a solver")

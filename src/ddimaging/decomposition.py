@@ -9,21 +9,21 @@ model integrand on the tile; the enlargement rule is a Stencil, one of
 * backfwd:  the reads of second differences (backward of forward) at the
   tile, a plus shape with the two anti-diagonal corners in the interior.
 
-A stacked field is an (S, M, N) float64 array holding one per-subdomain copy
-of the image; entries outside subdomain s's enlarged mask are identically
-zero.  The consensus projection replaces every copy of a shared pixel by the
-mean over the subdomains whose enlarged mask contains it, which is the
-orthogonal projection onto the subspace of copies that agree on overlaps.
-Per-pixel sums always run over ascending subdomain index in a single pass,
-so results are reproducible bit for bit regardless of how local work is
-scheduled.
+Subdomain s lives on its window, the bounding box of its enlarged mask.  A
+packed field is a 1-D float64 vector holding one copy of each window, back
+to back in ascending subdomain order; OverlapLayout.view(x, s) is window s
+as a 2-D view, and entries outside the enlarged mask are identically zero.
+The consensus projection replaces every copy of a shared pixel by the mean
+over the subdomains whose enlarged mask contains it, which is the
+orthogonal projection onto the subspace of copies that agree on overlaps:
+restrict_global(stack_sum(x, layout) / layout.counts, layout).  Per-pixel
+sums always run over ascending subdomain index in a single pass, so results
+are reproducible bit for bit regardless of how local work is scheduled.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .fields import norm2
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def partition_rect(shape, p, q):
 
 
 class OverlapLayout:
-    """Masks and counts for one overlapping decomposition.
+    """Masks, windows and counts for one overlapping decomposition.
 
     Attributes
     ----------
@@ -141,6 +141,10 @@ class OverlapLayout:
     tiles : list of half-open boxes, row-major
     core, tilde : (S, M, N) bool
         Tile masks and their stencil enlargements.
+    windows : list of (row slice, column slice)
+        The bounding box of each enlarged mask.
+    offsets : list of S + 1 ints
+        Where each window starts in a packed field; offsets[-1] is its size.
     counts : (M, N) float64
         How many enlarged masks contain each pixel (>= 1 everywhere).
     interface : (M, N) bool
@@ -151,17 +155,28 @@ class OverlapLayout:
         m, n = shape
         s_count = len(tiles)
         core = np.zeros((s_count, m, n), dtype=bool)
+        tilde = np.zeros_like(core)
+        self.windows, self.offsets = [], [0]
+        # no stencil claims pixels farther than this from the tile
+        r = stencil.halfwidth if stencil.kind == "band" else 1
         for s, (i0, i1, j0, j1) in enumerate(tiles):
+            if not (0 <= i0 < i1 <= m and 0 <= j0 < j1 <= n):
+                raise ValueError(f"tile {tiles[s]} is empty or leaves the {m}x{n} grid")
             core[s, i0:i1, j0:j1] = True
+            a0, b0 = max(i0 - r, 0), max(j0 - r, 0)
+            box = np.s_[a0:min(i1 + r, m), b0:min(j1 + r, n)]
+            grown = essential_domain(core[s][box], stencil)
+            if not (core[s][box] <= grown).all():
+                raise RuntimeError("enlargement lost core pixels")
+            tilde[s][box] = grown
+            i, j = np.nonzero(grown)
+            win = np.s_[a0 + i.min():a0 + i.max() + 1, b0 + j.min():b0 + j.max() + 1]
+            self.windows.append(win)
+            self.offsets.append(self.offsets[-1] + tilde[s][win].size)
         if not core.any(axis=0).all():
             raise ValueError("tiles do not cover the grid")
         if core.sum(axis=0).max() > 1:
             raise ValueError("tiles overlap")
-        tilde = np.zeros_like(core)
-        for s in range(s_count):
-            tilde[s] = essential_domain(core[s], stencil)
-            if not (core[s] <= tilde[s]).all():
-                raise RuntimeError("enlargement lost core pixels")
         self.shape = (m, n)
         self.stencil = stencil
         self.tiles = list(tiles)
@@ -178,41 +193,27 @@ class OverlapLayout:
     def count(self):
         return self.core.shape[0]
 
+    def view(self, packed, s):
+        """Window s of a packed field, as a 2-D view."""
+        shape = self.tilde[s][self.windows[s]].shape
+        return packed[self.offsets[s]:self.offsets[s + 1]].reshape(shape)
+
 
 def restrict_global(u, layout):
-    """Stack a global field into per-subdomain copies on the enlarged masks."""
+    """Pack a global field into per-subdomain copies on the enlarged masks."""
     u = np.asarray(u, dtype=np.float64)
-    return u[None, :, :] * layout.tilde
+    return np.concatenate([(u[w] * t[w]).ravel()
+                           for w, t in zip(layout.windows, layout.tilde)])
 
 
-def stack_sum(stacked, layout):
+def stack_sum(packed, layout):
     """Ascending-index single-pass sum of the per-subdomain copies."""
     total = np.zeros(layout.shape, dtype=np.float64)
-    for s in range(layout.count):
-        total += stacked[s]
+    for s, w in enumerate(layout.windows):
+        total[w] += layout.view(packed, s)
     return total
 
 
-def assemble_global(stacked, layout):
-    """Membership average of a stacked field: one global (M, N) image."""
-    return stack_sum(stacked, layout) / layout.counts
-
-
-def project_consensus(stacked, layout):
-    """Orthogonal projection onto consistent stacked fields.
-
-    Every pixel copy becomes the mean over the subdomains sharing that
-    pixel; pixels owned by a single subdomain are returned unchanged.
-    """
-    return assemble_global(stacked, layout)[None, :, :] * layout.tilde
-
-
 def consensus_norm_sq(avg, layout):
-    """Squared stacked norm of the consistent field with average avg."""
+    """Squared packed norm of the consistent field with average avg."""
     return float(np.sum(avg * avg * layout.counts))
-
-
-def consensus_residual(stacked, layout):
-    """Norm of the inconsistency: distance from the consensus subspace."""
-    return norm2(stacked - project_consensus(stacked, layout))
-

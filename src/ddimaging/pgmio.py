@@ -39,10 +39,10 @@ def load_pgm(path):
         return data[start:pos]
 
     def integer(tok, what):
-        try:
-            return int(tok)
-        except ValueError:
-            raise ValueError(f"{path}: {what} is not an integer: {tok!r}") from None
+        # ASCII digits only: int() would also take 1_0, +5 and -0
+        if not tok.isdigit():
+            raise ValueError(f"{path}: {what} is not an integer: {tok!r}")
+        return int(tok)
 
     magic = token()
     if magic not in (b"P2", b"P5"):

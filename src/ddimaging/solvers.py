@@ -9,7 +9,9 @@ consensus projection:
     lambda   <- lambda + eta * (utilde - P utilde)
 
 The local problems decouple completely, so the middle line runs per
-subdomain (optionally on a thread pool); only the consensus averaging sees
+subdomain (optionally on a thread pool), each on its own window, the
+bounding box of its enlarged patch; the copies utilde and lambda are packed
+fields holding one window per subdomain.  Only the consensus averaging sees
 more than one subdomain, and it always sums in ascending subdomain order,
 which makes runs with different worker counts identical bit for bit.
 
@@ -25,12 +27,13 @@ with 0 <= gamma <= eta (Alg. 2), warm-started primal and dual variables, and
 step sizes reset at every outer iteration.  The baseline is the case eta = 0,
 gamma = 0 (so theta = 1, Alg. 1) with no masks.
 
-A local problem is the model with every block masked to the subdomain's
-core tile, (K u - f) * core, plus the proximal term.  Its iterate stays on
-the enlarged patch with no mask of its own, because the patch is the
-footprint of the operators on the tile: K* of a dual that vanishes off the
-tile vanishes off the patch.  A subdomain's duals vanish off its tile and
-the tiles partition the image, so each block keeps one global dual field.
+A local problem is the model cut to the subdomain's window, with every
+block masked to its core tile, (K u - f) * core, plus the proximal term.
+Its iterate stays on the enlarged patch with no mask of its own, because
+the patch is the footprint of the operators on the tile: K* of a dual that
+vanishes off the tile vanishes off the patch.  A subdomain's duals vanish
+off its tile and the tiles partition the image, so each block keeps one
+global dual field.
 
 primal_dual() yields its iterates and never stops by itself; its callers own
 the loop.  local_solve() runs a fixed iteration budget by default; its
@@ -44,7 +47,7 @@ rule as solve_dd() between consecutive iterates.
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import islice
 from operator import add
@@ -150,15 +153,21 @@ class Local:
     (faster to multiply than a boolean): r_b ||(K_b u - f_b) core||_1 plus
     the linear term w*<u, c core>.  J_s reads u on the enlarged patch only,
     and uhat vanishes off the patch, so the iterate stays on the patch.
+
+    DecoupledAlm poses it on the subdomain's window, the bounding box of the
+    patch, and the result equals the whole-grid problem's bit for bit.  On
+    the core, K u reads only patch pixels, which lie in the window, and the
+    operators see the image border exactly where the whole grid does: a
+    window's last row or column is a core row or column only when it is also
+    the image's, and elsewhere the window's border rows carry no core pixel,
+    so the core mask removes what the window's Neumann edge changes there.
+    The duals vanish off the core, and their adjoints land inside the patch,
+    so the window adds up the same nonzero terms in the same order.
     """
 
     core: np.ndarray
     uhat: np.ndarray
     eta: float
-
-    @classmethod
-    def of(cls, layout, s, uhat, eta):
-        return cls(core=layout.core[s].astype(np.float64), uhat=uhat, eta=eta)
 
 
 def _transpose_sum(model, duals):
@@ -268,13 +277,18 @@ class StepInfo:
 class DecoupledAlm:
     """State and one-step driver of the decoupled augmented Lagrangian loop.
 
-    Holds the stacked primal copies, the multiplier, one dual field per
+    Holds the primal copies `u` and the multiplier `lam` as packed fields
+    (layout.view(alm.u, s) is subdomain s's window), one dual field per
     block of the model (warm-started across outer steps), and the consensus
     average `avg`, the global image.  A subdomain's duals vanish off its
     tile and the tiles partition the image, so one field of the shape of
-    K u holds every subdomain's dual, each on its own tile.  All iterates
-    start at zero, which makes the multiplier orthogonal to the consensus
-    subspace and keeps it so by induction.
+    K u holds every subdomain's dual, each on its own tile.  Each local
+    solve runs on its window, with the model's data cut to it: a model's
+    image-sized data must be its `f` or be computed from `f` when the model
+    is built, so that dataclasses.replace(model, f=model.f[window]) is the
+    model on the window.  All iterates start at zero, which makes the
+    multiplier orthogonal to the consensus subspace and keeps it so by
+    induction.
     """
 
     def __init__(self, model, layout, eta, inner_prm, workers=1):
@@ -297,30 +311,28 @@ class DecoupledAlm:
         self.eta = float(eta)
         self.inner = inner_prm
         self.workers = workers
-        s_count = layout.count
-        m, n = layout.shape
-        self.u = np.zeros((s_count, m, n))
-        self.lam = np.zeros((s_count, m, n))
-        self.avg = np.zeros((m, n))
+        self.u = np.zeros(layout.offsets[-1])
+        self.lam = np.zeros(layout.offsets[-1])
+        self.avg = np.zeros(layout.shape)
         self.duals = zero_duals(model)
+        self.window_models = [replace(model, f=model.f[w]) for w in layout.windows]
         self.n = 0
 
     def _solve_one(self, s):
-        i0, i1, j0, j1 = self.layout.tiles[s]
-        tile = np.s_[i0:i1, j0:j1]
-        uhat = self.avg * self.layout.tilde[s] - self.lam[s] / self.eta
-        local = Local.of(self.layout, s, uhat, self.eta)
-        duals = []
-        for y in self.duals:
-            d = np.zeros_like(y)
-            d[tile] = y[tile]
-            duals.append(d)
-        u, duals, it, gap = local_solve(self.model, local, self.u[s], duals,
-                                        self.inner)
-        self.u[s] = u
-        # every worker writes its own tile only
+        lay = self.layout
+        win = lay.windows[s]
+        core = lay.core[s][win]
+        u_s = lay.view(self.u, s)
+        uhat = self.avg[win] * lay.tilde[s][win] - lay.view(self.lam, s) / self.eta
+        local = Local(core=core.astype(np.float64), uhat=uhat, eta=self.eta)
+        duals = [np.where(core[..., None] if y.ndim == 3 else core, y[win], 0.0)
+                 for y in self.duals]
+        u, duals, it, gap = local_solve(self.window_models[s], local, u_s,
+                                        duals, self.inner)
+        # every worker writes its own window and tile only
+        u_s[...] = u
         for y, d in zip(self.duals, duals):
-            y[tile] = d[tile]
+            y[win][core] = d[core]
         return it, gap
 
     def step(self):

@@ -161,7 +161,20 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["solve", "--model", "nosuch", "--input", "x.pgm"]) == 1
     assert main([]) == 1
     src, _ = _write_scene(tmp_path)
+    truth, _ = _write_scene(tmp_path, "truth.pgm", shape=(20, 24))
     for flags, named in ((["--eta", "inf", "--subdomains", "2x2"], "eta"),
+                         # a ground truth of another shape is found before
+                         # any solving, not at the first metrics row
+                         (["--ground-truth", str(truth), "--subdomains", "2x2"],
+                          str(truth)),
+                         (["--ground-truth", str(truth)], "20x24"),
+                         # decimal integers only: int() reads 1_0 as 10
+                         (["--workers", "1_0", "--subdomains", "2x2"], "--workers"),
+                         (["--max-outer", "+5"], "--max-outer"),
+                         (["--subdomains", "\u0663x\u0663"], "--subdomains"),
+                         (["--subdomains", "0x3"], "--subdomains"),
+                         (["--model", "tvl1", "--kernel-halfwidth", "1_0",
+                           "--subdomains", "2x2"], "--kernel-halfwidth"),
                          (["--tol", "nan"], "tol"),
                          (["--tol", "nan", "--subdomains", "2x2"], "tol"),
                          (["--tol", "0"], "tol"),
@@ -196,6 +209,10 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
                  "--input", str(src)])
     assert code == 1
     assert "c1" in capsys.readouterr().err
+    code = main(["corrupt", "--input", str(src), "--output", str(tmp_path / "n.pgm"),
+                 "--noise-sp", "0.1", "--seed", "-1"])
+    assert code == 1
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_unreadable_pgm_is_an_error_not_a_traceback(tmp_path, capsys):

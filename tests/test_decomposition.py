@@ -4,17 +4,16 @@ from hypothesis import given, settings, strategies as st
 from ddimaging.decomposition import (
     OverlapLayout,
     Stencil,
-    assemble_global,
     consensus_norm_sq,
-    consensus_residual,
     essential_domain,
     partition_rect,
-    project_consensus,
     restrict_global,
+    stack_sum,
 )
 from ddimaging.fields import inner, norm2
 from ddimaging.models import ChanVese, HessianL1, TVL1Deblur, integrand, stencil_of
 from ddimaging.operators import BlurKernel
+from ddimaging.solvers import DecoupledAlm, default_inner
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +194,24 @@ def test_perturbation_oracle_random_grids(m, n, halfwidth, seed, data):
 # ---------------------------------------------------------------------------
 
 
+def project(packed, layout):
+    """The consensus projection of a packed field."""
+    return restrict_global(stack_sum(packed, layout) / layout.counts, layout)
+
+
+def random_packed(rng, layout):
+    """Independent standard normal copies, zero off each enlarged mask."""
+    on_patch = restrict_global(np.ones(layout.shape), layout)
+    return rng.standard_normal(on_patch.size) * on_patch
+
+
+def spread(packed, layout, s):
+    """Copy s of a packed field on the whole grid, zero off its window."""
+    out = np.zeros(layout.shape)
+    out[layout.windows[s]] = layout.view(packed, s)
+    return out
+
+
 def test_layout_masks_cover_and_contain():
     layout = OverlapLayout.from_grid((6, 7), 2, 3, Stencil("forward1"))
     assert layout.count == 6
@@ -203,6 +220,42 @@ def test_layout_masks_cover_and_contain():
     assert layout.tilde.any(axis=0).all()
     assert layout.counts.min() >= 1.0
     assert np.array_equal(layout.interface, layout.counts >= 2)
+
+
+def _model_with(stencil, f):
+    if stencil.kind == "forward1":
+        return ChanVese(f=f, alpha=1.0, c1=0.6, c2=0.1)
+    if stencil.kind == "band":
+        return TVL1Deblur(f=f, alpha=1.0, kernel=BlurKernel(stencil.halfwidth))
+    return HessianL1(f=f, alpha=1.0)
+
+
+STENCILS = [Stencil("forward1"), Stencil("backfwd")] + [
+    Stencil("band", l) for l in range(1, 5)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=125)
+@given(m=st.integers(1, 12), n=st.integers(1, 12), data=st.data())
+def test_windows_are_the_patches_bounding_boxes(m, n, data):
+    # every stencil on random grids and tile counts; every partition has
+    # tiles on all four image edges, and one-pixel tiles are included
+    p = data.draw(st.integers(1, m), label="p")
+    q = data.draw(st.integers(1, n), label="q")
+    f = np.full((m, n), 0.5)
+    for stencil in STENCILS:
+        layout = OverlapLayout.from_grid((m, n), p, q, stencil)
+        for s in range(layout.count):
+            rows = np.flatnonzero(layout.tilde[s].any(axis=1))
+            cols = np.flatnonzero(layout.tilde[s].any(axis=0))
+            assert layout.windows[s] == np.s_[rows[0]:rows[-1] + 1,
+                                              cols[0]:cols[-1] + 1]
+            assert np.array_equal(layout.tilde[s],
+                                  essential_domain(layout.core[s], stencil))
+        areas = sum((rs.stop - rs.start) * (cs.stop - cs.start)
+                    for rs, cs in layout.windows)
+        model = _model_with(stencil, f)
+        alm = DecoupledAlm(model, layout, 1.0, default_inner(model, 1.0))
+        assert alm.u.shape == alm.lam.shape == (areas,)
 
 
 def test_layout_counts_forward_one_cross():
@@ -216,29 +269,27 @@ def test_single_subdomain_is_whole_grid():
     layout = OverlapLayout.from_grid((5, 6), 1, 1, Stencil("band", 2))
     assert layout.tilde[0].all()
     assert (layout.counts == 1.0).all()
-    stacked = restrict_global(np.arange(30.0).reshape(5, 6), layout)
-    assert np.array_equal(project_consensus(stacked, layout), stacked)
+    packed = restrict_global(np.arange(30.0).reshape(5, 6), layout)
+    assert np.array_equal(project(packed, layout), packed)
 
 
 def test_consensus_average_example():
     layout = OverlapLayout.from_grid((4, 4), 2, 1, Stencil("forward1"))
-    stacked = np.zeros((2, 4, 4))
-    stacked[0] = 1.0 * layout.tilde[0]
-    stacked[1] = 3.0 * layout.tilde[1]
-    out = project_consensus(stacked, layout)
+    packed = restrict_global(np.ones((4, 4)), layout)
+    packed[layout.offsets[1]:] *= 3.0
+    out = project(packed, layout)
     shared = layout.tilde[0] & layout.tilde[1]
-    assert (out[0][shared] == 2.0).all()
-    assert (out[1][shared] == 2.0).all()
+    assert (spread(out, layout, 0)[shared] == 2.0).all()
+    assert (spread(out, layout, 1)[shared] == 2.0).all()
     only0 = layout.tilde[0] & ~shared
-    assert (out[0][only0] == 1.0).all()
+    assert (spread(out, layout, 0)[only0] == 1.0).all()
 
 
 def test_consensus_idempotent_bitwise():
     rng = np.random.default_rng(2)
     layout = OverlapLayout.from_grid((8, 9), 2, 3, Stencil("band", 1))
-    stacked = rng.standard_normal((layout.count, 8, 9)) * layout.tilde
-    once = project_consensus(stacked, layout)
-    twice = project_consensus(once, layout)
+    once = project(random_packed(rng, layout), layout)
+    twice = project(once, layout)
     assert np.array_equal(once, twice)
 
 
@@ -247,63 +298,65 @@ def test_consensus_self_adjoint_and_nonexpansive():
     for st in (Stencil("forward1"), Stencil("band", 2), Stencil("backfwd")):
         layout = OverlapLayout.from_grid((7, 7), 2, 2, st)
         for _ in range(20):
-            a = rng.standard_normal((layout.count, 7, 7)) * layout.tilde
-            b = rng.standard_normal((layout.count, 7, 7)) * layout.tilde
-            lhs = inner(project_consensus(a, layout), b)
-            rhs = inner(a, project_consensus(b, layout))
+            a = random_packed(rng, layout)
+            b = random_packed(rng, layout)
+            lhs = inner(project(a, layout), b)
+            rhs = inner(a, project(b, layout))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-            assert norm2(project_consensus(a, layout)) <= norm2(a) * (1 + 1e-12)
+            assert norm2(project(a, layout)) <= norm2(a) * (1 + 1e-12)
 
 
 def test_jump_vanishes_after_projection():
     rng = np.random.default_rng(4)
     layout = OverlapLayout.from_grid((6, 6), 3, 2, Stencil("backfwd"))
-    stacked = rng.standard_normal((layout.count, 6, 6)) * layout.tilde
-    proj = project_consensus(stacked, layout)
+    packed = random_packed(rng, layout)
+    proj = project(packed, layout)
     pairs = 0
     for s in range(layout.count):
         for t in range(s + 1, layout.count):
             shared = layout.tilde[s] & layout.tilde[t]
             if shared.any():
                 pairs += 1
-                assert np.abs(proj[s] - proj[t])[shared].max() == 0.0
+                jump = spread(proj, layout, s) - spread(proj, layout, t)
+                assert np.abs(jump)[shared].max() == 0.0
     assert pairs > 0
-    assert consensus_residual(proj, layout) <= 1e-12
+    assert norm2(proj - project(proj, layout)) <= 1e-12
 
 
 def test_restrict_then_assemble_roundtrip():
     rng = np.random.default_rng(5)
     layout = OverlapLayout.from_grid((9, 5), 3, 2, Stencil("forward1"))
     u = rng.standard_normal((9, 5))
-    stacked = restrict_global(u, layout)
-    assert np.allclose(assemble_global(stacked, layout), u, rtol=0, atol=1e-15)
+    packed = restrict_global(u, layout)
+    assert np.allclose(stack_sum(packed, layout) / layout.counts, u,
+                       rtol=0, atol=1e-15)
 
 
 def test_assemble_ignores_inconsistency_direction():
     rng = np.random.default_rng(6)
     layout = OverlapLayout.from_grid((6, 8), 2, 2, Stencil("band", 1))
-    stacked = rng.standard_normal((layout.count, 6, 8)) * layout.tilde
-    a = assemble_global(stacked, layout)
-    b = assemble_global(project_consensus(stacked, layout), layout)
+    packed = random_packed(rng, layout)
+    a = stack_sum(packed, layout) / layout.counts
+    b = stack_sum(project(packed, layout), layout) / layout.counts
     assert np.allclose(a, b, rtol=0, atol=1e-13)
 
 
 def test_consensus_norm_sq_matches_stacked_norm():
     rng = np.random.default_rng(8)
     layout = OverlapLayout.from_grid((7, 6), 2, 2, Stencil("forward1"))
-    stacked = rng.standard_normal((layout.count, 7, 6)) * layout.tilde
-    proj = project_consensus(stacked, layout)
-    avg = assemble_global(stacked, layout)
+    packed = random_packed(rng, layout)
+    proj = project(packed, layout)
+    avg = stack_sum(packed, layout) / layout.counts
     assert abs(consensus_norm_sq(avg, layout) - norm2(proj) ** 2) <= 1e-10
 
 
 def test_pythagoras_for_projection():
     rng = np.random.default_rng(9)
     layout = OverlapLayout.from_grid((6, 6), 2, 3, Stencil("backfwd"))
-    stacked = rng.standard_normal((layout.count, 6, 6)) * layout.tilde
-    proj = project_consensus(stacked, layout)
-    res = consensus_residual(stacked, layout)
-    lhs = norm2(stacked) ** 2
+    packed = random_packed(rng, layout)
+    proj = project(packed, layout)
+    res = norm2(packed - proj)
+    lhs = norm2(packed) ** 2
     rhs = norm2(proj) ** 2 + res ** 2
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, lhs)
 
@@ -324,3 +377,14 @@ def test_layout_rejects_gap():
         pass
     else:
         raise AssertionError("uncovered pixels accepted")
+
+
+def test_layout_rejects_empty_and_outside_tiles():
+    for tiles in ([(0, 4, 0, 4), (2, 2, 0, 4)], [(0, 4, 0, 5)],
+                  [(-1, 4, 0, 4)]):
+        try:
+            OverlapLayout((4, 4), tiles, Stencil("forward1"))
+        except ValueError as exc:
+            assert "empty or leaves" in str(exc)
+        else:
+            raise AssertionError(f"tiles {tiles} accepted")

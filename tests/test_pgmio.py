@@ -98,7 +98,12 @@ def test_load_names_the_file_on_bad_tokens(tmp_path):
                         ("P2\n2 2\n255\n1 2 x 4\n", "sample is not an integer"),
                         # beyond the int64 range, still outside [0, maxval]
                         ("P2\n2 2\n3\n1 2 3 100000000000000000000000\n",
-                         r"sample outside \[0, 3\]")):
+                         r"sample outside \[0, 3\]"),
+                        # int() reads these as 10, 5 and 0; PGM has ASCII
+                        # decimal digits only
+                        ("P2\n1 1_0\n255\n" + "0\n" * 10, "height is not an integer"),
+                        ("P2\n2 1\n255\n+5 0\n", "sample is not an integer"),
+                        ("P2\n2 1\n255\n0 -0\n", "sample is not an integer")):
         path.write_text(text)
         with pytest.raises(ValueError, match=match) as exc:
             load_pgm(path)

@@ -164,10 +164,6 @@ def test_alm_rejects_bad_configs():
 # ---------------------------------------------------------------------------
 
 
-def _single_tile(shape, model):
-    return OverlapLayout.from_grid(shape, 1, 1, stencil_of(model))
-
-
 def test_ccv_two_pixel_baseline_analytic():
     # g = (f-c1)^2 - (f-c2)^2 = 1 - 2f at c1=1, c2=0, so f = (0, 1) gives
     # E(a, b) = a - b + |b - a| over the unit box, with minimum 0 on the
@@ -191,7 +187,6 @@ def test_ccv_local_prox_matches_grid():
     rng = np.random.default_rng(21)
     f = rng.uniform(0, 1, size=(1, 2))
     model = ChanVese(f=f, alpha=1.5, c1=0.6, c2=0.1)
-    layout = _single_tile((1, 2), model)
     eta = 2.0
     prm = default_inner(model, eta, gap_tol=1e-12, gap_check=10,
                         max_iters=100_000)
@@ -205,7 +200,7 @@ def test_ccv_local_prox_matches_grid():
                   + 0.5 * eta * ((a - uhat[0, 0]) ** 2 + (b - uhat[0, 1]) ** 2))
         k = np.unravel_index(np.argmin(e_grid), e_grid.shape)
         u_star = np.array([[grid[k[0]], grid[k[1]]]])
-        local = Local.of(layout, 0, uhat, eta)
+        local = Local(core=np.ones((1, 2)), uhat=uhat, eta=eta)
         u, _, it, gap = local_solve(model, local, np.zeros((1, 2)),
                                     zero_duals(model), prm)
         assert gap is not None and gap <= 1e-12
@@ -250,7 +245,6 @@ def test_tvl1_local_prox_matches_grid():
     alpha, eta = 2.0, 10.0
     f = rng.uniform(0.2, 0.8, size=(2, 2))
     model = TVL1Deblur(f=f, alpha=alpha, kernel=kernel)
-    layout = _single_tile((2, 2), model)
     prm = default_inner(model, eta, gap_tol=1e-11, gap_check=20,
                         max_iters=300_000)
     for _ in range(3):
@@ -266,7 +260,7 @@ def test_tvl1_local_prox_matches_grid():
             return alpha * fid + tv + 0.5 * eta * prox
 
         u_star, e_star = hierarchical_grid_min(e_fn)
-        local = Local.of(layout, 0, uhat, eta)
+        local = Local(core=np.ones((2, 2)), uhat=uhat, eta=eta)
         u, _, it, gap = local_solve(model, local, np.zeros((2, 2)),
                                     zero_duals(model), prm)
         assert gap is not None and gap <= 1e-11
@@ -281,7 +275,6 @@ def test_hessl1_local_prox_matches_grid():
     alpha, eta = 1.5, 20.0
     f = rng.uniform(0.2, 0.8, size=(2, 2))
     model = HessianL1(f=f, alpha=alpha)
-    layout = _single_tile((2, 2), model)
     prm = default_inner(model, eta, gap_tol=1e-11, gap_check=20,
                         max_iters=300_000)
     for _ in range(3):
@@ -299,7 +292,7 @@ def test_hessl1_local_prox_matches_grid():
             return alpha * fid + mag01 + mag10 + mag11 + 0.5 * eta * prox
 
         u_star, e_star = hierarchical_grid_min(e_fn)
-        local = Local.of(layout, 0, uhat, eta)
+        local = Local(core=np.ones((2, 2)), uhat=uhat, eta=eta)
         u, _, it, gap = local_solve(model, local, np.zeros((2, 2)),
                                     zero_duals(model), prm)
         assert gap is not None and gap <= 1e-11
@@ -313,10 +306,9 @@ def test_gap_certifies_suboptimality():
     rng = np.random.default_rng(24)
     f = rng.uniform(0, 1, size=(6, 6))
     model = ChanVese(f=f, alpha=2.0, c1=0.6, c2=0.1)
-    layout = _single_tile((6, 6), model)
     eta = 1.0
     uhat = rng.uniform(-0.1, 1.1, size=(6, 6))
-    local = Local.of(layout, 0, uhat, eta)
+    local = Local(core=np.ones((6, 6)), uhat=uhat, eta=eta)
 
     def local_energy_at(u):
         from ddimaging.operators import grad_plus
@@ -377,8 +369,7 @@ def test_cp_full_is_primal_dual_at_eta_zero():
                   HessianL1(f=f, alpha=1.0)):
         step = 1.0 / math.sqrt(model.saddle.bound)
         res = cp_full(model, 300, sigma=step, tau=step)
-        layout = _single_tile(f.shape, model)
-        local = Local.of(layout, 0, np.zeros(f.shape), 0.0)
+        local = Local(core=np.ones(f.shape), uhat=np.zeros(f.shape), eta=0.0)
         trace = []
         steps = primal_dual(model, np.zeros(f.shape), zero_duals(model),
                             step, step, 0.0, local)
@@ -411,7 +402,7 @@ def test_single_subdomain_multiplier_stays_zero():
         info = alm.step()
         assert info.residual == 0.0
         assert not alm.lam.any()
-        assert np.array_equal(alm.avg, alm.u[0])
+        assert np.array_equal(alm.avg, layout.view(alm.u, 0))
 
 
 def test_multiplier_orthogonal_over_100_steps():
@@ -453,8 +444,9 @@ def test_bitwise_determinism_across_worker_counts():
     model = TVL1Deblur(f=f, alpha=2.0, kernel=BlurKernel(1))
     layout = OverlapLayout.from_grid((18, 12), 2, 2, stencil_of(model))
     runs = []
-    # the workers share the dual fields, each writing its own tiles; a
-    # short switch interval interleaves them as often as it can
+    # the workers share the packed copies and the dual fields, each writing
+    # its own window and tiles; a short switch interval interleaves them as
+    # often as it can
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -471,10 +463,10 @@ def test_bitwise_determinism_across_worker_counts():
         assert np.array_equal(a, b)
 
 
-# SHA-256 of alm.u and alm.lam after 4 outer steps of the set-up in
-# test_frozen_trajectory.  A refactor of the decomposed solver must
-# reproduce them bit for bit; a change that alters the arithmetic on
-# purpose re-derives them and records why.
+# SHA-256 of alm.u and alm.lam, spread to (S, M, N) stacks by _stacked,
+# after 4 outer steps of the set-up in test_frozen_trajectory.  A refactor
+# of the decomposed solver must reproduce them bit for bit; a change that
+# alters the arithmetic on purpose re-derives them and records why.
 FROZEN_TRAJECTORY = {
     "ccv": ("462a90fa01d03b79a682fe25dcea493fbc4a5dd0d160e0fccd2ea51ab53f8d42",
             "7521653f46bc749c975f7ea9ff53b49095e6aec704a235c656183b289b460f18"),
@@ -483,6 +475,14 @@ FROZEN_TRAJECTORY = {
     "hessl1": ("96e18f5f65b940e164e9649a0de6780f1a80e9ea20ef2d9e519ea2c2d1076099",
                "35a27a7327ff6dbfd1bb8feb296f8ade918edd62b3fd96661043077ca6d382a5"),
 }
+
+
+def _stacked(packed, layout):
+    """A packed field as an (S, M, N) stack, each copy zero off its window."""
+    out = np.zeros((layout.count,) + layout.shape)
+    for s, win in enumerate(layout.windows):
+        out[s][win] = layout.view(packed, s)
+    return out
 
 
 def _frozen_cases():
@@ -502,14 +502,15 @@ def test_frozen_trajectory():
                                workers=workers)
             for _ in range(4):
                 alm.step()
-            got = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+            got = tuple(hashlib.sha256(_stacked(a, layout).tobytes()).hexdigest()
                         for a in (alm.u, alm.lam))
             assert got == FROZEN_TRAJECTORY[name], (name, workers)
 
 
 # After 2 outer steps of the same set-up in gap mode (gap_tol 1e-5, workers
-# 1): the per-step inner iteration counts, then the SHA-256 of alm.u,
-# alm.lam and each dual field plus 0.0 (which folds -0.0 into +0.0).
+# 1): the per-step inner iteration counts, then the SHA-256 of alm.u and
+# alm.lam as _stacked stacks and of each dual field plus 0.0 (which folds
+# -0.0 into +0.0).
 FROZEN_GAP_TRAJECTORY = {
     "ccv": ([[125, 175, 100, 150, 75, 100], [150, 75, 100, 50, 50, 75]],
             "e9368611f9b95766e07c010954d5a8844730ed795c8f8b652b7fa49039910b28",
@@ -536,7 +537,8 @@ def test_frozen_gap_trajectory():
                            default_inner(model, eta, gap_tol=1e-5))
         iters = [alm.step().inner_iters for _ in range(2)]
         sha = [hashlib.sha256(a.tobytes()).hexdigest()
-               for a in [alm.u, alm.lam] + [y + 0.0 for y in alm.duals]]
+               for a in ([_stacked(alm.u, layout), _stacked(alm.lam, layout)]
+                         + [y + 0.0 for y in alm.duals])]
         assert (iters, sha[0], sha[1], tuple(sha[2:])) == FROZEN_GAP_TRAJECTORY[name], name
 
 
@@ -579,7 +581,8 @@ def test_blocks_may_name_any_operator():
 
 def test_iterates_stay_on_their_patches():
     # a local problem reads u on its patch only and uhat vanishes off it, so
-    # the primal copies and the multiplier stay exactly zero there
+    # the primal copies and the multiplier stay exactly zero on the rest of
+    # their windows
     f = np.random.default_rng(36).random((13, 11))
     for model in (ChanVese(f=f, alpha=10.0, c1=0.6, c2=0.1),
                   # shifted data drives the iterates negative
@@ -591,9 +594,11 @@ def test_iterates_stay_on_their_patches():
         alm = DecoupledAlm(model, layout, eta, default_inner(model, eta, iters=7))
         for _ in range(4):
             alm.step()
-        off = ~layout.tilde
-        assert not alm.u[off].any() and not alm.lam[off].any(), type(model)
-        assert alm.u[layout.tilde].any(), type(model)
+        for s, win in enumerate(layout.windows):
+            patch = layout.tilde[s][win]
+            u, lam = layout.view(alm.u, s), layout.view(alm.lam, s)
+            assert not u[~patch].any() and not lam[~patch].any(), (type(model), s)
+            assert u[patch].any(), (type(model), s)
 
 
 def test_step_metric_matches_lyapunov_helper():
