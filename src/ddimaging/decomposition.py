@@ -21,6 +21,7 @@ sums always run over ascending subdomain index in a single pass, so results
 are reproducible bit for bit regardless of how local work is scheduled.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,17 @@ class Stencil:
     def __post_init__(self):
         if self.kind not in ("forward1", "band", "backfwd"):
             raise ValueError(f"unknown stencil kind {self.kind!r}")
-        if self.kind == "band" and self.halfwidth < 1:
+        h = self.halfwidth
+        if not isinstance(h, numbers.Integral) or isinstance(h, bool):
+            raise ValueError(f"stencil halfwidth must be an integer, got {h!r}")
+        if self.kind == "band" and h < 1:
             raise ValueError("band stencil needs halfwidth >= 1")
+        object.__setattr__(self, "halfwidth", int(h))
+
+    @property
+    def reach(self):
+        """No enlargement claims pixels farther than this from the mask."""
+        return self.halfwidth if self.kind == "band" else 1
 
 
 def _shifted(mask, di, dj):
@@ -89,13 +99,15 @@ def essential_domain(mask, stencil):
         return _forward_one(mask)
     if stencil.kind == "backfwd":
         return _backfwd(mask)
-    out = mask.copy()
-    l = stencil.halfwidth
-    for di in range(-l, l + 1):
-        for dj in range(-l, l + 1):
-            if di == 0 and dj == 0:
-                continue
-            out |= _shifted(mask, di, dj)
+    # separable, like the blur: the column shifts, then the row shifts of
+    # those; shifts past the grid's size would claim nothing
+    m, n = mask.shape
+    rows = mask.copy()
+    for d in range(1, min(stencil.halfwidth, n - 1) + 1):
+        rows |= _shifted(mask, 0, d) | _shifted(mask, 0, -d)
+    out = rows.copy()
+    for d in range(1, min(stencil.halfwidth, m - 1) + 1):
+        out |= _shifted(rows, d, 0) | _shifted(rows, -d, 0)
     return out
 
 
@@ -157,8 +169,7 @@ class OverlapLayout:
         core = np.zeros((s_count, m, n), dtype=bool)
         tilde = np.zeros_like(core)
         self.windows, self.offsets = [], [0]
-        # no stencil claims pixels farther than this from the tile
-        r = stencil.halfwidth if stencil.kind == "band" else 1
+        r = stencil.reach
         for s, (i0, i1, j0, j1) in enumerate(tiles):
             if not (0 <= i0 < i1 <= m and 0 <= j0 < j1 <= n):
                 raise ValueError(f"tile {tiles[s]} is empty or leaves the {m}x{n} grid")

@@ -12,6 +12,7 @@ The composed second-order operator hessian() stacks its four channels in the
 order (xx, xy, yx, yy) where "x" means the row direction.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,8 +136,10 @@ class BlurKernel:
     halfwidth: int
 
     def __post_init__(self):
-        if int(self.halfwidth) != self.halfwidth or self.halfwidth < 1:
-            raise ValueError(f"halfwidth must be an integer >= 1, got {self.halfwidth!r}")
+        h = self.halfwidth
+        if not isinstance(h, numbers.Integral) or isinstance(h, bool) or h < 1:
+            raise ValueError(f"halfwidth must be an integer >= 1, got {h!r}")
+        object.__setattr__(self, "halfwidth", int(h))
 
     @property
     def size(self):
@@ -150,22 +153,24 @@ def blur(u, kernel):
     always divides by the full tap count, which pulls values toward zero at
     the image border.
 
-    Computed by shift-and-add over the window offsets in a fixed order, so
-    each output reads exactly its own window pixels.  A running-sum filter
-    would be faster but lets roundoff from far-away pixels leak into every
-    output, which would spoil the exact locality the subdomain enlargements
-    are built on.
+    Computed in two shift-and-add passes: each row is summed over the column
+    offsets -l..l, then those sums are summed down each column over the row
+    offsets -l..l, both in ascending order with zero padding.  Output (i, j)
+    therefore reads exactly the pixels of its own window, however wide the
+    image, which the subdomain enlargements and the window solves rely on; a
+    running-sum or FFT filter would let roundoff from far-away pixels leak
+    into every output.  Offsets that miss the grid entirely are skipped, so
+    a kernel wider than the image costs no more than one as wide as it.
     """
     u = np.asarray(u, dtype=np.float64)
     m, n = u.shape
     l = kernel.halfwidth
+    rows = np.zeros_like(u)
+    for d in range(-min(l, n - 1), min(l, n - 1) + 1):
+        rows[:, max(-d, 0):n - max(d, 0)] += u[:, max(d, 0):n + min(d, 0)]
     acc = np.zeros_like(u)
-    for di in range(-l, l + 1):
-        for dj in range(-l, l + 1):
-            a0, a1 = max(0, -di), m - max(di, 0)
-            b0, b1 = max(0, -dj), n - max(dj, 0)
-            if a0 < a1 and b0 < b1:
-                acc[a0:a1, b0:b1] += u[a0 + di:a1 + di, b0 + dj:b1 + dj]
+    for d in range(-min(l, m - 1), min(l, m - 1) + 1):
+        acc[max(-d, 0):m - max(d, 0)] += rows[max(d, 0):m + min(d, 0)]
     return acc / float(kernel.size ** 2)
 
 

@@ -55,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decomposition import consensus_norm_sq, restrict_global, stack_sum
+from .decomposition import consensus_norm_sq, essential_domain, restrict_global, stack_sum
 from .fields import inner, norm2, project_ball, psnr
 from .models import energy, objective_terms, stencil_of, weighted_sum
 # the blocks name their operators; primal_dual() and duality_gap() look the
@@ -286,9 +286,10 @@ class DecoupledAlm:
     solve runs on its window, with the model's data cut to it: a model's
     image-sized data must be its `f` or be computed from `f` when the model
     is built, so that dataclasses.replace(model, f=model.f[window]) is the
-    model on the window.  All iterates start at zero, which makes the
-    multiplier orthogonal to the consensus subspace and keeps it so by
-    induction.
+    model on the window.  The model's stencil must cover its operators'
+    footprint, which the constructor checks.  All iterates start at zero,
+    which makes the multiplier orthogonal to the consensus subspace and
+    keeps it so by induction.
     """
 
     def __init__(self, model, layout, eta, inner_prm, workers=1):
@@ -296,6 +297,7 @@ class DecoupledAlm:
             raise ValueError(
                 f"layout stencil {layout.stencil} does not match the model's "
                 f"{stencil_of(model)}")
+        _check_footprint(model)
         _check_eta(eta)
         if inner_prm.gamma > eta * _BOUND_TOL:
             raise ValueError("gamma must not exceed eta")
@@ -360,6 +362,30 @@ class DecoupledAlm:
         """Norm of the multiplier's consensus component (zero in theory)."""
         avg_lam = stack_sum(self.lam, self.layout) / self.layout.counts
         return math.sqrt(max(consensus_norm_sq(avg_lam, self.layout), 0.0))
+
+
+def _check_footprint(model):
+    """Raise unless the model's stencil covers each block's footprint.
+
+    Each block's adjoint is applied to random duals at the centre pixel of a
+    grid one pixel wider on every side than the stencil's reach; K* of a
+    dual on a tile must land inside the tile's enlargement (see Local), so
+    any nonzero outside the centre's enlargement means the declared stencil
+    is too small and the local problems would not be the model's.
+    """
+    stencil = stencil_of(model)
+    c = stencil.reach + 1
+    centre = np.zeros((2 * c + 1, 2 * c + 1), dtype=bool)
+    centre[c, c] = True
+    outside = ~essential_domain(centre, stencil)
+    rng = np.random.default_rng(0)
+    for blk in model.saddle.blocks:
+        y = np.zeros(centre.shape + ((blk.channels,) if blk.channels else ()))
+        y[c, c] = rng.uniform(1.0, 2.0, y.shape[2:])
+        if (blk.transpose(y)[outside] != 0).any():
+            raise ValueError(
+                f"{type(model).__name__} declares {stencil}, which does not "
+                f"cover the footprint of its block {blk.op!r}")
 
 
 def lyapunov_metric(layout, eta, avg_a, lam_a, avg_b, lam_b):

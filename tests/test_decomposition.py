@@ -112,6 +112,41 @@ def test_enlargements_clip_to_grid():
         got = essential_domain(core, st)
         assert got.shape == (3, 3)
         assert got.all()
+    # a band wider than the grid claims all of it
+    core = np.zeros((5, 4), dtype=bool)
+    core[3, 1] = True
+    assert essential_domain(core, Stencil("band", 10**6)).all()
+
+
+def test_stencil_rejects_non_integer_halfwidth():
+    assert type(Stencil("band", np.int64(2)).halfwidth) is int
+    for bad in (2.0, 1.5):
+        try:
+            Stencil("band", bad)
+        except ValueError as exc:
+            assert repr(bad) in str(exc)
+        else:
+            raise AssertionError(f"halfwidth {bad!r} accepted")
+
+
+def _band_2d_loop(mask, l):
+    """Reference: the OR over the (2l+1)^2 offsets of the zero-padded mask."""
+    m, n = mask.shape
+    padded = np.pad(mask, l)
+    out = np.zeros_like(mask)
+    for di in range(-l, l + 1):
+        for dj in range(-l, l + 1):
+            out |= padded[l + di:l + di + m, l + dj:l + dj + n]
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(m=st.integers(1, 14), n=st.integers(1, 14), l=st.integers(1, 5),
+       density=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_band_matches_2d_loop(m, n, l, density, seed):
+    mask = np.random.default_rng(seed).random((m, n)) < density
+    got = essential_domain(mask, Stencil("band", l))
+    assert np.array_equal(got, _band_2d_loop(mask, l))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from ddimaging.decomposition import OverlapLayout
 from ddimaging.fields import inner
@@ -187,6 +188,55 @@ def test_blur_kernel_validation():
     else:
         raise AssertionError("halfwidth 0 accepted")
     assert BlurKernel(4).size == 9
+    assert type(BlurKernel(np.int64(3)).halfwidth) is int
+    for bad in (2.0, 2.5, True):
+        try:
+            BlurKernel(bad)
+        except ValueError as exc:
+            assert repr(bad) in str(exc)
+        else:
+            raise AssertionError(f"halfwidth {bad!r} accepted")
+
+
+def _blur_2d_loop(u, kernel):
+    """Reference: one shift-and-add per offset of the (2l+1)^2 window."""
+    m, n = u.shape
+    l = kernel.halfwidth
+    acc = np.zeros_like(u)
+    for di in range(-l, l + 1):
+        for dj in range(-l, l + 1):
+            a0, a1 = max(0, -di), m - max(di, 0)
+            b0, b1 = max(0, -dj), n - max(dj, 0)
+            if a0 < a1 and b0 < b1:
+                acc[a0:a1, b0:b1] += u[a0 + di:a1 + di, b0 + dj:b1 + dj]
+    return acc / float(kernel.size ** 2)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(m=st.integers(1, 12), n=st.integers(1, 12), l=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_blur_matches_2d_loop_and_is_exactly_local(m, n, l, seed, data):
+    # 1xN, Nx1 and kernels wider than the image are all in range
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((m, n))
+    k = BlurKernel(l)
+    out = blur(u, k)
+    assert np.allclose(out, _blur_2d_loop(u, k), rtol=0, atol=1e-14)
+    i = data.draw(st.integers(0, m - 1), label="i")
+    j = data.draw(st.integers(0, n - 1), label="j")
+    v = u.copy()
+    v[i, j] += 1e6
+    window = np.zeros((m, n), dtype=bool)
+    window[max(i - l, 0):i + l + 1, max(j - l, 0):j + l + 1] = True
+    changed = blur(v, k) != out
+    assert np.array_equal(changed, window)
+
+
+def test_blur_wider_than_the_image():
+    u = np.random.default_rng(4).standard_normal((5, 4))
+    l = 10**6
+    out = blur(u, BlurKernel(l))
+    assert np.allclose(out, u.sum() / (2 * l + 1) ** 2, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import hashlib
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
 
@@ -470,8 +470,8 @@ def test_bitwise_determinism_across_worker_counts():
 FROZEN_TRAJECTORY = {
     "ccv": ("462a90fa01d03b79a682fe25dcea493fbc4a5dd0d160e0fccd2ea51ab53f8d42",
             "7521653f46bc749c975f7ea9ff53b49095e6aec704a235c656183b289b460f18"),
-    "tvl1": ("f6dd0b730f2f70d3f13eb7664f42a4afdd81179445bb9d5d27085a1417b5d135",
-             "8c7a29303180fa06bd624db42735f001dfbfbb2b7ce48fd3dc015c8e009c696d"),
+    "tvl1": ("bfa7c3ee7af0abded8b990a3fbf55df09e1b02a8c844f5f731889a930bdcf5b0",
+             "43b85762bd33b72d5a61925df61bf890a4f14de2966176d8d89e1d2446779e24"),
     "hessl1": ("96e18f5f65b940e164e9649a0de6780f1a80e9ea20ef2d9e519ea2c2d1076099",
                "35a27a7327ff6dbfd1bb8feb296f8ade918edd62b3fd96661043077ca6d382a5"),
 }
@@ -517,10 +517,10 @@ FROZEN_GAP_TRAJECTORY = {
             "6cb1b6213e82bc1e4e0c543ae3a48b1c7ef25a67eb91974f6b98a527358166ce",
             ("475e95ee3bca4580822af47fa4b85d38d53d3380e61eee45db78bec15bd1f2f1",)),
     "tvl1": ([[375, 400, 525, 375, 525, 350], [400, 600, 375, 375, 450, 325]],
-             "cfa684e4eee4cc47290128026ddb2bef215d7b978ccca4cc945cc136703f2309",
-             "5f4744bacb6fa30eae7a959924e5d4218db2027f2957a0b0e04e5100bff5de0a",
-             ("f0dd19d41adb57a3aaee633b142c26c45471160a3f927cb9940992591f718225",
-              "89cc02ba01b71f1abcc58a6aa764fd15089d737c9b49fa8cab5f9233cfe6d56c")),
+             "cf91e3efe02541346de8bc75d92650424fe93f6900edf0cb22d0d9f6b6abc9f4",
+             "9540962a2dc6a06df793f95868743c3f87563259f8f989b5518538d5f70e87ac",
+             ("4626ae48bb1105e5382286779d51d867d2e773c411e5c5e08f084c8e963e484d",
+              "46b6468e590c86e13d21e08f5772cebdcd0258d8e3c75506f7e3fadf4da3a24f")),
     "hessl1": ([[1650, 925, 1150, 825, 850, 700], [1050, 1025, 900, 775, 1100, 1300]],
                "29d8de2b5d2b5755a50140406ded73db0fac28d91b4b05ad8a46544cc01c657f",
                "18d633f1d4eeb344b095473f00b4bb02bde5c9a2da0964afa2e7b843b681aa54",
@@ -599,6 +599,31 @@ def test_iterates_stay_on_their_patches():
             u, lam = layout.view(alm.u, s), layout.view(alm.lam, s)
             assert not u[~patch].any() and not lam[~patch].any(), (type(model), s)
             assert u[patch].any(), (type(model), s)
+
+
+@dataclass(frozen=True, eq=False)
+class _NarrowStencilDeblur(TVL1Deblur):
+    """TV-L1 that declares band(1) whatever its kernel's halfwidth."""
+
+    @cached_property
+    def saddle(self):
+        return replace(super().saddle, stencil=Stencil("band", 1))
+
+
+def test_alm_rejects_stencil_that_misses_the_footprint():
+    f = np.random.default_rng(37).random((13, 11)) - 0.3
+    narrow = _NarrowStencilDeblur(f=f, alpha=10.0, kernel=BlurKernel(2))
+    layout = OverlapLayout.from_grid(f.shape, 3, 2, stencil_of(narrow))
+    try:
+        DecoupledAlm(narrow, layout, 10.0, default_inner(narrow, 10.0))
+    except ValueError as exc:
+        assert "Stencil(kind='band', halfwidth=1)" in str(exc)
+        assert "'blur'" in str(exc)
+    else:
+        raise AssertionError("a band(1) stencil accepted for a 5x5 blur")
+    # band(1) does cover a 3x3 kernel
+    fits = _NarrowStencilDeblur(f=f, alpha=10.0, kernel=BlurKernel(1))
+    DecoupledAlm(fits, layout, 10.0, default_inner(fits, 10.0))
 
 
 def test_step_metric_matches_lyapunov_helper():
