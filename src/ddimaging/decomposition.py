@@ -9,16 +9,17 @@ model integrand on the tile; the enlargement rule is a Stencil, one of
 * backfwd:  the reads of second differences (backward of forward) at the
   tile, a plus shape with the two anti-diagonal corners in the interior.
 
-Subdomain s lives on its window, the bounding box of its enlarged mask.  A
-packed field is a 1-D float64 vector holding one copy of each window, back
-to back in ascending subdomain order; OverlapLayout.view(x, s) is window s
-as a 2-D view, and entries outside the enlarged mask are identically zero.
-The consensus projection replaces every copy of a shared pixel by the mean
-over the subdomains whose enlarged mask contains it, which is the
-orthogonal projection onto the subspace of copies that agree on overlaps:
-restrict_global(stack_sum(x, layout) / layout.counts, layout).  Per-pixel
-sums always run over ascending subdomain index in a single pass, so results
-are reproducible bit for bit regardless of how local work is scheduled.
+Subdomain s lives on its window, the bounding box of its enlarged mask, and
+so do its tile and enlarged masks.  A packed field is a 1-D float64 vector
+holding one copy of each window, back to back in ascending subdomain order;
+OverlapLayout.view(x, s) is window s as a 2-D view, and entries outside the
+enlarged mask are identically zero.  The consensus projection replaces every
+copy of a shared pixel by the mean over the subdomains whose enlarged mask
+contains it, which is the orthogonal projection onto the subspace of copies
+that agree on overlaps: restrict_global(stack_sum(x, layout) / layout.counts,
+layout).  Per-pixel sums always run over ascending subdomain index in a
+single pass, so results are reproducible bit for bit regardless of how local
+work is scheduled.
 """
 
 import numbers
@@ -151,10 +152,10 @@ class OverlapLayout:
     ----------
     shape : (M, N)
     tiles : list of half-open boxes, row-major
-    core, tilde : (S, M, N) bool
-        Tile masks and their stencil enlargements.
     windows : list of (row slice, column slice)
         The bounding box of each enlarged mask.
+    core, tilde : list of bool arrays, each of its window's shape
+        Tile masks and their stencil enlargements, on their windows.
     offsets : list of S + 1 ints
         Where each window starts in a packed field; offsets[-1] is its size.
     counts : (M, N) float64
@@ -165,35 +166,35 @@ class OverlapLayout:
 
     def __init__(self, shape, tiles, stencil):
         m, n = shape
-        s_count = len(tiles)
-        core = np.zeros((s_count, m, n), dtype=bool)
-        tilde = np.zeros_like(core)
-        self.windows, self.offsets = [], [0]
+        cover = np.zeros((m, n), dtype=np.intp)
+        self.counts = np.zeros((m, n))
+        self.core, self.tilde, self.windows, self.offsets = [], [], [], [0]
         r = stencil.reach
         for s, (i0, i1, j0, j1) in enumerate(tiles):
             if not (0 <= i0 < i1 <= m and 0 <= j0 < j1 <= n):
                 raise ValueError(f"tile {tiles[s]} is empty or leaves the {m}x{n} grid")
-            core[s, i0:i1, j0:j1] = True
+            cover[i0:i1, j0:j1] += 1
             a0, b0 = max(i0 - r, 0), max(j0 - r, 0)
-            box = np.s_[a0:min(i1 + r, m), b0:min(j1 + r, n)]
-            grown = essential_domain(core[s][box], stencil)
-            if not (core[s][box] <= grown).all():
+            core = np.zeros((min(i1 + r, m) - a0, min(j1 + r, n) - b0), dtype=bool)
+            core[i0 - a0:i1 - a0, j0 - b0:j1 - b0] = True
+            grown = essential_domain(core, stencil)
+            if not (core <= grown).all():
                 raise RuntimeError("enlargement lost core pixels")
-            tilde[s][box] = grown
             i, j = np.nonzero(grown)
+            trim = np.s_[i.min():i.max() + 1, j.min():j.max() + 1]
             win = np.s_[a0 + i.min():a0 + i.max() + 1, b0 + j.min():b0 + j.max() + 1]
+            self.core.append(core[trim])
+            self.tilde.append(grown[trim])
+            self.counts[win] += self.tilde[-1]
             self.windows.append(win)
-            self.offsets.append(self.offsets[-1] + tilde[s][win].size)
-        if not core.any(axis=0).all():
+            self.offsets.append(self.offsets[-1] + self.tilde[-1].size)
+        if cover.min() < 1:
             raise ValueError("tiles do not cover the grid")
-        if core.sum(axis=0).max() > 1:
+        if cover.max() > 1:
             raise ValueError("tiles overlap")
         self.shape = (m, n)
         self.stencil = stencil
         self.tiles = list(tiles)
-        self.core = core
-        self.tilde = tilde
-        self.counts = tilde.sum(axis=0, dtype=np.float64)
         self.interface = self.counts >= 2.0
 
     @classmethod
@@ -202,18 +203,17 @@ class OverlapLayout:
 
     @property
     def count(self):
-        return self.core.shape[0]
+        return len(self.tiles)
 
     def view(self, packed, s):
         """Window s of a packed field, as a 2-D view."""
-        shape = self.tilde[s][self.windows[s]].shape
-        return packed[self.offsets[s]:self.offsets[s + 1]].reshape(shape)
+        return packed[self.offsets[s]:self.offsets[s + 1]].reshape(self.tilde[s].shape)
 
 
 def restrict_global(u, layout):
     """Pack a global field into per-subdomain copies on the enlarged masks."""
     u = np.asarray(u, dtype=np.float64)
-    return np.concatenate([(u[w] * t[w]).ravel()
+    return np.concatenate([(u[w] * t).ravel()
                            for w, t in zip(layout.windows, layout.tilde)])
 
 

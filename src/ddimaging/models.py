@@ -241,7 +241,7 @@ def local_energy(model, layout, s, u_s):
     enlargement contains the integrand's stencil footprint, the value does
     not depend on how u_s is extended outside that mask.
     """
-    t = integrand(model, u_s)
+    t = integrand(model, u_s)[layout.windows[s]]
     core = layout.core[s]
     if np.isinf(t[core]).any():
         return float("inf")

@@ -45,6 +45,7 @@ rule as solve_dd() between consecutive iterates.
 """
 
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -81,6 +82,13 @@ def check_tol(tol):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
+def check_count(name, value):
+    """Raise unless value, the argument `name`, is an integer >= 1."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class InnerParams:
     """Inner-solver configuration for one local problem.
@@ -107,12 +115,10 @@ class InnerParams:
             raise ValueError("step sizes must be positive")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
-        if self.iters < 1:
-            raise ValueError("iters must be >= 1")
+        for name in ("iters", "gap_check", "max_iters"):
+            check_count(name, getattr(self, name))
         if self.gap_tol is not None and not self.gap_tol > 0:
             raise ValueError("gap_tol must be positive")
-        if self.gap_check < 1 or self.max_iters < 1:
-            raise ValueError("gap_check and max_iters must be >= 1")
 
 
 def default_inner(model, eta, **overrides):
@@ -293,6 +299,10 @@ class DecoupledAlm:
     """
 
     def __init__(self, model, layout, eta, inner_prm, workers=1):
+        if layout.shape != model.f.shape:
+            raise ValueError(
+                f"layout shape {layout.shape} does not match the model's "
+                f"{model.f.shape}")
         if layout.stencil != stencil_of(model):
             raise ValueError(
                 f"layout stencil {layout.stencil} does not match the model's "
@@ -306,8 +316,7 @@ class DecoupledAlm:
             raise ValueError(
                 f"sigma0*tau0 = {inner_prm.sigma0 * inner_prm.tau0} exceeds "
                 f"the admissible bound {bound}")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        check_count("workers", workers)
         self.model = model
         self.layout = layout
         self.eta = float(eta)
@@ -323,9 +332,9 @@ class DecoupledAlm:
     def _solve_one(self, s):
         lay = self.layout
         win = lay.windows[s]
-        core = lay.core[s][win]
+        core = lay.core[s]
         u_s = lay.view(self.u, s)
-        uhat = self.avg[win] * lay.tilde[s][win] - lay.view(self.lam, s) / self.eta
+        uhat = self.avg[win] * lay.tilde[s] - lay.view(self.lam, s) / self.eta
         local = Local(core=core.astype(np.float64), uhat=uhat, eta=self.eta)
         duals = [np.where(core[..., None] if y.ndim == 3 else core, y[win], 0.0)
                  for y in self.duals]
@@ -462,6 +471,7 @@ def cp_full(model, iters, sigma=None, tau=None, tol=None, on_iter=None):
     when provided.  Default steps are tau = the model's cp_tau with
     sigma = 1/(bound*tau), or sigma = tau = 1/sqrt(bound) without one.
     """
+    check_count("iters", iters)
     stop = None if tol is None else _StopRule(model, tol)
     bound = model.saddle.bound
     cp_tau = model.defaults.cp_tau
@@ -562,6 +572,7 @@ def solve_dd(model, layout, eta, inner_prm, tol, max_outer, workers=1,
     residual, consecutive-iterate metric, optional relative energy gap and
     PSNR, and cumulative wall time (None when timing is False).
     """
+    check_count("max_outer", max_outer)
     stop = _StopRule(model, tol)
     alm = DecoupledAlm(model, layout, eta, inner_prm, workers=workers)
     rows = _Rows(e_star, ground_truth, timing, on_row)
@@ -588,6 +599,7 @@ def solve_single(model, tol, max_iters, e_star=None, ground_truth=None,
     identically zero and the consecutive-iterate metric is not defined
     without a coupling weight, so it stays empty.
     """
+    check_count("max_iters", max_iters)
     rows = _Rows(e_star, ground_truth, timing, on_row)
     res = cp_full(model, max_iters, tol=tol, on_iter=rows.add)
     return SolveResult(u=res.u, rows=rows.rows, converged=res.converged,

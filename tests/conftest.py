@@ -58,6 +58,17 @@ def blob_scene(m=32, n=32):
     return u
 
 
+def on_grid(layout, s, a):
+    """Window array a of subdomain s placed on an all-zero (M, N) grid.
+
+    a is a mask (layout.core[s], layout.tilde[s]) or a field on the window
+    (layout.view(x, s)); trailing channel axes are kept.
+    """
+    out = np.zeros(layout.shape + a.shape[2:], dtype=a.dtype)
+    out[layout.windows[s]] = a
+    return out
+
+
 @pytest.fixture(scope="session")
 def scene128():
     return camera_scene(128, 128)

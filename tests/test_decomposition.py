@@ -15,6 +15,8 @@ from ddimaging.models import ChanVese, HessianL1, TVL1Deblur, integrand, stencil
 from ddimaging.operators import BlurKernel
 from ddimaging.solvers import DecoupledAlm, default_inner
 
+from conftest import on_grid
+
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -174,16 +176,17 @@ def perturbation_check(model, layout, rng):
     m, n = layout.shape
     u = rng.uniform(0.15, 0.85, size=(m, n))
     for s in range(layout.count):
-        core = layout.core[s]
+        core = on_grid(layout, s, layout.core[s])
+        tilde = on_grid(layout, s, layout.tilde[s])
         base = integrand(model, u)[core]
         assert np.isfinite(base).all()
-        outside = ~layout.tilde[s]
+        outside = ~tilde
         for _ in range(3):
             v = u.copy()
             v[outside] = rng.uniform(0.15, 0.85, size=int(outside.sum()))
             assert np.array_equal(integrand(model, v)[core], base), (
                 "outside pixels leak into the core integrand", s)
-        for i, j in zip(*np.nonzero(layout.tilde[s])):
+        for i, j in zip(*np.nonzero(tilde)):
             v = u.copy()
             v[i, j] += 0.031
             if not np.array_equal(integrand(model, v)[core], base):
@@ -240,21 +243,25 @@ def random_packed(rng, layout):
     return rng.standard_normal(on_patch.size) * on_patch
 
 
-def spread(packed, layout, s):
-    """Copy s of a packed field on the whole grid, zero off its window."""
-    out = np.zeros(layout.shape)
-    out[layout.windows[s]] = layout.view(packed, s)
-    return out
-
-
 def test_layout_masks_cover_and_contain():
     layout = OverlapLayout.from_grid((6, 7), 2, 3, Stencil("forward1"))
     assert layout.count == 6
-    assert (layout.core.sum(axis=0) == 1).all()
-    assert (layout.core <= layout.tilde).all()
-    assert layout.tilde.any(axis=0).all()
+    core = np.stack([on_grid(layout, s, c) for s, c in enumerate(layout.core)])
+    tilde = np.stack([on_grid(layout, s, t) for s, t in enumerate(layout.tilde)])
+    assert (core.sum(axis=0) == 1).all()
+    assert (core <= tilde).all()
+    assert tilde.any(axis=0).all()
     assert layout.counts.min() >= 1.0
     assert np.array_equal(layout.interface, layout.counts >= 2)
+
+
+def test_layout_is_linear_in_the_grid():
+    # every mask lives on its window, so the layout holds O(M*N) bytes
+    # whatever the subdomain count; (S, M, N) masks would take 2*S bytes a pixel
+    for tiles in (8, 32):
+        layout = OverlapLayout.from_grid((256, 256), tiles, tiles, Stencil("forward1"))
+        arrays = [layout.counts, layout.interface, *layout.core, *layout.tilde]
+        assert sum(a.nbytes for a in arrays) <= 16 * 256 * 256, tiles
 
 
 def _model_with(stencil, f):
@@ -280,12 +287,18 @@ def test_windows_are_the_patches_bounding_boxes(m, n, data):
     for stencil in STENCILS:
         layout = OverlapLayout.from_grid((m, n), p, q, stencil)
         for s in range(layout.count):
-            rows = np.flatnonzero(layout.tilde[s].any(axis=1))
-            cols = np.flatnonzero(layout.tilde[s].any(axis=0))
+            tilde = on_grid(layout, s, layout.tilde[s])
+            rows = np.flatnonzero(tilde.any(axis=1))
+            cols = np.flatnonzero(tilde.any(axis=0))
             assert layout.windows[s] == np.s_[rows[0]:rows[-1] + 1,
                                               cols[0]:cols[-1] + 1]
-            assert np.array_equal(layout.tilde[s],
-                                  essential_domain(layout.core[s], stencil))
+            shape = (rows[-1] + 1 - rows[0], cols[-1] + 1 - cols[0])
+            assert layout.core[s].shape == layout.tilde[s].shape == shape
+            grown = essential_domain(on_grid(layout, s, layout.core[s]), stencil)
+            assert np.array_equal(tilde, grown)
+            outside = np.ones((m, n), dtype=bool)
+            outside[layout.windows[s]] = False
+            assert not grown[outside].any()
         areas = sum((rs.stop - rs.start) * (cs.stop - cs.start)
                     for rs, cs in layout.windows)
         model = _model_with(stencil, f)
@@ -302,7 +315,7 @@ def test_layout_counts_forward_one_cross():
 
 def test_single_subdomain_is_whole_grid():
     layout = OverlapLayout.from_grid((5, 6), 1, 1, Stencil("band", 2))
-    assert layout.tilde[0].all()
+    assert layout.tilde[0].shape == (5, 6) and layout.tilde[0].all()
     assert (layout.counts == 1.0).all()
     packed = restrict_global(np.arange(30.0).reshape(5, 6), layout)
     assert np.array_equal(project(packed, layout), packed)
@@ -313,11 +326,13 @@ def test_consensus_average_example():
     packed = restrict_global(np.ones((4, 4)), layout)
     packed[layout.offsets[1]:] *= 3.0
     out = project(packed, layout)
-    shared = layout.tilde[0] & layout.tilde[1]
-    assert (spread(out, layout, 0)[shared] == 2.0).all()
-    assert (spread(out, layout, 1)[shared] == 2.0).all()
-    only0 = layout.tilde[0] & ~shared
-    assert (spread(out, layout, 0)[only0] == 1.0).all()
+    tilde = [on_grid(layout, s, t) for s, t in enumerate(layout.tilde)]
+    copies = [on_grid(layout, s, layout.view(out, s)) for s in range(2)]
+    shared = tilde[0] & tilde[1]
+    assert (copies[0][shared] == 2.0).all()
+    assert (copies[1][shared] == 2.0).all()
+    only0 = tilde[0] & ~shared
+    assert (copies[0][only0] == 1.0).all()
 
 
 def test_consensus_idempotent_bitwise():
@@ -346,13 +361,15 @@ def test_jump_vanishes_after_projection():
     layout = OverlapLayout.from_grid((6, 6), 3, 2, Stencil("backfwd"))
     packed = random_packed(rng, layout)
     proj = project(packed, layout)
+    tilde = [on_grid(layout, s, t) for s, t in enumerate(layout.tilde)]
     pairs = 0
     for s in range(layout.count):
         for t in range(s + 1, layout.count):
-            shared = layout.tilde[s] & layout.tilde[t]
+            shared = tilde[s] & tilde[t]
             if shared.any():
                 pairs += 1
-                jump = spread(proj, layout, s) - spread(proj, layout, t)
+                jump = (on_grid(layout, s, layout.view(proj, s))
+                        - on_grid(layout, t, layout.view(proj, t)))
                 assert np.abs(jump)[shared].max() == 0.0
     assert pairs > 0
     assert norm2(proj - project(proj, layout)) <= 1e-12

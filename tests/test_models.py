@@ -17,6 +17,8 @@ from ddimaging.models import (
 )
 from ddimaging.operators import BlurKernel, blur, grad_plus, hessian
 
+from conftest import on_grid
+
 
 # ---------------------------------------------------------------------------
 # energies, frozen values
@@ -215,7 +217,7 @@ def test_local_energies_sum_to_global():
         for _ in range(5):
             u = rng.uniform(0, 1, size=(8, 9))
             total = sum(
-                local_energy(model, layout, s, u * layout.tilde[s])
+                local_energy(model, layout, s, u * on_grid(layout, s, layout.tilde[s]))
                 for s in range(layout.count)
             )
             e = energy(model, u)
@@ -236,8 +238,9 @@ def test_local_energy_extension_independent():
         layout = OverlapLayout.from_grid((8, 8), 2, 2, stencil_of(model))
         u = rng.uniform(0.1, 0.9, size=(8, 8))
         for s in range(layout.count):
-            inside = u * layout.tilde[s]
-            other = inside + rng.uniform(0.1, 0.9, size=(8, 8)) * ~layout.tilde[s]
+            tilde = on_grid(layout, s, layout.tilde[s])
+            inside = u * tilde
+            other = inside + rng.uniform(0.1, 0.9, size=(8, 8)) * ~tilde
             a = local_energy(model, layout, s, inside)
             b = local_energy(model, layout, s, other)
             assert a == b
@@ -249,7 +252,8 @@ def test_local_energy_infeasible_is_infinite():
     layout = OverlapLayout.from_grid((4, 4), 2, 2, stencil_of(model))
     u = np.full((4, 4), 0.5)
     u[0, 0] = 1.5
-    assert local_energy(model, layout, 0, u * layout.tilde[0]) == math.inf
+    u_0 = u * on_grid(layout, 0, layout.tilde[0])
+    assert local_energy(model, layout, 0, u_0) == math.inf
 
 
 # ---------------------------------------------------------------------------

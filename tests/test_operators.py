@@ -24,6 +24,8 @@ from ddimaging.operators import (
     op_norm_sq_estimate,
 )
 
+from conftest import on_grid
+
 
 def dense_matrix(op, in_shape, out_of):
     """Materialize a linear map as a dense matrix, columns from unit inputs."""
@@ -296,13 +298,13 @@ def _blocks_with_layouts():
 
 
 def _core_mask(blk, layout, s):
-    core = layout.core[s]
+    core = on_grid(layout, s, layout.core[s])
     return core[..., None] if blk.channels else core
 
 
 def _restricted(blk, layout, s):
     """Forward core*K(tilde*u) and adjoint tilde*K*(core*w) of one block."""
-    mask, tilde = _core_mask(blk, layout, s), layout.tilde[s]
+    mask, tilde = _core_mask(blk, layout, s), on_grid(layout, s, layout.tilde[s])
     return (lambda u: blk.forward(u * tilde) * mask,
             lambda w: blk.transpose(w * mask) * tilde)
 
@@ -323,7 +325,7 @@ def test_restricted_matches_global_on_core():
         u = rng.standard_normal(layout.shape)
         for s in range(layout.count):
             op, _ = _restricted(blk, layout, s)
-            got = op(u * layout.tilde[s])
+            got = op(u * on_grid(layout, s, layout.tilde[s]))
             want = blk.forward(u) * _core_mask(blk, layout, s)
             assert np.array_equal(got, want), (blk.op, s)
 
@@ -334,8 +336,9 @@ def test_core_values_ignore_extension_outside_patch():
     for blk, layout in _blocks_with_layouts():
         u = rng.standard_normal(layout.shape)
         for s in range(layout.count):
-            inside = u * layout.tilde[s]
-            junk = inside + 1e6 * rng.standard_normal(layout.shape) * ~layout.tilde[s]
+            tilde = on_grid(layout, s, layout.tilde[s])
+            inside = u * tilde
+            junk = inside + 1e6 * rng.standard_normal(layout.shape) * ~tilde
             a = blk.forward(inside)
             b = blk.forward(junk)
             mask = _core_mask(blk, layout, s)

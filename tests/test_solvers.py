@@ -47,7 +47,7 @@ from ddimaging.solvers import (
     zero_duals,
 )
 
-from conftest import blob_scene
+from conftest import blob_scene, on_grid
 
 
 # ---------------------------------------------------------------------------
@@ -82,15 +82,19 @@ def test_inner_params_validation():
     for bad in (dict(sigma0=0.0), dict(tau0=-1.0), dict(gamma=-0.1),
                 dict(iters=0), dict(gap_tol=0.0), dict(gap_check=0),
                 dict(gamma=math.inf), dict(sigma0=math.nan),
-                dict(gap_tol=math.nan)):
+                dict(gap_tol=math.nan), dict(iters=2.5), dict(iters=True),
+                dict(gap_check=2.5), dict(max_iters=0), dict(max_iters=2.5)):
         kw = dict(sigma0=0.3, tau0=0.3, gamma=0.1, iters=5)
         kw.update(bad)
         try:
             InnerParams(**kw)
-        except ValueError:
-            pass
+        except ValueError as exc:
+            for name, value in bad.items():
+                if name in ("iters", "gap_check", "max_iters"):
+                    assert f"{name} must be an integer >= 1, got {value!r}" in str(exc)
         else:
             raise AssertionError(f"accepted {bad}")
+    assert InnerParams(sigma0=0.3, tau0=0.3, gamma=0.1, iters=np.int64(3)).iters == 3
 
 
 def test_step_bounds_and_defaults():
@@ -157,6 +161,30 @@ def test_alm_rejects_bad_configs():
                 assert repr(tol) in str(exc)
             else:
                 raise AssertionError(f"tol {tol!r} accepted")
+    # a layout built for another grid: smaller, larger, or narrower
+    square = ChanVese(f=np.zeros((16, 16)), alpha=1, c1=0.6, c2=0.1)
+    for shape in ((8, 8), (20, 20), (16, 12)):
+        other = OverlapLayout.from_grid(shape, 2, 2, Stencil("forward1"))
+        try:
+            DecoupledAlm(square, other, 1.0, good)
+        except ValueError as exc:
+            assert f"{shape}" in str(exc) and "(16, 16)" in str(exc)
+        else:
+            raise AssertionError(f"{shape} layout accepted for a 16x16 model")
+    # budgets and counts are integers >= 1, and the message names them
+    for name, call in (
+            ("workers", lambda v: DecoupledAlm(model, layout, 1.0, good, workers=v)),
+            ("max_outer", lambda v: solve_dd(model, layout, 1.0, good, 1e-3, v)),
+            ("max_iters", lambda v: solve_single(model, 1e-3, v)),
+            ("iters", lambda v: cp_full(model, v)),
+            ("iters", lambda v: reference_energy(model, v))):
+        for bad in (0, -1, 2.5, 3.0, True, None):
+            try:
+                call(bad)
+            except ValueError as exc:
+                assert f"{name} must be an integer >= 1, got {bad!r}" in str(exc)
+            else:
+                raise AssertionError(f"{name}={bad!r} accepted")
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +491,7 @@ def test_bitwise_determinism_across_worker_counts():
         assert np.array_equal(a, b)
 
 
-# SHA-256 of alm.u and alm.lam, spread to (S, M, N) stacks by _stacked,
+# SHA-256 of alm.u and alm.lam, spread to (S, M, N) stacks by _stack_sha256,
 # after 4 outer steps of the set-up in test_frozen_trajectory.  A refactor
 # of the decomposed solver must reproduce them bit for bit; a change that
 # alters the arithmetic on purpose re-derives them and records why.
@@ -477,12 +505,12 @@ FROZEN_TRAJECTORY = {
 }
 
 
-def _stacked(packed, layout):
-    """A packed field as an (S, M, N) stack, each copy zero off its window."""
-    out = np.zeros((layout.count,) + layout.shape)
-    for s, win in enumerate(layout.windows):
-        out[s][win] = layout.view(packed, s)
-    return out
+def _stack_sha256(packed, layout):
+    """SHA-256 of a packed field as an (S, M, N) stack, each copy zero off
+    its window."""
+    stack = np.stack([on_grid(layout, s, layout.view(packed, s))
+                      for s in range(layout.count)])
+    return hashlib.sha256(stack.tobytes()).hexdigest()
 
 
 def _frozen_cases():
@@ -502,14 +530,13 @@ def test_frozen_trajectory():
                                workers=workers)
             for _ in range(4):
                 alm.step()
-            got = tuple(hashlib.sha256(_stacked(a, layout).tobytes()).hexdigest()
-                        for a in (alm.u, alm.lam))
+            got = tuple(_stack_sha256(a, layout) for a in (alm.u, alm.lam))
             assert got == FROZEN_TRAJECTORY[name], (name, workers)
 
 
 # After 2 outer steps of the same set-up in gap mode (gap_tol 1e-5, workers
 # 1): the per-step inner iteration counts, then the SHA-256 of alm.u and
-# alm.lam as _stacked stacks and of each dual field plus 0.0 (which folds
+# alm.lam as _stack_sha256 stacks and of each dual field plus 0.0 (which folds
 # -0.0 into +0.0).
 FROZEN_GAP_TRAJECTORY = {
     "ccv": ([[125, 175, 100, 150, 75, 100], [150, 75, 100, 50, 50, 75]],
@@ -536,9 +563,8 @@ def test_frozen_gap_trajectory():
         alm = DecoupledAlm(model, layout, eta,
                            default_inner(model, eta, gap_tol=1e-5))
         iters = [alm.step().inner_iters for _ in range(2)]
-        sha = [hashlib.sha256(a.tobytes()).hexdigest()
-               for a in ([_stacked(alm.u, layout), _stacked(alm.lam, layout)]
-                         + [y + 0.0 for y in alm.duals])]
+        sha = [_stack_sha256(alm.u, layout), _stack_sha256(alm.lam, layout)]
+        sha += [hashlib.sha256((y + 0.0).tobytes()).hexdigest() for y in alm.duals]
         assert (iters, sha[0], sha[1], tuple(sha[2:])) == FROZEN_GAP_TRAJECTORY[name], name
 
 
@@ -594,8 +620,7 @@ def test_iterates_stay_on_their_patches():
         alm = DecoupledAlm(model, layout, eta, default_inner(model, eta, iters=7))
         for _ in range(4):
             alm.step()
-        for s, win in enumerate(layout.windows):
-            patch = layout.tilde[s][win]
+        for s, patch in enumerate(layout.tilde):
             u, lam = layout.view(alm.u, s), layout.view(alm.lam, s)
             assert not u[~patch].any() and not lam[~patch].any(), (type(model), s)
             assert u[patch].any(), (type(model), s)
