@@ -21,7 +21,6 @@ from .models import (
     TVL1Deblur,
     energy,
     integrand,
-    local_energy,
     salt_pepper,
     stencil_of,
     threshold_half,

@@ -211,7 +211,8 @@ def build_parser():
     sp.add_argument("--inner-iters", type=positive_int, default=None,
                     help="inner iterations per outer step (default 10 ccv, 50 otherwise)")
     sp.add_argument("--workers", type=positive_int, default=1,
-                    help="thread count for local solves (results identical for any count)")
+                    help="thread count for local solves; results are identical for "
+                         "any count, and more threads have not been measured faster")
     sp.add_argument("--reference-energy", type=float, default=None,
                     help="known minimum energy for the rel_gap column")
     sp.add_argument("--compute-reference-iters", type=positive_int, default=None,

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import check_count
+
 
 # ---------------------------------------------------------------------------
 # stencils
@@ -44,10 +46,11 @@ class Stencil:
         if self.kind not in ("forward1", "band", "backfwd"):
             raise ValueError(f"unknown stencil kind {self.kind!r}")
         h = self.halfwidth
-        if not isinstance(h, numbers.Integral) or isinstance(h, bool):
-            raise ValueError(f"stencil halfwidth must be an integer, got {h!r}")
-        if self.kind == "band" and h < 1:
-            raise ValueError("band stencil needs halfwidth >= 1")
+        if self.kind == "band":
+            check_count("band stencil halfwidth", h)
+        elif not isinstance(h, numbers.Integral) or isinstance(h, bool) or h != 0:
+            # only a band has a width; another would name no model's layout
+            raise ValueError(f"{self.kind} stencil needs halfwidth 0, got {h!r}")
         object.__setattr__(self, "halfwidth", int(h))
 
     @property
@@ -125,7 +128,9 @@ def partition_rect(shape, p, q):
     tiles in row-major order as half-open index boxes (i0, i1, j0, j1).
     """
     m, n = shape
-    if not (1 <= p <= m and 1 <= q <= n):
+    check_count("p", p)
+    check_count("q", q)
+    if not (p <= m and q <= n):
         raise ValueError(f"cannot split {m}x{n} into {p}x{q} nonempty tiles")
 
     def edges(total, parts):

@@ -1,4 +1,4 @@
-"""Pixel fields, norms, and pointwise projections.
+"""Pixel fields, norms, pointwise projections, and the count check.
 
 An image on an M x N pixel grid is a float64 array of shape (M, N), indexed
 u[i, j] with i the row and j the column.  Vector fields (two channels) and
@@ -8,8 +8,16 @@ never modify their arguments.
 """
 
 import math
+import numbers
 
 import numpy as np
+
+
+def check_count(name, value):
+    """Raise unless value, the argument `name`, is an integer >= 1."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def magnitude(x):

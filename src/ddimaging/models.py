@@ -234,20 +234,6 @@ def integrand(model, u):
     return t
 
 
-def local_energy(model, layout, s, u_s):
-    """Sum of the integrand over subdomain s's core tile.
-
-    u_s is a full-size field supported on the enlarged mask; because the
-    enlargement contains the integrand's stencil footprint, the value does
-    not depend on how u_s is extended outside that mask.
-    """
-    t = integrand(model, u_s)[layout.windows[s]]
-    core = layout.core[s]
-    if np.isinf(t[core]).any():
-        return float("inf")
-    return float(np.sum(np.where(core, t, 0.0)))
-
-
 def stencil_of(model):
     """The enlargement rule matching the model's integrand footprint."""
     return model.saddle.stencil

@@ -12,12 +12,11 @@ The composed second-order operator hessian() stacks its four channels in the
 order (xx, xy, yx, yy) where "x" means the row direction.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import norm2
+from .fields import check_count, norm2
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +135,8 @@ class BlurKernel:
     halfwidth: int
 
     def __post_init__(self):
-        h = self.halfwidth
-        if not isinstance(h, numbers.Integral) or isinstance(h, bool) or h < 1:
-            raise ValueError(f"halfwidth must be an integer >= 1, got {h!r}")
-        object.__setattr__(self, "halfwidth", int(h))
+        check_count("halfwidth", self.halfwidth)
+        object.__setattr__(self, "halfwidth", int(self.halfwidth))
 
     @property
     def size(self):
@@ -191,8 +188,7 @@ def op_norm_sq_estimate(op, adjoint, shape, iters=100, seed=0):
     Rayleigh quotient <x, op*(op(x))> = ||op(x)||^2 for unit x, which is a
     lower bound on the true squared norm and increases toward it.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
+    check_count("iters", iters)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape)
     n = norm2(x)

@@ -24,8 +24,8 @@ primal-dual algorithm for convex problems with applications to imaging"
     theta = 1/sqrt(1 + 2*gamma*tau),  tau <- theta*tau,  sigma <- sigma/theta
 
 with 0 <= gamma <= eta (Alg. 2), warm-started primal and dual variables, and
-step sizes reset at every outer iteration.  The baseline is the case eta = 0,
-gamma = 0 (so theta = 1, Alg. 1) with no masks.
+steps reset to step_sizes(model) at every outer iteration.  The baseline is
+the case eta = 0, gamma = 0 (so theta = 1, Alg. 1) with no masks.
 
 A local problem is the model cut to the subdomain's window, with every
 block masked to its core tile, (K u - f) * core, plus the proximal term.
@@ -45,7 +45,6 @@ rule as solve_dd() between consecutive iterates.
 """
 
 import math
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -57,7 +56,7 @@ from typing import Optional
 import numpy as np
 
 from .decomposition import consensus_norm_sq, essential_domain, restrict_global, stack_sum
-from .fields import inner, norm2, project_ball, psnr
+from .fields import check_count, inner, norm2, project_ball, psnr
 from .models import energy, objective_terms, stencil_of, weighted_sum
 # the blocks name their operators; primal_dual() and duality_gap() look the
 # names up in this module at call time
@@ -82,24 +81,15 @@ def check_tol(tol):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
-def check_count(name, value):
-    """Raise unless value, the argument `name`, is an integer >= 1."""
-    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-            or value < 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 @dataclass(frozen=True)
 class InnerParams:
     """Inner-solver configuration for one local problem.
 
     gap_tol=None runs exactly `iters` iterations; otherwise iterations
     continue (up to max_iters) until the local duality gap is <= gap_tol,
-    checked every gap_check iterations.
+    checked every gap_check iterations.  The steps are step_sizes(model).
     """
 
-    sigma0: float
-    tau0: float
     gamma: float
     iters: int
     gap_tol: Optional[float] = None
@@ -107,32 +97,37 @@ class InnerParams:
     max_iters: int = 500_000
 
     def __post_init__(self):
-        for name in ("sigma0", "tau0", "gamma"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not (self.sigma0 > 0 and self.tau0 > 0):
-            raise ValueError("step sizes must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma!r}")
         for name in ("iters", "gap_check", "max_iters"):
             check_count(name, getattr(self, name))
-        if self.gap_tol is not None and not self.gap_tol > 0:
-            raise ValueError("gap_tol must be positive")
+        if self.gap_tol is not None and not (math.isfinite(self.gap_tol)
+                                             and self.gap_tol > 0):
+            raise ValueError(
+                f"gap_tol must be finite and positive, got {self.gap_tol!r}")
 
 
 def default_inner(model, eta, **overrides):
     """Default inner parameters for a model at coupling weight eta.
 
-    sigma0 = tau0 = 1/sqrt(bound) spend the whole admissible step product,
-    and gamma = eta/8 accelerates within the local strong convexity.
+    gamma = eta/8 accelerates within the local strong convexity.
     """
     _check_eta(eta)
-    step = 1.0 / math.sqrt(model.saddle.bound)
-    base = dict(sigma0=step, tau0=step, gamma=0.125 * eta,
-                iters=model.defaults.inner_iters)
+    base = dict(gamma=0.125 * eta, iters=model.defaults.inner_iters)
     base.update(overrides)
     return InnerParams(**base)
+
+
+def step_sizes(model, tau=None):
+    """Initial (sigma, tau) spending the whole admissible product 1/bound.
+
+    sigma = tau = 1/sqrt(bound), or sigma = 1/(bound*tau) given a tau.
+    """
+    bound = model.saddle.bound
+    if tau is None:
+        step = 1.0 / math.sqrt(bound)
+        return step, step
+    return 1.0 / (bound * tau), tau
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +253,8 @@ def local_solve(model, local, u, duals, prm):
     """
     gap = None
     limit = prm.iters if prm.gap_tol is None else prm.max_iters
-    steps = primal_dual(model, u, duals, prm.sigma0, prm.tau0, prm.gamma, local)
+    sigma, tau = step_sizes(model)
+    steps = primal_dual(model, u, duals, sigma, tau, prm.gamma, local)
     for it, (u, duals) in enumerate(islice(steps, limit), 1):
         if prm.gap_tol is not None and it % prm.gap_check == 0:
             gap = duality_gap(model, local, u, duals)
@@ -311,11 +307,6 @@ class DecoupledAlm:
         _check_eta(eta)
         if inner_prm.gamma > eta * _BOUND_TOL:
             raise ValueError("gamma must not exceed eta")
-        bound = 1.0 / model.saddle.bound
-        if inner_prm.sigma0 * inner_prm.tau0 > bound * _BOUND_TOL:
-            raise ValueError(
-                f"sigma0*tau0 = {inner_prm.sigma0 * inner_prm.tau0} exceeds "
-                f"the admissible bound {bound}")
         check_count("workers", workers)
         self.model = model
         self.layout = layout
@@ -460,7 +451,7 @@ class CpResult:
     iters: int
 
 
-def cp_full(model, iters, sigma=None, tau=None, tol=None, on_iter=None):
+def cp_full(model, iters, tol=None, on_iter=None):
     """Non-accelerated primal-dual baseline on the whole image.
 
     primal_dual() at gamma = 0 without masks.  Runs `iters` iterations (or
@@ -468,22 +459,11 @@ def cp_full(model, iters, sigma=None, tau=None, tol=None, on_iter=None):
     consecutive iterates).  Records the energy after every iteration; the
     best value over the trace is an upper bound on the minimum and serves as
     the reference energy.  on_iter(n, u, e) is called after each iteration
-    when provided.  Default steps are tau = the model's cp_tau with
-    sigma = 1/(bound*tau), or sigma = tau = 1/sqrt(bound) without one.
+    when provided.  The steps are step_sizes(model, model.defaults.cp_tau).
     """
     check_count("iters", iters)
     stop = None if tol is None else _StopRule(model, tol)
-    bound = model.saddle.bound
-    cp_tau = model.defaults.cp_tau
-    if cp_tau is None:
-        sigma_d = tau_d = 1.0 / math.sqrt(bound)
-    else:
-        sigma_d, tau_d = 1.0 / (bound * cp_tau), cp_tau
-    sigma = sigma_d if sigma is None else sigma
-    tau = tau_d if tau is None else tau
-    if sigma * tau > (1.0 / bound) * _BOUND_TOL:
-        raise ValueError(
-            f"sigma*tau = {sigma * tau} exceeds the admissible bound {1.0 / bound}")
+    sigma, tau = step_sizes(model, model.defaults.cp_tau)
     u = np.zeros_like(model.f, dtype=np.float64)
     steps = primal_dual(model, u, zero_duals(model), sigma, tau, 0.0)
     energies = []

@@ -57,6 +57,20 @@ def test_partition_rejects_too_many_tiles():
         pass
     else:
         raise AssertionError("empty tiles accepted")
+    # tile counts are integers >= 1, and the message names them
+    stencil = Stencil("forward1")
+    for bad in (0, -1, 2.0, 2.5, True, None):
+        for name, call in (
+                ("p", lambda: partition_rect((8, 8), bad, 2)),
+                ("q", lambda: partition_rect((8, 8), 2, bad)),
+                ("p", lambda: OverlapLayout.from_grid((8, 8), bad, 2, stencil))):
+            try:
+                call()
+            except ValueError as exc:
+                assert f"{name} must be an integer >= 1, got {bad!r}" in str(exc)
+            else:
+                raise AssertionError(f"{name}={bad!r} accepted")
+    assert partition_rect((4, 4), np.int64(2), 2) == partition_rect((4, 4), 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +136,23 @@ def test_enlargements_clip_to_grid():
 
 def test_stencil_rejects_non_integer_halfwidth():
     assert type(Stencil("band", np.int64(2)).halfwidth) is int
-    for bad in (2.0, 1.5):
+    for bad in (2.0, 1.5, 0, -1, True):
         try:
             Stencil("band", bad)
         except ValueError as exc:
-            assert repr(bad) in str(exc)
+            assert f"halfwidth must be an integer >= 1, got {bad!r}" in str(exc)
         else:
             raise AssertionError(f"halfwidth {bad!r} accepted")
+    # only a band has a width
+    assert Stencil("backfwd", np.int64(0)) == Stencil("backfwd")
+    for kind, bad in (("forward1", 5), ("backfwd", -2), ("forward1", 1.0),
+                      ("backfwd", False), ("forward1", 0.0)):
+        try:
+            Stencil(kind, bad)
+        except ValueError as exc:
+            assert f"{kind} stencil needs halfwidth 0, got {bad!r}" in str(exc)
+        else:
+            raise AssertionError(f"Stencil({kind!r}, {bad!r}) accepted")
 
 
 def _band_2d_loop(mask, l):

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 
-from ddimaging.decomposition import OverlapLayout
 from ddimaging.fields import magnitude
 from ddimaging.models import (
     ChanVese,
@@ -10,14 +9,11 @@ from ddimaging.models import (
     TVL1Deblur,
     energy,
     integrand,
-    local_energy,
     salt_pepper,
     stencil_of,
     threshold_half,
 )
 from ddimaging.operators import BlurKernel, blur, grad_plus, hessian
-
-from conftest import on_grid
 
 
 # ---------------------------------------------------------------------------
@@ -203,57 +199,6 @@ def test_integrand_constant_ccv():
     u = np.full((3, 3), 0.8)
     t = integrand(model, u)
     assert np.allclose(t, 2.0 * 0.8 * model.g, rtol=0, atol=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# local energies
-# ---------------------------------------------------------------------------
-
-
-def test_local_energies_sum_to_global():
-    rng = np.random.default_rng(6)
-    for model in _all_models(rng, shape=(8, 9)):
-        layout = OverlapLayout.from_grid((8, 9), 2, 3, stencil_of(model))
-        for _ in range(5):
-            u = rng.uniform(0, 1, size=(8, 9))
-            total = sum(
-                local_energy(model, layout, s, u * on_grid(layout, s, layout.tilde[s]))
-                for s in range(layout.count)
-            )
-            e = energy(model, u)
-            assert abs(total - e) <= 1e-12 * (1.0 + abs(e))
-
-
-def test_local_energy_single_subdomain_is_energy():
-    rng = np.random.default_rng(7)
-    for model in _all_models(rng):
-        layout = OverlapLayout.from_grid(model.f.shape, 1, 1, stencil_of(model))
-        u = rng.uniform(0, 1, size=model.f.shape)
-        assert abs(local_energy(model, layout, 0, u) - energy(model, u)) <= 1e-12
-
-
-def test_local_energy_extension_independent():
-    rng = np.random.default_rng(8)
-    for model in _all_models(rng, shape=(8, 8)):
-        layout = OverlapLayout.from_grid((8, 8), 2, 2, stencil_of(model))
-        u = rng.uniform(0.1, 0.9, size=(8, 8))
-        for s in range(layout.count):
-            tilde = on_grid(layout, s, layout.tilde[s])
-            inside = u * tilde
-            other = inside + rng.uniform(0.1, 0.9, size=(8, 8)) * ~tilde
-            a = local_energy(model, layout, s, inside)
-            b = local_energy(model, layout, s, other)
-            assert a == b
-
-
-def test_local_energy_infeasible_is_infinite():
-    f = np.full((4, 4), 0.5)
-    model = ChanVese(f=f, alpha=1.0, c1=0.6, c2=0.1)
-    layout = OverlapLayout.from_grid((4, 4), 2, 2, stencil_of(model))
-    u = np.full((4, 4), 0.5)
-    u[0, 0] = 1.5
-    u_0 = u * on_grid(layout, 0, layout.tilde[0])
-    assert local_energy(model, layout, 0, u_0) == math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -191,11 +191,11 @@ def test_blur_kernel_validation():
         raise AssertionError("halfwidth 0 accepted")
     assert BlurKernel(4).size == 9
     assert type(BlurKernel(np.int64(3)).halfwidth) is int
-    for bad in (2.0, 2.5, True):
+    for bad in (2.0, 2.5, True, -1, None):
         try:
             BlurKernel(bad)
         except ValueError as exc:
-            assert repr(bad) in str(exc)
+            assert f"halfwidth must be an integer >= 1, got {bad!r}" in str(exc)
         else:
             raise AssertionError(f"halfwidth {bad!r} accepted")
 
@@ -273,6 +273,17 @@ def test_norm_estimate_blur_bound():
 def test_norm_estimate_scaling():
     est = op_norm_sq_estimate(lambda x: 3.0 * x, lambda x: 3.0 * x, (8, 8), iters=3)
     assert abs(est - 9.0) <= 1e-10
+
+
+def test_norm_estimate_rejects_bad_iters():
+    for bad in (0, -1, 2.5, 3.0, True, None):
+        try:
+            op_norm_sq_estimate(lambda x: x, lambda x: x, (4, 4), iters=bad)
+        except ValueError as exc:
+            assert f"iters must be an integer >= 1, got {bad!r}" in str(exc)
+        else:
+            raise AssertionError(f"iters={bad!r} accepted")
+    assert op_norm_sq_estimate(lambda x: x, lambda x: x, (4, 4), iters=np.int64(2)) > 0
 
 
 # ---------------------------------------------------------------------------

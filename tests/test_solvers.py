@@ -43,6 +43,7 @@ from ddimaging.solvers import (
     reference_energy,
     solve_dd,
     solve_single,
+    step_sizes,
     stop_check,
     zero_duals,
 )
@@ -79,12 +80,12 @@ def test_schedule_identity_without_strong_convexity():
 
 
 def test_inner_params_validation():
-    for bad in (dict(sigma0=0.0), dict(tau0=-1.0), dict(gamma=-0.1),
-                dict(iters=0), dict(gap_tol=0.0), dict(gap_check=0),
-                dict(gamma=math.inf), dict(sigma0=math.nan),
-                dict(gap_tol=math.nan), dict(iters=2.5), dict(iters=True),
-                dict(gap_check=2.5), dict(max_iters=0), dict(max_iters=2.5)):
-        kw = dict(sigma0=0.3, tau0=0.3, gamma=0.1, iters=5)
+    for bad in (dict(gamma=-0.1), dict(iters=0), dict(gap_tol=0.0),
+                dict(gap_check=0), dict(gamma=math.inf), dict(gap_tol=math.nan),
+                dict(gap_tol=math.inf), dict(gap_tol=-1e-9), dict(iters=2.5),
+                dict(iters=True), dict(gap_check=2.5), dict(max_iters=0),
+                dict(max_iters=2.5)):
+        kw = dict(gamma=0.1, iters=5)
         kw.update(bad)
         try:
             InnerParams(**kw)
@@ -92,9 +93,13 @@ def test_inner_params_validation():
             for name, value in bad.items():
                 if name in ("iters", "gap_check", "max_iters"):
                     assert f"{name} must be an integer >= 1, got {value!r}" in str(exc)
+                if name == "gap_tol":
+                    assert f"gap_tol must be finite and positive, got {value!r}" in str(exc)
+                if name == "gamma":
+                    assert f"gamma must be finite and nonnegative, got {value!r}" in str(exc)
         else:
             raise AssertionError(f"accepted {bad}")
-    assert InnerParams(sigma0=0.3, tau0=0.3, gamma=0.1, iters=np.int64(3)).iters == 3
+    assert InnerParams(gamma=0.1, iters=np.int64(3)).iters == 3
 
 
 def test_step_bounds_and_defaults():
@@ -104,16 +109,16 @@ def test_step_bounds_and_defaults():
               HessianL1(f=f, alpha=1)]
     for model, bound in zip(models, (1.0 / 8.0, 1.0 / 9.0, 1.0 / 65.0)):
         assert 1.0 / model.saddle.bound == bound
-        cp_full(model, 1)  # the default baseline steps pass the bound check
-        try:
-            cp_full(model, 1, sigma=1.0, tau=1.0)
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("oversized baseline steps accepted")
+        # the local solves' and the baseline's steps, the only ones in use,
+        # stay within sigma*tau <= 1/bound (Chambolle & Pock, Alg. 1 and 2)
+        sigma, tau = step_sizes(model)
+        assert sigma == tau == 1.0 / math.sqrt(model.saddle.bound)
+        assert sigma * tau <= bound * (1.0 + 1e-9)
+        cp_tau = model.defaults.cp_tau
+        sigma, tau = step_sizes(model, cp_tau)
+        assert tau == (sigma if cp_tau is None else cp_tau)
+        assert sigma * tau <= bound * (1.0 + 1e-9)
         prm = default_inner(model, eta=2.0)
-        assert prm.sigma0 == prm.tau0 == 1.0 / math.sqrt(model.saddle.bound)
-        assert prm.sigma0 * prm.tau0 <= bound * (1.0 + 1e-9)
         assert prm.gamma == 0.125 * 2.0
         assert prm.iters == model.defaults.inner_iters
 
@@ -137,13 +142,6 @@ def test_alm_rejects_bad_configs():
         pass
     else:
         raise AssertionError("gamma > eta accepted")
-    try:
-        DecoupledAlm(model, layout, 1.0,
-                     default_inner(model, 1.0, sigma0=0.5, tau0=0.5))
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("oversized steps accepted")
     wrong = OverlapLayout.from_grid((6, 6), 2, 2, Stencil("band", 1))
     try:
         DecoupledAlm(model, wrong, 1.0, good)
@@ -358,7 +356,7 @@ def test_gap_certifies_suboptimality():
         assert local_energy_at(u) - e_star <= gap + 1e-10
 
 
-def _cp_alg1(model, step, iters):
+def _cp_alg1(model, sigma, tau, iters):
     """Chambolle-Pock Alg. 1 written out per model, with its energy trace."""
     f = model.f
     u = np.zeros_like(f)
@@ -369,17 +367,17 @@ def _cp_alg1(model, step, iters):
     energies = []
     for _ in range(iters):
         if isinstance(model, ChanVese):
-            p = project_ball(p + step * grad_plus(ubar), 1.0)
+            p = project_ball(p + sigma * grad_plus(ubar), 1.0)
             unew = np.clip(
-                u - step * (adjoint_grad_plus(p) + model.alpha * model.g), 0.0, 1.0)
+                u - tau * (adjoint_grad_plus(p) + model.alpha * model.g), 0.0, 1.0)
         elif isinstance(model, TVL1Deblur):
-            p = project_ball(p + step * grad_plus(ubar), 1.0)
-            q = project_ball(q + step * (blur(ubar, model.kernel) - f), model.alpha)
-            unew = u - step * (adjoint_grad_plus(p) + blur(q, model.kernel))
+            p = project_ball(p + sigma * grad_plus(ubar), 1.0)
+            q = project_ball(q + sigma * (blur(ubar, model.kernel) - f), model.alpha)
+            unew = u - tau * (adjoint_grad_plus(p) + blur(q, model.kernel))
         else:
-            t = project_ball(t + step * hessian(ubar), 1.0)
-            q = project_ball(q + step * (ubar - f), model.alpha)
-            unew = u - step * (adjoint_hessian(t) + q)
+            t = project_ball(t + sigma * hessian(ubar), 1.0)
+            q = project_ball(q + sigma * (ubar - f), model.alpha)
+            unew = u - tau * (adjoint_hessian(t) + q)
         ubar = 2.0 * unew - u
         u = unew
         energies.append(energy(model, u))
@@ -389,21 +387,22 @@ def _cp_alg1(model, step, iters):
 def test_cp_full_is_primal_dual_at_eta_zero():
     # the baseline is the accelerated routine at eta = 0 and gamma = 0 (so
     # theta = 1) on a single subdomain with unit masks, and both are the
-    # plain Alg. 1 iteration, bit for bit
+    # plain Alg. 1 iteration, bit for bit, at the baseline's own steps (for
+    # TV-L1 and Hessian-L1 tau = cp_tau, not 1/sqrt(bound))
     rng = np.random.default_rng(25)
     f = rng.uniform(0, 1, size=(12, 10))
     for model in (ChanVese(f=f, alpha=2.0, c1=0.6, c2=0.1),
                   TVL1Deblur(f=f, alpha=3.0, kernel=BlurKernel(1)),
                   HessianL1(f=f, alpha=1.0)):
-        step = 1.0 / math.sqrt(model.saddle.bound)
-        res = cp_full(model, 300, sigma=step, tau=step)
+        sigma, tau = step_sizes(model, model.defaults.cp_tau)
+        res = cp_full(model, 300)
         local = Local(core=np.ones(f.shape), uhat=np.zeros(f.shape), eta=0.0)
         trace = []
         steps = primal_dual(model, np.zeros(f.shape), zero_duals(model),
-                            step, step, 0.0, local)
+                            sigma, tau, 0.0, local)
         for it, (u, _) in enumerate(islice(steps, 300), 1):
             trace.append(energy(model, u))
-        u_alg1, trace_alg1 = _cp_alg1(model, step, 300)
+        u_alg1, trace_alg1 = _cp_alg1(model, sigma, tau, 300)
         assert it == res.iters == 300
         assert u.tobytes() == res.u.tobytes() == u_alg1.tobytes()
         assert (np.array(trace).tobytes() == res.energies.tobytes()
