@@ -40,13 +40,13 @@ from .solvers import (
     DecoupledAlm,
     acceleration_schedule,
     InnerParams,
+    NonFiniteEnergyError,
     cp_full,
     default_inner,
     lyapunov_metric,
     reference_energy,
     solve_dd,
     solve_single,
-    stop_check,
 )
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ solve     Run the decomposed solver (or the whole-image baseline for 1x1
 energy    Print the model energy of an image.
 
 Exit status: 0 on success/convergence, 2 when the iteration budget ran out
-before the stop rule fired, 1 on usage or I/O errors.
+before the stop rule fired, 1 on usage or I/O errors, 3 when a solve's energy
+stopped being finite (NonFiniteEnergyError).
 """
 
 import argparse
@@ -30,8 +31,8 @@ from .models import (
 )
 from .operators import BlurKernel, blur
 from .pgmio import load_pgm, save_pgm
-from .solvers import (MetricsRow, check_tol, default_inner, reference_energy,
-                      solve_dd, solve_single)
+from .solvers import (MetricsRow, NonFiniteEnergyError, check_tol, default_inner,
+                      reference_energy, solve_dd, solve_single)
 
 MODELS = {"ccv": ChanVese, "tvl1": TVL1Deblur, "hessl1": HessianL1}
 
@@ -98,7 +99,7 @@ def _build_model(args, f):
         if args.kernel_halfwidth is None:
             raise ValueError("tvl1 needs --kernel-halfwidth")
         return TVL1Deblur(f, alpha=alpha, kernel=BlurKernel(args.kernel_halfwidth))
-    return HessianL1(f, alpha=alpha)
+    return MODELS[args.model](f, alpha=alpha)
 
 
 def _mask_path(output):
@@ -241,6 +242,9 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         print(f"ddimaging: error: {exc}", file=sys.stderr)
         return 1
+    except NonFiniteEnergyError as exc:
+        print(f"ddimaging: error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

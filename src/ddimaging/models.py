@@ -48,14 +48,13 @@ class Block:
     resolved at call time in a namespace ns, falling back to the operators
     module.  The solvers pass their own module namespace, so a wrapper
     installed on one of its attributes (a profiler, a tracer) sees every
-    application.  args follow the field in each call; channels is the
-    trailing channel count of K u (0 for a scalar field).
+    application.  args follow the field in each call; the block's dual
+    variable has the shape of K u, which the operator alone decides.
     """
 
     op: Optional[str]
     adjoint: Optional[str]
     radius: float
-    channels: int = 0
     shift: Optional[np.ndarray] = None
     args: tuple = ()
 
@@ -70,8 +69,8 @@ def _operator(name, ns):
     return ns[name] if name in ns else getattr(operators, name)
 
 
-TV = Block("grad_plus", "adjoint_grad_plus", 1.0, channels=2)
-HESSIAN = Block("hessian", "adjoint_hessian", 1.0, channels=4)
+TV = Block("grad_plus", "adjoint_grad_plus", 1.0)
+HESSIAN = Block("hessian", "adjoint_hessian", 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +189,7 @@ def objective_terms(model, u, ns=None, core=None):
         if blk.shift is not None:
             r = r - blk.shift
         if core is not None:
-            r = r * (core[..., None] if blk.channels else core)
+            r = r * (core[..., None] if r.ndim == 3 else core)
         out.append((blk.radius, magnitude(r)))
     return out
 

@@ -9,7 +9,7 @@ consensus projection:
     lambda   <- lambda + eta * (utilde - P utilde)
 
 The local problems decouple completely, so the middle line runs per
-subdomain (optionally on a thread pool), each on its own window, the
+subdomain (on a pool of `workers` threads), each on its own window, the
 bounding box of its enlarged patch; the copies utilde and lambda are packed
 fields holding one window per subdomain.  Only the consensus averaging sees
 more than one subdomain, and it always sums in ascending subdomain order,
@@ -69,6 +69,10 @@ from .operators import (  # noqa: F401
 )
 
 _BOUND_TOL = 1.0 + 1e-9
+# gap mode: the local duality gap is checked every GAP_CHECK iterations, and
+# a local solve stops after GAP_MAX_ITERS iterations whatever the gap
+GAP_CHECK = 25
+GAP_MAX_ITERS = 500_000
 
 
 def _check_eta(eta):
@@ -86,21 +90,18 @@ class InnerParams:
     """Inner-solver configuration for one local problem.
 
     gap_tol=None runs exactly `iters` iterations; otherwise iterations
-    continue (up to max_iters) until the local duality gap is <= gap_tol,
-    checked every gap_check iterations.  The steps are step_sizes(model).
+    continue (up to GAP_MAX_ITERS) until the local duality gap is <= gap_tol,
+    checked every GAP_CHECK iterations.  The steps are step_sizes(model).
     """
 
     gamma: float
     iters: int
     gap_tol: Optional[float] = None
-    gap_check: int = 25
-    max_iters: int = 500_000
 
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma!r}")
-        for name in ("iters", "gap_check", "max_iters"):
-            check_count(name, getattr(self, name))
+        check_count("iters", self.iters)
         if self.gap_tol is not None and not (math.isfinite(self.gap_tol)
                                              and self.gap_tol > 0):
             raise ValueError(
@@ -142,8 +143,8 @@ def acceleration_schedule(sigma, tau, gamma):
 
 def zero_duals(model):
     """One zero dual field per block, shaped like K u."""
-    return [np.zeros(model.f.shape + ((b.channels,) if b.channels else ()))
-            for b in model.saddle.blocks]
+    u = np.zeros(model.f.shape)
+    return [np.zeros_like(b.forward(u)) for b in model.saddle.blocks]
 
 
 @dataclass
@@ -194,8 +195,8 @@ def primal_dual(model, u, duals, sigma, tau, gamma, local=None):
     masks = [None] * len(duals)
     lin = None if sd.linear is None else sd.linear[0] * sd.linear[1]
     if local is not None:
-        masks = [local.core[..., None] if blk.channels else local.core
-                 for blk in sd.blocks]
+        masks = [local.core[..., None] if y.ndim == 3 else local.core
+                 for y in duals]
         lin = None if lin is None else lin * local.core
     ubar = u
     while True:
@@ -252,11 +253,11 @@ def local_solve(model, local, u, duals, prm):
     Returns (u, duals, iterations, last duality gap or None).
     """
     gap = None
-    limit = prm.iters if prm.gap_tol is None else prm.max_iters
+    limit = prm.iters if prm.gap_tol is None else GAP_MAX_ITERS
     sigma, tau = step_sizes(model)
     steps = primal_dual(model, u, duals, sigma, tau, prm.gamma, local)
     for it, (u, duals) in enumerate(islice(steps, limit), 1):
-        if prm.gap_tol is not None and it % prm.gap_check == 0:
+        if prm.gap_tol is not None and it % GAP_CHECK == 0:
             gap = duality_gap(model, local, u, duals)
             if gap <= prm.gap_tol:
                 break
@@ -341,11 +342,8 @@ class DecoupledAlm:
         """One outer iteration; returns its consensus residual and metrics."""
         lay = self.layout
         eta = self.eta
-        if self.workers > 1:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                results = list(pool.map(self._solve_one, range(lay.count)))
-        else:
-            results = [self._solve_one(s) for s in range(lay.count)]
+        with ThreadPoolExecutor(max_workers=self.workers) as pool:
+            results = list(pool.map(self._solve_one, range(lay.count)))
         avg_new = stack_sum(self.u, lay) / lay.counts
         resid_vec = self.u - restrict_global(avg_new, lay)
         self.lam += eta * resid_vec
@@ -380,7 +378,7 @@ def _check_footprint(model):
     outside = ~essential_domain(centre, stencil)
     rng = np.random.default_rng(0)
     for blk in model.saddle.blocks:
-        y = np.zeros(centre.shape + ((blk.channels,) if blk.channels else ()))
+        y = np.zeros_like(blk.forward(np.zeros(centre.shape)))
         y[c, c] = rng.uniform(1.0, 2.0, y.shape[2:])
         if (blk.transpose(y)[outside] != 0).any():
             raise ValueError(
@@ -404,43 +402,47 @@ def lyapunov_metric(layout, eta, avg_a, lam_a, avg_b, lam_b):
 # ---------------------------------------------------------------------------
 
 
-def stop_check(e_prev, e_cur, u_prev, u_cur, f, tol, e_f):
+class StopRule:
     """Joint relative energy-change and iterate-change criterion.
 
-    True when max(|e_prev - e_cur|/|e_f|, ||u_prev - u_cur||/||f||) < tol,
-    where e_f is the energy of the data image f (passed in precomputed);
-    either denominator falls back to 1 below 1e-12, so a black image solves.
+    Fires between consecutive iterates of a solve started at u = 0 when
+    max(|e_prev - e|/|E(f)|, ||u_prev - u||/||f||) < tol, with f the data
+    image; either scale falls back to 1 below 1e-12, so a black image solves.
     """
-    denom = abs(e_f)
-    if denom < 1e-12:
-        denom = 1.0
-    f_norm = norm2(f)
-    if f_norm < 1e-12:
-        f_norm = 1.0
-    rel_e = abs(e_prev - e_cur) / denom
-    rel_u = norm2(u_prev - u_cur) / f_norm
-    return max(rel_e, rel_u) < tol
-
-
-class _StopRule:
-    """stop_check between consecutive iterates of a solve started at u = 0."""
 
     def __init__(self, model, tol):
         check_tol(tol)
-        self.model, self.tol = model, tol
-        self.e_f = energy(model, model.f)
+        self.tol = tol
+        scales = abs(energy(model, model.f)), norm2(model.f)
+        self.e_scale, self.u_scale = (1.0 if x < 1e-12 else x for x in scales)
         u0 = np.zeros(model.f.shape)
         self.prev = energy(model, u0), u0
 
     def __call__(self, e, u):
         """True when the rule fires between the previous iterate and (e, u)."""
         (e_prev, u_prev), self.prev = self.prev, (e, u)
-        return stop_check(e_prev, e, u_prev, u, self.model.f, self.tol, self.e_f)
+        rel_e = abs(e_prev - e) / self.e_scale
+        rel_u = norm2(u_prev - u) / self.u_scale
+        return max(rel_e, rel_u) < self.tol
 
 
 # ---------------------------------------------------------------------------
 # full-domain baseline
 # ---------------------------------------------------------------------------
+
+
+class NonFiniteEnergyError(ArithmeticError):
+    """A solve's energy became inf or NaN; the message names the step.
+
+    Overflow or NaN in the iterates, or an energy too large for a float,
+    leaves neither the image nor the stop rule meaningful, so cp_full and
+    solve_dd raise this instead of running on to their budget.
+    """
+
+
+def _check_energy(e, step, n):
+    if not math.isfinite(e):
+        raise NonFiniteEnergyError(f"the energy at {step} {n} is {e!r}, not finite")
 
 
 @dataclass
@@ -460,9 +462,11 @@ def cp_full(model, iters, tol=None, on_iter=None):
     best value over the trace is an upper bound on the minimum and serves as
     the reference energy.  on_iter(n, u, e) is called after each iteration
     when provided.  The steps are step_sizes(model, model.defaults.cp_tau).
+    Raises NonFiniteEnergyError at the first iteration whose energy is not
+    finite.
     """
     check_count("iters", iters)
-    stop = None if tol is None else _StopRule(model, tol)
+    stop = None if tol is None else StopRule(model, tol)
     sigma, tau = step_sizes(model, model.defaults.cp_tau)
     u = np.zeros_like(model.f, dtype=np.float64)
     steps = primal_dual(model, u, zero_duals(model), sigma, tau, 0.0)
@@ -471,6 +475,7 @@ def cp_full(model, iters, tol=None, on_iter=None):
     n = 0
     for n, (u, _) in enumerate(islice(steps, iters), 1):
         e = energy(model, u)
+        _check_energy(e, "iteration", n)
         energies.append(e)
         if on_iter is not None:
             on_iter(n, u, e)
@@ -550,10 +555,11 @@ def solve_dd(model, layout, eta, inner_prm, tol, max_outer, workers=1,
 
     Emits one MetricsRow per outer iteration with the energy, consensus
     residual, consecutive-iterate metric, optional relative energy gap and
-    PSNR, and cumulative wall time (None when timing is False).
+    PSNR, and cumulative wall time (None when timing is False).  Raises
+    NonFiniteEnergyError at the first outer step whose energy is not finite.
     """
     check_count("max_outer", max_outer)
-    stop = _StopRule(model, tol)
+    stop = StopRule(model, tol)
     alm = DecoupledAlm(model, layout, eta, inner_prm, workers=workers)
     rows = _Rows(e_star, ground_truth, timing, on_row)
     converged = False
@@ -561,6 +567,7 @@ def solve_dd(model, layout, eta, inner_prm, tol, max_outer, workers=1,
     for n in range(1, max_outer + 1):
         info = alm.step()
         e = energy(model, alm.avg)
+        _check_energy(e, "outer step", n)
         mult_ortho = max(mult_ortho, alm.multiplier_consensus_norm()
                          / max(1.0, norm2(alm.lam)))
         rows.add(n, alm.avg, e, info.residual, info.d_n)

@@ -1,12 +1,16 @@
 import math
 import subprocess
 import sys
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ddimaging import cli
 from ddimaging.cli import CSV_HEADER, main, write_metrics
-from ddimaging.models import ChanVese, salt_pepper, threshold_half
+from ddimaging.decomposition import Stencil
+from ddimaging.models import (TV, Block, ChanVese, Defaults, Saddle, salt_pepper,
+                              threshold_half)
 from ddimaging.operators import BlurKernel, blur
 from ddimaging.models import energy
 from ddimaging.pgmio import load_pgm, save_pgm
@@ -226,6 +230,22 @@ def test_unreadable_pgm_is_an_error_not_a_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_non_finite_energy_exit_code(tmp_path, capsys):
+    # alpha = 1e308 keeps the iterates finite but overflows the energy
+    src, _ = _write_scene(tmp_path, shape=(16, 16))
+    for model in ("tvl1", "hessl1"):
+        for grid, step in (("2x2", "outer step 1"), ("1x1", "iteration 1")):
+            out = tmp_path / f"{model}-{grid}.pgm"
+            capsys.readouterr()
+            code = main(["solve", "--model", model, "--kernel-halfwidth", "1",
+                         "--alpha", "1e308", "--input", str(src),
+                         "--subdomains", grid, "--output", str(out)])
+            assert code == 3, (model, grid)
+            err = capsys.readouterr().err
+            assert err.startswith("ddimaging: error: the energy at " + step), err
+            assert not out.exists()
+
+
 def test_black_image_solves(tmp_path):
     # the stop rule divides by ||f||, with a fallback for an all-zero image
     src = tmp_path / "black.pgm"
@@ -251,6 +271,32 @@ def test_energy_prints_value(tmp_path, capsys):
     printed = float(capsys.readouterr().out.strip())
     from ddimaging.models import HessianL1
     assert abs(printed - energy(HessianL1(f=u, alpha=2.0), u)) <= 1e-10
+
+
+@dataclass(frozen=True, eq=False)
+class _TVL1Denoise:
+    """alpha*||u - f||_1 + ||grad u||_1, a model the CLI does not ship."""
+
+    f: np.ndarray
+    alpha: float
+
+    defaults = Defaults(alpha=1.0, eta=10.0, tol=1e-3, inner_iters=50)
+
+    @cached_property
+    def saddle(self):
+        data = Block(None, None, self.alpha, shift=self.f)
+        return Saddle(blocks=(data, TV), bound=9.0, stencil=Stencil("forward1"))
+
+
+def test_energy_builds_the_named_model(tmp_path, capsys, monkeypatch):
+    # a model added to MODELS is the one the CLI builds, not HessianL1
+    monkeypatch.setitem(cli.MODELS, "tvl1den", _TVL1Denoise)
+    src, u = _write_scene(tmp_path)
+    code = main(["energy", "--model", "tvl1den", "--alpha", "2",
+                 "--input", str(src)])
+    assert code == 0
+    want = energy(_TVL1Denoise(f=u, alpha=2.0), u)
+    assert capsys.readouterr().out.strip() == format(want, ".17g")
 
 
 def test_write_metrics_rendering(tmp_path):

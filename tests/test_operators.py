@@ -310,7 +310,8 @@ def _blocks_with_layouts():
 
 def _core_mask(blk, layout, s):
     core = on_grid(layout, s, layout.core[s])
-    return core[..., None] if blk.channels else core
+    channels = blk.forward(np.zeros(layout.shape)).ndim == 3
+    return core[..., None] if channels else core
 
 
 def _restricted(blk, layout, s):

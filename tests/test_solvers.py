@@ -1,11 +1,13 @@
 import hashlib
 import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
 
 import numpy as np
+import pytest
 
 from ddimaging import models, solvers
 from ddimaging.decomposition import OverlapLayout, Stencil
@@ -33,6 +35,8 @@ from ddimaging.solvers import (
     DecoupledAlm,
     InnerParams,
     Local,
+    NonFiniteEnergyError,
+    StopRule,
     acceleration_schedule,
     cp_full,
     default_inner,
@@ -44,7 +48,6 @@ from ddimaging.solvers import (
     solve_dd,
     solve_single,
     step_sizes,
-    stop_check,
     zero_duals,
 )
 
@@ -81,17 +84,16 @@ def test_schedule_identity_without_strong_convexity():
 
 def test_inner_params_validation():
     for bad in (dict(gamma=-0.1), dict(iters=0), dict(gap_tol=0.0),
-                dict(gap_check=0), dict(gamma=math.inf), dict(gap_tol=math.nan),
+                dict(gamma=math.inf), dict(gap_tol=math.nan),
                 dict(gap_tol=math.inf), dict(gap_tol=-1e-9), dict(iters=2.5),
-                dict(iters=True), dict(gap_check=2.5), dict(max_iters=0),
-                dict(max_iters=2.5)):
+                dict(iters=True)):
         kw = dict(gamma=0.1, iters=5)
         kw.update(bad)
         try:
             InnerParams(**kw)
         except ValueError as exc:
             for name, value in bad.items():
-                if name in ("iters", "gap_check", "max_iters"):
+                if name == "iters":
                     assert f"{name} must be an integer >= 1, got {value!r}" in str(exc)
                 if name == "gap_tol":
                     assert f"gap_tol must be finite and positive, got {value!r}" in str(exc)
@@ -214,8 +216,7 @@ def test_ccv_local_prox_matches_grid():
     f = rng.uniform(0, 1, size=(1, 2))
     model = ChanVese(f=f, alpha=1.5, c1=0.6, c2=0.1)
     eta = 2.0
-    prm = default_inner(model, eta, gap_tol=1e-12, gap_check=10,
-                        max_iters=100_000)
+    prm = default_inner(model, eta, gap_tol=1e-12)
     grid = np.linspace(0.0, 1.0, 1001)
     a = grid[:, None]
     b = grid[None, :]
@@ -271,8 +272,7 @@ def test_tvl1_local_prox_matches_grid():
     alpha, eta = 2.0, 10.0
     f = rng.uniform(0.2, 0.8, size=(2, 2))
     model = TVL1Deblur(f=f, alpha=alpha, kernel=kernel)
-    prm = default_inner(model, eta, gap_tol=1e-11, gap_check=20,
-                        max_iters=300_000)
+    prm = default_inner(model, eta, gap_tol=1e-11)
     for _ in range(3):
         uhat = rng.uniform(0.1, 0.9, size=(2, 2))
 
@@ -301,8 +301,7 @@ def test_hessl1_local_prox_matches_grid():
     alpha, eta = 1.5, 20.0
     f = rng.uniform(0.2, 0.8, size=(2, 2))
     model = HessianL1(f=f, alpha=alpha)
-    prm = default_inner(model, eta, gap_tol=1e-11, gap_check=20,
-                        max_iters=300_000)
+    prm = default_inner(model, eta, gap_tol=1e-11)
     for _ in range(3):
         uhat = rng.uniform(0.1, 0.9, size=(2, 2))
 
@@ -342,8 +341,7 @@ def test_gap_certifies_suboptimality():
                 + float(np.sum(magnitude(grad_plus(u))))
                 + 0.5 * eta * norm2(u - uhat) ** 2)
 
-    prm_exact = default_inner(model, eta, gap_tol=1e-13, gap_check=50,
-                              max_iters=500_000)
+    prm_exact = default_inner(model, eta, gap_tol=1e-13)
     u_star, _, _, _ = local_solve(model, local, np.zeros((6, 6)),
                                   zero_duals(model), prm_exact)
     e_star = local_energy_at(u_star)
@@ -461,7 +459,7 @@ def test_dual_variables_stay_feasible():
             alm.step()
         assert len(alm.duals) == len(model.saddle.blocks)
         for blk, y in zip(model.saddle.blocks, alm.duals):
-            assert y.shape == shape + ((blk.channels,) if blk.channels else ())
+            assert y.shape == blk.forward(np.zeros(shape)).shape
             assert magnitude(y).max() <= blk.radius * (1.0 + 1e-12)
 
 
@@ -580,7 +578,7 @@ class _BackwardTVDenoise:
     @cached_property
     def saddle(self):
         data = Block(None, None, self.alpha, shift=self.f)
-        tv = Block("grad_minus", "adjoint_grad_minus", 1.0, channels=2)
+        tv = Block("grad_minus", "adjoint_grad_minus", 1.0)
         return Saddle(blocks=(data, tv), bound=9.0, stencil=Stencil("band", 1))
 
 
@@ -668,8 +666,7 @@ def test_step_metric_matches_lyapunov_helper():
 def test_lyapunov_monotone_on_small_run():
     model = _small_ccv(seed=34)
     layout = OverlapLayout.from_grid((16, 16), 2, 2, stencil_of(model))
-    prm = default_inner(model, 1.0, gap_tol=1e-9, gap_check=25,
-                        max_iters=200_000)
+    prm = default_inner(model, 1.0, gap_tol=1e-9)
     alm = DecoupledAlm(model, layout, 1.0, prm)
     snaps = [(alm.avg.copy(), alm.lam.copy())]
     ds = []
@@ -696,8 +693,7 @@ def test_lyapunov_monotone_on_small_run():
 def test_warm_start_cuts_inner_iterations():
     model = _small_ccv(seed=35)
     layout = OverlapLayout.from_grid((16, 16), 2, 2, stencil_of(model))
-    prm = default_inner(model, 1.0, gap_tol=1e-8, gap_check=25,
-                        max_iters=200_000)
+    prm = default_inner(model, 1.0, gap_tol=1e-8)
     alm = DecoupledAlm(model, layout, 1.0, prm)
     first = max(alm.step().inner_iters)
     later = max(max(alm.step().inner_iters) for _ in range(3))
@@ -709,30 +705,68 @@ def test_warm_start_cuts_inner_iterations():
 # ---------------------------------------------------------------------------
 
 
+def _fires(model, prev, cur, tol=1e-4):
+    """Whether a new StopRule for model fires between the iterates prev and
+    cur, each an (energy, image) pair."""
+    rule = StopRule(model, tol)
+    rule.prev = prev
+    return rule(*cur)
+
+
 def test_stop_check_basic():
+    # g = (1 - c1)^2 - (1 - c2)^2 = -1, so E(f) = -4*alpha = -10, ||f|| = 2
     f = np.ones((2, 2))
+    model = ChanVese(f=f, alpha=2.5, c1=1.0, c2=0.0)
+    assert energy(model, f) == -10.0
     u = np.ones((2, 2))
-    assert stop_check(10.0, 10.0 + 1e-6, u, u, f, 1e-4, e_f=10.0)
-    assert not stop_check(10.0, 10.1, u, u, f, 1e-4, e_f=10.0)
+    assert _fires(model, (10.0, u), (10.0 + 1e-6, u))
+    assert not _fires(model, (10.0, u), (10.1, u))
     v = u + 1e-2
-    assert not stop_check(10.0, 10.0, u, v, f, 1e-4, e_f=10.0)
+    assert not _fires(model, (10.0, u), (10.0, v))
+    # the first iterate is compared with E(0) at u = 0, and each later one
+    # with the iterate before it
+    rule = StopRule(model, 1e-4)
+    assert not rule(-10.0, f)
+    assert rule(-10.0, f)
 
 
 def test_stop_check_denominator_fallback():
-    f = np.ones((2, 2))
+    # a black CCV image has E(f) = 0: |E(f)| below 1e-12 switches the
+    # energy denominator to 1
+    black = ChanVese(f=np.zeros((2, 2)), alpha=1.0, c1=0.6, c2=0.1)
+    assert energy(black, black.f) == 0.0
     u = np.ones((2, 2))
-    # |e_f| below 1e-12 switches the energy denominator to 1
-    assert not stop_check(0.0, 5e-4, u, u, f, 1e-4, e_f=0.0)
-    assert stop_check(0.0, 5e-5, u, u, f, 1e-4, e_f=0.0)
+    assert not _fires(black, (0.0, u), (5e-4, u))
+    assert _fires(black, (0.0, u), (5e-5, u))
 
 
 def test_stop_check_accepts_zero_data():
     # ||f|| below 1e-12 switches the iterate-change denominator to 1, so a
     # black image has a stop rule
+    black = ChanVese(f=np.zeros((2, 2)), alpha=1.0, c1=0.6, c2=0.1)
     u = np.ones((2, 2))
-    black = np.zeros((2, 2))
-    assert stop_check(1.0, 1.0, u, u + 2e-5, black, 1e-4, e_f=1.0)
-    assert not stop_check(1.0, 1.0, u, u + 5e-4, black, 1e-4, e_f=1.0)
+    assert _fires(black, (1.0, u), (1.0, u + 2e-5))
+    assert not _fires(black, (1.0, u), (1.0, u + 5e-4))
+
+
+def test_non_finite_energy_stops_the_solve():
+    # rows of 1.7e308 in f overflow the iterates to inf and NaN.  numpy warns
+    # of the overflow, and the warnings filter, unlike np.errstate, also
+    # reaches the pool threads that run the local solves
+    f = np.random.default_rng(38).random((8, 8))
+    f[2:4] = 1.7e308
+    for model in (TVL1Deblur(f=f, alpha=1.0, kernel=BlurKernel(1)),
+                  HessianL1(f=f, alpha=1.0)):
+        eta = model.defaults.eta
+        layout = OverlapLayout.from_grid(f.shape, 2, 2, stencil_of(model))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for workers in (1, 2):
+                with pytest.raises(NonFiniteEnergyError, match="at outer step 1 is"):
+                    solve_dd(model, layout, eta, default_inner(model, eta), 1e-3,
+                             5, workers=workers)
+            with pytest.raises(NonFiniteEnergyError, match="at iteration 1 is"):
+                cp_full(model, 5)
 
 
 def test_reference_energy_is_trace_minimum():
@@ -758,8 +792,7 @@ def test_solve_dd_reaches_baseline_energy(blob32):
     model = ChanVese(f=blob32, alpha=10.0, c1=0.6, c2=0.1)
     layout = OverlapLayout.from_grid(blob32.shape, 2, 2, stencil_of(model))
     e_star = reference_energy(model, 20_000)
-    prm = default_inner(model, 1.0, gap_tol=1e-8, gap_check=25,
-                        max_iters=300_000)
+    prm = default_inner(model, 1.0, gap_tol=1e-8)
     res = solve_dd(model, layout, 1.0, prm, tol=1e-6, max_outer=80,
                    e_star=e_star, timing=False)
     gap = (res.rows[-1].energy - e_star) / abs(e_star)
