@@ -15,6 +15,7 @@ stopped being finite (NonFiniteEnergyError).
 import argparse
 import dataclasses
 import math
+import os
 import re
 import sys
 from functools import partial
@@ -81,6 +82,18 @@ def positive_int(text):
     return value
 
 
+def kernel_halfwidth(text):
+    """argparse type for --kernel-halfwidth: the uniform blur of that halfwidth."""
+    return BlurKernel(positive_int(text))
+
+
+# one flag per model field other than f: (field, flag, argparse type, help)
+MODEL_FLAGS = (("alpha", "--alpha", float, "fidelity weight"),
+               ("c1", "--c1", float, "foreground region value"),
+               ("c2", "--c2", float, "background region value"),
+               ("kernel", "--kernel-halfwidth", kernel_halfwidth, "uniform blur halfwidth"))
+
+
 def _parse_subdomains(text):
     m = re.fullmatch(r"([0-9]+)x([0-9]+)", text)
     if not m:
@@ -92,14 +105,15 @@ def _parse_subdomains(text):
 
 
 def _build_model(args, f):
-    alpha = args.alpha if args.alpha is not None else MODELS[args.model].defaults.alpha
-    if args.model == "ccv":
-        return ChanVese(f, alpha=alpha, c1=args.c1, c2=args.c2)
-    if args.model == "tvl1":
-        if args.kernel_halfwidth is None:
-            raise ValueError("tvl1 needs --kernel-halfwidth")
-        return TVL1Deblur(f, alpha=alpha, kernel=BlurKernel(args.kernel_halfwidth))
-    return MODELS[args.model](f, alpha=alpha)
+    defaults = {fl.name: fl.default for fl in dataclasses.fields(MODELS[args.model])}
+    given = {field: getattr(args, field) for field, *_ in MODEL_FLAGS
+             if getattr(args, field) is not None}
+    for field, flag, *_ in MODEL_FLAGS:
+        if field in given and field not in defaults:
+            raise ValueError(f"{flag} does not apply to --model {args.model}")
+        if field not in given and defaults.get(field) is dataclasses.MISSING:
+            raise ValueError(f"--model {args.model} needs {flag}")
+    return MODELS[args.model](f, **given)
 
 
 def _mask_path(output):
@@ -110,8 +124,8 @@ def _mask_path(output):
 
 def cmd_corrupt(args):
     u = load_pgm(args.input)
-    if args.kernel_halfwidth is not None:
-        u = blur(u, BlurKernel(args.kernel_halfwidth))
+    if args.kernel is not None:
+        u = blur(u, args.kernel)
     if args.noise_sp is not None:
         u = salt_pepper(u, args.noise_sp, args.seed)
     save_pgm(u, args.output)
@@ -132,10 +146,14 @@ def cmd_solve(args):
     e_star = args.reference_energy
     if e_star is not None and not math.isfinite(e_star):
         raise ValueError(f"--reference-energy must be finite, got {e_star!r}")
+    for path in filter(None, (args.output, args.metrics)):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{path}: no such directory {os.path.dirname(path)!r}")
 
     # every input is checked before the (possibly long) reference run
     if p * q == 1:
-        for flag, value in (("--eta", args.eta), ("--inner-iters", args.inner_iters)):
+        for flag, value in (("--eta", args.eta), ("--inner-iters", args.inner_iters),
+                            ("--workers", args.workers)):
             if value is not None:
                 raise ValueError(f"{flag} is for decomposed runs, not --subdomains 1x1")
         run = partial(solve_single, model, tol, args.max_outer or 50_000)
@@ -145,7 +163,7 @@ def cmd_solve(args):
         inner_prm = default_inner(
             model, eta, iters=args.inner_iters or model.defaults.inner_iters)
         run = partial(solve_dd, model, layout, eta, inner_prm, tol,
-                      args.max_outer or 500, workers=args.workers)
+                      args.max_outer or 500, workers=args.workers or 1)
 
     if e_star is None and args.compute_reference_iters is not None:
         e_star = reference_energy(model, args.compute_reference_iters)
@@ -154,7 +172,7 @@ def cmd_solve(args):
 
     if args.output:
         save_pgm(result.u, args.output)
-        if args.model == "ccv":
+        if model.saddle.box:
             save_pgm(threshold_half(result.u), _mask_path(args.output))
     if args.metrics:
         write_metrics(result.rows, args.metrics)
@@ -176,19 +194,16 @@ def build_parser():
     def add_model_flags(sp):
         sp.add_argument("--model", choices=tuple(MODELS),
                         required=True, help="variational model")
-        sp.add_argument("--alpha", type=float, default=None,
-                        help="fidelity weight (default: 10/10/1 by model)")
-        sp.add_argument("--c1", type=float, default=0.6,
-                        help="foreground region value (ccv)")
-        sp.add_argument("--c2", type=float, default=0.1,
-                        help="background region value (ccv)")
-        sp.add_argument("--kernel-halfwidth", type=positive_int, default=None,
-                        help="uniform blur halfwidth l, kernel side 2l+1 (tvl1)")
+        for field, flag, type_, text in MODEL_FLAGS:
+            uses = ", ".join(f"{name}: {getattr(cls, field, 'required')}"
+                             for name, cls in MODELS.items()
+                             if field in {fl.name for fl in dataclasses.fields(cls)})
+            sp.add_argument(flag, dest=field, type=type_, help=f"{text} ({uses})")
 
     sp = sub.add_parser("corrupt", help="blur and/or add salt-and-pepper noise")
     sp.add_argument("--input", required=True)
     sp.add_argument("--output", required=True)
-    sp.add_argument("--kernel-halfwidth", type=positive_int, default=None)
+    sp.add_argument("--kernel-halfwidth", dest="kernel", type=kernel_halfwidth)
     sp.add_argument("--noise-sp", type=float, default=None,
                     help="salt-and-pepper corruption probability")
     sp.add_argument("--seed", type=natural_int, default=0)
@@ -204,15 +219,16 @@ def build_parser():
     sp.add_argument("--subdomains", default="1x1",
                     help="PxQ subdomain grid (1x1 runs the whole-image baseline)")
     sp.add_argument("--eta", type=float, default=None,
-                    help="coupling weight (default 1/10/20 by model; not for 1x1)")
+                    help="coupling weight (default set by --model; not for 1x1)")
     sp.add_argument("--tol", type=float, default=None,
-                    help="stop tolerance (default 1e-4 ccv, 1e-3 otherwise)")
+                    help="stop tolerance (default set by --model)")
     sp.add_argument("--max-outer", type=positive_int, default=None,
                     help="iteration budget (outer steps, or baseline iterations for 1x1)")
     sp.add_argument("--inner-iters", type=positive_int, default=None,
-                    help="inner iterations per outer step (default 10 ccv, 50 otherwise)")
-    sp.add_argument("--workers", type=positive_int, default=1,
-                    help="thread count for local solves; results are identical for "
+                    help="inner iterations per outer step (default set by --model)")
+    sp.add_argument("--workers", type=positive_int, default=None,
+                    help="thread count for local solves (default 1; not for 1x1); "
+                         "results are identical for "
                          "any count, and more threads have not been measured faster")
     sp.add_argument("--reference-energy", type=float, default=None,
                     help="known minimum energy for the rel_gap column")

@@ -10,8 +10,9 @@ the radius r_b that bounds the block's dual variable, an optional data shift
 f_b), the optional linear term (w, c), whether u is confined to the unit box,
 the bound on the squared norm of the stacked operator (K_b)_b, which limits
 the primal-dual step sizes, and the enlargement stencil matching the
-integrand's footprint.  Its Defaults give alpha, the coupling weight eta, the
-stop tolerance, the inner iteration budget and the baseline's primal step.
+integrand's footprint.  Each parameter's default is its field's default, and
+the class-level Defaults give the solver settings: the coupling weight eta,
+the stop tolerance, the inner iteration budget and the baseline's primal step.
 
 * ChanVese:   alpha*<u, g> + box + ||grad u||_1 with g = (f - c1)^2 - (f - c2)^2
               (two-phase segmentation with fixed region values, minimized by
@@ -86,9 +87,8 @@ class Saddle:
 
 @dataclass(frozen=True)
 class Defaults:
-    """Model defaults; cp_tau=None runs the baseline at sigma = tau = 1/sqrt(bound)."""
+    """Solver settings; cp_tau=None runs the baseline at sigma = tau = 1/sqrt(bound)."""
 
-    alpha: float
     eta: float
     tol: float
     inner_iters: int
@@ -98,11 +98,11 @@ class Defaults:
 @dataclass(frozen=True, eq=False)
 class ChanVese:
     f: np.ndarray
-    alpha: float
-    c1: float
-    c2: float
+    alpha: float = 10.0
+    c1: float = 0.6
+    c2: float = 0.1
 
-    defaults = Defaults(alpha=10.0, eta=1.0, tol=1e-4, inner_iters=10)
+    defaults = Defaults(eta=1.0, tol=1e-4, inner_iters=10)
 
     def __post_init__(self):
         _check_params(self, alpha=self.alpha, c1=self.c1, c2=self.c2)
@@ -125,10 +125,10 @@ class ChanVese:
 @dataclass(frozen=True, eq=False)
 class TVL1Deblur:
     f: np.ndarray
-    alpha: float
     kernel: BlurKernel
+    alpha: float = 10.0
 
-    defaults = Defaults(alpha=10.0, eta=10.0, tol=1e-3, inner_iters=50, cp_tau=0.02)
+    defaults = Defaults(eta=10.0, tol=1e-3, inner_iters=50, cp_tau=0.02)
 
     def __post_init__(self):
         _check_params(self, alpha=self.alpha)
@@ -143,9 +143,9 @@ class TVL1Deblur:
 @dataclass(frozen=True, eq=False)
 class HessianL1:
     f: np.ndarray
-    alpha: float
+    alpha: float = 1.0
 
-    defaults = Defaults(alpha=1.0, eta=20.0, tol=1e-3, inner_iters=50, cp_tau=0.02)
+    defaults = Defaults(eta=20.0, tol=1e-3, inner_iters=50, cp_tau=0.02)
 
     def __post_init__(self):
         _check_params(self, alpha=self.alpha)

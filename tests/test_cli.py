@@ -137,10 +137,30 @@ def test_solve_deterministic_across_workers(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_solve_tvl1_needs_kernel(tmp_path):
+def test_solve_tvl1_needs_kernel(tmp_path, capsys):
     src, _ = _write_scene(tmp_path)
-    code = main(["solve", "--model", "tvl1", "--input", str(src)])
-    assert code == 1
+    for command in ("solve", "energy"):
+        capsys.readouterr()
+        code = main([command, "--model", "tvl1", "--input", str(src)])
+        assert code == 1, command
+        assert "--model tvl1 needs --kernel-halfwidth" in capsys.readouterr().err
+
+
+def test_flags_of_other_models_are_usage_errors(tmp_path, capsys):
+    # a flag whose field the model lacks used to be accepted and ignored
+    src, _ = _write_scene(tmp_path, shape=(16, 16))
+    for model, flag, value in (("ccv", "--kernel-halfwidth", "1"),
+                               ("hessl1", "--kernel-halfwidth", "1"),
+                               ("tvl1", "--c1", "0.5"), ("tvl1", "--c2", "0.5"),
+                               ("hessl1", "--c1", "0.5"), ("hessl1", "--c2", "0.5")):
+        extra = ["--kernel-halfwidth", "1"] if model == "tvl1" else []
+        for command in ("solve", "energy"):
+            capsys.readouterr()
+            code = main([command, "--model", model, "--input", str(src),
+                         flag, value] + extra)
+            assert code == 1, (command, model, flag)
+            err = capsys.readouterr().err
+            assert f"{flag} does not apply to --model {model}" in err, err
 
 
 def test_solve_rejects_bad_subdomains(tmp_path):
@@ -166,6 +186,7 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
     assert main([]) == 1
     src, _ = _write_scene(tmp_path)
     truth, _ = _write_scene(tmp_path, "truth.pgm", shape=(20, 24))
+    missing = tmp_path / "nosuchdir" / "out.pgm"
     for flags, named in ((["--eta", "inf", "--subdomains", "2x2"], "eta"),
                          # a ground truth of another shape is found before
                          # any solving, not at the first metrics row
@@ -203,7 +224,14 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
                          (["--eta", "inf"], "--eta"),
                          (["--eta", "1", "--subdomains", "1x1"], "--eta"),
                          (["--inner-iters", "0"], "--inner-iters"),
-                         (["--inner-iters", "5"], "--inner-iters")):
+                         (["--inner-iters", "5"], "--inner-iters"),
+                         (["--workers", "4"], "--workers"),
+                         # a missing output directory is found before the
+                         # solve, not when the result is written
+                         (["--output", str(missing), "--subdomains", "2x2"],
+                          str(missing)),
+                         (["--metrics", str(missing), "--subdomains", "2x2"],
+                          str(missing))):
         capsys.readouterr()
         code = main(["solve", "--model", "ccv", "--input", str(src),
                      "--compute-reference-iters", "20000"] + flags)
@@ -233,13 +261,13 @@ def test_unreadable_pgm_is_an_error_not_a_traceback(tmp_path, capsys):
 def test_non_finite_energy_exit_code(tmp_path, capsys):
     # alpha = 1e308 keeps the iterates finite but overflows the energy
     src, _ = _write_scene(tmp_path, shape=(16, 16))
-    for model in ("tvl1", "hessl1"):
+    for model, flags in (("tvl1", ["--kernel-halfwidth", "1"]), ("hessl1", [])):
         for grid, step in (("2x2", "outer step 1"), ("1x1", "iteration 1")):
             out = tmp_path / f"{model}-{grid}.pgm"
             capsys.readouterr()
-            code = main(["solve", "--model", model, "--kernel-halfwidth", "1",
-                         "--alpha", "1e308", "--input", str(src),
-                         "--subdomains", grid, "--output", str(out)])
+            code = main(["solve", "--model", model, "--alpha", "1e308",
+                         "--input", str(src), "--subdomains", grid,
+                         "--output", str(out)] + flags)
             assert code == 3, (model, grid)
             err = capsys.readouterr().err
             assert err.startswith("ddimaging: error: the energy at " + step), err
@@ -275,28 +303,35 @@ def test_energy_prints_value(tmp_path, capsys):
 
 @dataclass(frozen=True, eq=False)
 class _TVL1Denoise:
-    """alpha*||u - f||_1 + ||grad u||_1, a model the CLI does not ship."""
+    """alpha*||u - (f - c1)||_1 + ||grad u||_1, a model the CLI does not ship,
+    with a field set (f, alpha, c1) that no shipped model has."""
 
     f: np.ndarray
-    alpha: float
+    alpha: float = 1.0
+    c1: float = 0.0
 
-    defaults = Defaults(alpha=1.0, eta=10.0, tol=1e-3, inner_iters=50)
+    defaults = Defaults(eta=10.0, tol=1e-3, inner_iters=50)
 
     @cached_property
     def saddle(self):
-        data = Block(None, None, self.alpha, shift=self.f)
+        data = Block(None, None, self.alpha, shift=self.f - self.c1)
         return Saddle(blocks=(data, TV), bound=9.0, stencil=Stencil("forward1"))
 
 
 def test_energy_builds_the_named_model(tmp_path, capsys, monkeypatch):
-    # a model added to MODELS is the one the CLI builds, not HessianL1
+    # a model added to MODELS is the one the CLI builds, from its own fields
     monkeypatch.setitem(cli.MODELS, "tvl1den", _TVL1Denoise)
     src, u = _write_scene(tmp_path)
-    code = main(["energy", "--model", "tvl1den", "--alpha", "2",
+    for flags, model in (([], _TVL1Denoise(f=u)),
+                         (["--alpha", "2", "--c1", "0.25"],
+                          _TVL1Denoise(f=u, alpha=2.0, c1=0.25))):
+        code = main(["energy", "--model", "tvl1den", "--input", str(src)] + flags)
+        assert code == 0, flags
+        assert capsys.readouterr().out.strip() == format(energy(model, u), ".17g")
+    code = main(["energy", "--model", "tvl1den", "--kernel-halfwidth", "1",
                  "--input", str(src)])
-    assert code == 0
-    want = energy(_TVL1Denoise(f=u, alpha=2.0), u)
-    assert capsys.readouterr().out.strip() == format(want, ".17g")
+    assert code == 1
+    assert "--kernel-halfwidth does not apply to --model tvl1den" in capsys.readouterr().err
 
 
 def test_write_metrics_rendering(tmp_path):

@@ -46,6 +46,17 @@ def test_ccv_energy_infinite_off_box():
     assert energy(model, u) == math.inf
 
 
+def test_parameters_default_on_the_fields():
+    rng = np.random.default_rng(12)
+    f = rng.uniform(0, 1, size=(9, 8))
+    u = rng.uniform(0, 1, size=f.shape)
+    k = BlurKernel(1)
+    for short, full in ((ChanVese(f=f), ChanVese(f=f, alpha=10.0, c1=0.6, c2=0.1)),
+                        (TVL1Deblur(f=f, kernel=k), TVL1Deblur(f=f, kernel=k, alpha=10.0)),
+                        (HessianL1(f=f), HessianL1(f=f, alpha=1.0))):
+        assert energy(short, u) == energy(full, u), type(short).__name__
+
+
 def test_tvl1_identity_constant_zero():
     f = np.full((4, 5), 0.7)
     model = HessianL1(f=f, alpha=3.0)

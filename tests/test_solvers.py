@@ -571,9 +571,9 @@ class _BackwardTVDenoise:
     that neither the models nor the solvers module imports."""
 
     f: np.ndarray
-    alpha: float
+    alpha: float = 1.0
 
-    defaults = Defaults(alpha=1.0, eta=10.0, tol=1e-3, inner_iters=5)
+    defaults = Defaults(eta=10.0, tol=1e-3, inner_iters=5)
 
     @cached_property
     def saddle(self):
