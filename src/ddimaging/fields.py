@@ -3,8 +3,11 @@
 An image on an M x N pixel grid is a float64 array of shape (M, N), indexed
 u[i, j] with i the row and j the column.  Vector fields (two channels) and
 tensor fields (four channels) carry their channels along the last axis, so
-their shapes are (M, N, 2) and (M, N, 4).  All functions here are pure: they
-never modify their arguments.
+their shapes are (M, N, 2) and (M, N, 4).  A stack of n equal-shape images
+adds a leading axis, (n, M, N), and so does a stack of their fields, so a
+field has a channel axis exactly when it has one more axis than the image
+(or the stack) it lives on; magnitude() and project_ball() take that image's
+ndim.  All functions here are pure: they never modify their arguments.
 """
 
 import math
@@ -20,18 +23,19 @@ def check_count(name, value):
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def magnitude(x):
-    """Pointwise magnitude of a field.
+def magnitude(x, ndim=2):
+    """Pointwise magnitude of a field on an ndim-axis image or stack.
 
-    Scalars give |x|; multi-channel fields give the root-sum-square over
-    the trailing channel axis.  Returns an (M, N) array.
+    Scalars (x.ndim == ndim) give |x|; multi-channel fields (one more axis)
+    give the root-sum-square over the trailing channel axis.  Returns an
+    array of the image's shape.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
+    if x.ndim == ndim:
         return np.abs(x)
-    if x.ndim == 3:
+    if x.ndim == ndim + 1:
         return np.sqrt(np.sum(x * x, axis=-1))
-    raise ValueError(f"expected a 2-D or 3-D field, got shape {x.shape}")
+    raise ValueError(f"expected a {ndim}-D or {ndim + 1}-D field, got shape {x.shape}")
 
 
 def inner(u, v):
@@ -54,18 +58,19 @@ def norm2(x):
     return float(np.sqrt(np.sum(x * x)))
 
 
-def project_ball(x, r):
+def project_ball(x, r, ndim=2):
     """Pointwise Euclidean projection onto the ball of radius r.
 
     Each pixel's channel vector (or scalar value) is rescaled onto the
     radius-r ball; pixels already inside are returned unchanged, bit for
-    bit, since their scale factor is exactly 1.
+    bit, since their scale factor is exactly 1.  x is a field on an
+    ndim-axis image or stack, as in magnitude().
     """
     if not r > 0:
         raise ValueError(f"ball radius must be positive, got {r!r}")
     x = np.asarray(x, dtype=np.float64)
-    scale = np.maximum(1.0, magnitude(x) / r)
-    if x.ndim == 3:
+    scale = np.maximum(1.0, magnitude(x, ndim) / r)
+    if x.ndim > ndim:
         scale = scale[..., None]
     return x / scale
 

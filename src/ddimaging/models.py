@@ -175,8 +175,9 @@ def objective_terms(model, u, ns=None, core=None):
     The linear term comes first, then the blocks in declaration order; the
     density of the linear term is u*c, that of a block |K u - f| pointwise.
     With core given these are the terms of one subdomain: every density is
-    masked to the core tile.  ns is the namespace the operators are resolved
-    in, this module's by default.
+    masked to the core tile.  u may also be a stack of windows, with the
+    model's data and core stacked alike.  ns is the namespace the operators
+    are resolved in, this module's by default.
     """
     sd = model.saddle
     ns = globals() if ns is None else ns
@@ -189,8 +190,8 @@ def objective_terms(model, u, ns=None, core=None):
         if blk.shift is not None:
             r = r - blk.shift
         if core is not None:
-            r = r * (core[..., None] if r.ndim == 3 else core)
-        out.append((blk.radius, magnitude(r)))
+            r = r * (core[..., None] if r.ndim > u.ndim else core)
+        out.append((blk.radius, magnitude(r, u.ndim)))
     return out
 
 

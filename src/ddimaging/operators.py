@@ -10,6 +10,12 @@ with no boundary-case exceptions.
 Vector fields stack (row-difference, column-difference) along the last axis.
 The composed second-order operator hessian() stacks its four channels in the
 order (xx, xy, yx, yy) where "x" means the row direction.
+
+Every operator acts on the two pixel axes of an image and passes leading
+axes through: applied to a stack of equal-shape images (n, M, N), or to a
+stack of their fields (n, M, N, c), it gives each image's result, bit for
+bit, since each output is the same elementwise arithmetic on the same
+inputs.
 """
 
 from dataclasses import dataclass
@@ -27,56 +33,56 @@ from .fields import check_count, norm2
 def dxp(u):
     """Forward row difference, zero at the last row."""
     out = np.zeros_like(u, dtype=np.float64)
-    out[:-1, :] = u[1:, :] - u[:-1, :]
+    out[..., :-1, :] = u[..., 1:, :] - u[..., :-1, :]
     return out
 
 
 def dxm(u):
     """Backward row difference, zero at the first row."""
     out = np.zeros_like(u, dtype=np.float64)
-    out[1:, :] = u[1:, :] - u[:-1, :]
+    out[..., 1:, :] = u[..., 1:, :] - u[..., :-1, :]
     return out
 
 
 def dyp(u):
     """Forward column difference, zero at the last column."""
     out = np.zeros_like(u, dtype=np.float64)
-    out[:, :-1] = u[:, 1:] - u[:, :-1]
+    out[..., :-1] = u[..., 1:] - u[..., :-1]
     return out
 
 
 def dym(u):
     """Backward column difference, zero at the first column."""
     out = np.zeros_like(u, dtype=np.float64)
-    out[:, 1:] = u[:, 1:] - u[:, :-1]
+    out[..., 1:] = u[..., 1:] - u[..., :-1]
     return out
 
 
 def adjoint_dxp(p):
     out = np.zeros_like(p, dtype=np.float64)
-    out[1:, :] += p[:-1, :]
-    out[:-1, :] -= p[:-1, :]
+    out[..., 1:, :] += p[..., :-1, :]
+    out[..., :-1, :] -= p[..., :-1, :]
     return out
 
 
 def adjoint_dxm(p):
     out = np.zeros_like(p, dtype=np.float64)
-    out[1:, :] += p[1:, :]
-    out[:-1, :] -= p[1:, :]
+    out[..., 1:, :] += p[..., 1:, :]
+    out[..., :-1, :] -= p[..., 1:, :]
     return out
 
 
 def adjoint_dyp(p):
     out = np.zeros_like(p, dtype=np.float64)
-    out[:, 1:] += p[:, :-1]
-    out[:, :-1] -= p[:, :-1]
+    out[..., 1:] += p[..., :-1]
+    out[..., :-1] -= p[..., :-1]
     return out
 
 
 def adjoint_dym(p):
     out = np.zeros_like(p, dtype=np.float64)
-    out[:, 1:] += p[:, 1:]
-    out[:, :-1] -= p[:, 1:]
+    out[..., 1:] += p[..., 1:]
+    out[..., :-1] -= p[..., 1:]
     return out
 
 
@@ -86,27 +92,27 @@ def adjoint_dym(p):
 
 
 def grad_plus(u):
-    """Forward gradient: (M, N) -> (M, N, 2)."""
+    """Forward gradient: (..., M, N) -> (..., M, N, 2)."""
     return np.stack((dxp(u), dyp(u)), axis=-1)
 
 
 def grad_minus(u):
-    """Backward gradient: (M, N) -> (M, N, 2)."""
+    """Backward gradient: (..., M, N) -> (..., M, N, 2)."""
     return np.stack((dxm(u), dym(u)), axis=-1)
 
 
 def adjoint_grad_plus(p):
-    """Adjoint of grad_plus: (M, N, 2) -> (M, N)."""
+    """Adjoint of grad_plus: (..., M, N, 2) -> (..., M, N)."""
     return adjoint_dxp(p[..., 0]) + adjoint_dyp(p[..., 1])
 
 
 def adjoint_grad_minus(p):
-    """Adjoint of grad_minus: (M, N, 2) -> (M, N)."""
+    """Adjoint of grad_minus: (..., M, N, 2) -> (..., M, N)."""
     return adjoint_dxm(p[..., 0]) + adjoint_dym(p[..., 1])
 
 
 def hessian(u):
-    """Backward-of-forward second differences: (M, N) -> (M, N, 4).
+    """Backward-of-forward second differences: (..., M, N) -> (..., M, N, 4).
 
     Channel order (xx, xy, yx, yy): the backward x/y differences of the
     forward x derivative, then of the forward y derivative.
@@ -117,7 +123,7 @@ def hessian(u):
 
 
 def adjoint_hessian(t):
-    """Adjoint of hessian: (M, N, 4) -> (M, N)."""
+    """Adjoint of hessian: (..., M, N, 4) -> (..., M, N)."""
     wx = adjoint_dxm(t[..., 0]) + adjoint_dym(t[..., 1])
     wy = adjoint_dxm(t[..., 2]) + adjoint_dym(t[..., 3])
     return adjoint_dxp(wx) + adjoint_dyp(wy)
@@ -160,14 +166,14 @@ def blur(u, kernel):
     a kernel wider than the image costs no more than one as wide as it.
     """
     u = np.asarray(u, dtype=np.float64)
-    m, n = u.shape
+    m, n = u.shape[-2:]
     l = kernel.halfwidth
     rows = np.zeros_like(u)
     for d in range(-min(l, n - 1), min(l, n - 1) + 1):
-        rows[:, max(-d, 0):n - max(d, 0)] += u[:, max(d, 0):n + min(d, 0)]
+        rows[..., max(-d, 0):n - max(d, 0)] += u[..., max(d, 0):n + min(d, 0)]
     acc = np.zeros_like(u)
     for d in range(-min(l, m - 1), min(l, m - 1) + 1):
-        acc[max(-d, 0):m - max(d, 0)] += rows[max(d, 0):m + min(d, 0)]
+        acc[..., max(-d, 0):m - max(d, 0), :] += rows[..., max(d, 0):m + min(d, 0), :]
     return acc / float(kernel.size ** 2)
 
 

@@ -8,11 +8,14 @@ consensus projection:
     utilde_s <- argmin  E_s(utilde_s) + (eta/2) ||utilde_s - uhat_s||^2
     lambda   <- lambda + eta * (utilde - P utilde)
 
-The local problems decouple completely, so the middle line runs per
-subdomain (on a pool of `workers` threads), each on its own window, the
-bounding box of its enlarged patch; the copies utilde and lambda are packed
-fields holding one window per subdomain.  Only the consensus averaging sees
-more than one subdomain, and it always sums in ascending subdomain order,
+The local problems decouple completely, so the middle line runs many
+subdomains at once.  Runs of consecutive subdomains form chunks; each
+subdomain's window, the bounding box of its enlarged patch, grows or shifts
+inward to its chunk's box, the largest window shape in the chunk, and a
+chunk's local problems run as one stack of boxes.  The chunks run on a pool
+of `workers` threads.  The copies utilde and lambda are packed fields
+holding one window per subdomain.  Only the consensus averaging sees more
+than one subdomain's copy, and it always sums in ascending subdomain order,
 which makes runs with different worker counts identical bit for bit.
 
 Every model declares its saddle-point structure (models.Saddle), and one
@@ -27,7 +30,7 @@ with 0 <= gamma <= eta (Alg. 2), warm-started primal and dual variables, and
 steps reset to step_sizes(model) at every outer iteration.  The baseline is
 the case eta = 0, gamma = 0 (so theta = 1, Alg. 1) with no masks.
 
-A local problem is the model cut to the subdomain's window, with every
+A local problem is the model cut to the subdomain's box, with every
 block masked to its core tile, (K u - f) * core, plus the proximal term.
 Its iterate stays on the enlarged patch with no mask of its own, because
 the patch is the footprint of the operators on the tile: K* of a dual that
@@ -73,6 +76,10 @@ _BOUND_TOL = 1.0 + 1e-9
 # a local solve stops after GAP_MAX_ITERS iterations whatever the gap
 GAP_CHECK = 25
 GAP_MAX_ITERS = 500_000
+# an outer step runs its local solves as the fewest equal runs of
+# consecutive subdomains whose stacked boxes hold at most this many pixels;
+# a worker's working set grows with it (about 1 MB per chunk at this size)
+_CHUNK_PX = 8_192
 
 
 def _check_eta(eta):
@@ -156,15 +163,22 @@ class Local:
     the linear term w*<u, c core>.  J_s reads u on the enlarged patch only,
     and uhat vanishes off the patch, so the iterate stays on the patch.
 
-    DecoupledAlm poses it on the subdomain's window, the bounding box of the
-    patch, and the result equals the whole-grid problem's bit for bit.  On
-    the core, K u reads only patch pixels, which lie in the window, and the
-    operators see the image border exactly where the whole grid does: a
-    window's last row or column is a core row or column only when it is also
-    the image's, and elsewhere the window's border rows carry no core pixel,
-    so the core mask removes what the window's Neumann edge changes there.
-    The duals vanish off the core, and their adjoints land inside the patch,
-    so the window adds up the same nonzero terms in the same order.
+    DecoupledAlm poses it on a box, the subdomain's window (the bounding
+    box of the patch) grown or shifted inward to its chunk's box shape, with
+    the chunk's other boxes stacked on a leading axis; the result equals the
+    whole-grid problem's bit for bit.  On the core, K u reads only patch
+    pixels, which lie in the window, and the operators see the image border
+    exactly where the whole grid does: the box lies inside the grid and meets
+    its border wherever the window does, a window's last row or column is a
+    core row or column only when it is also the image's, and elsewhere the
+    box's border rows carry no core pixel, so the core mask removes what the
+    box's Neumann edge changes there.  The box's extra rows and columns lie
+    off the patch, where uhat, the duals and therefore the iterate are
+    exactly zero, so they add exact zeros to every sum, the blur's too.  The
+    duals vanish off the core, and their adjoints land inside the patch, so
+    the box adds up the same nonzero terms in the same order.  Every step is
+    elementwise over the stack, so each box sees the arithmetic it would see
+    alone.
     """
 
     core: np.ndarray
@@ -195,7 +209,7 @@ def primal_dual(model, u, duals, sigma, tau, gamma, local=None):
     masks = [None] * len(duals)
     lin = None if sd.linear is None else sd.linear[0] * sd.linear[1]
     if local is not None:
-        masks = [local.core[..., None] if y.ndim == 3 else local.core
+        masks = [local.core[..., None] if y.ndim > u.ndim else local.core
                  for y in duals]
         lin = None if lin is None else lin * local.core
     ubar = u
@@ -206,7 +220,7 @@ def primal_dual(model, u, duals, sigma, tau, gamma, local=None):
                 ku = ku - blk.shift
             if masks[b] is not None:
                 ku = ku * masks[b]
-            duals[b] = project_ball(duals[b] + sigma * ku, blk.radius)
+            duals[b] = project_ball(duals[b] + sigma * ku, blk.radius, u.ndim)
         v = _transpose_sum(model, duals)
         if lin is not None:
             v = v + lin
@@ -285,14 +299,15 @@ class DecoupledAlm:
     block of the model (warm-started across outer steps), and the consensus
     average `avg`, the global image.  A subdomain's duals vanish off its
     tile and the tiles partition the image, so one field of the shape of
-    K u holds every subdomain's dual, each on its own tile.  Each local
-    solve runs on its window, with the model's data cut to it: a model's
-    image-sized data must be its `f` or be computed from `f` when the model
-    is built, so that dataclasses.replace(model, f=model.f[window]) is the
-    model on the window.  The model's stencil must cover its operators'
-    footprint, which the constructor checks.  All iterates start at zero,
-    which makes the multiplier orthogonal to the consensus subspace and
-    keeps it so by induction.
+    K u holds every subdomain's dual, each on its own tile.  The local
+    solves run in chunks (see _Chunk), each on a stack of boxes with the
+    model's data cut to them: the image-sized data of a model's local
+    problems are its blocks' shifts and its linear term's c.  Gap mode
+    solves one window per chunk, so each gap sums exactly its window.  The
+    model's stencil must cover its operators' footprint, which the
+    constructor checks.  All iterates start at zero, which makes the
+    multiplier orthogonal to the consensus subspace and keeps it so by
+    induction.
     """
 
     def __init__(self, model, layout, eta, inner_prm, workers=1):
@@ -318,32 +333,38 @@ class DecoupledAlm:
         self.lam = np.zeros(layout.offsets[-1])
         self.avg = np.zeros(layout.shape)
         self.duals = zero_duals(model)
-        self.window_models = [replace(model, f=model.f[w]) for w in layout.windows]
+        limit = 0 if inner_prm.gap_tol is not None else _CHUNK_PX
+        self.chunks = [_Chunk(model, layout, run) for run in _runs(layout, limit)]
         self.n = 0
 
-    def _solve_one(self, s):
+    def _solve_chunk(self, chunk):
         lay = self.layout
-        win = lay.windows[s]
-        core = lay.core[s]
-        u_s = lay.view(self.u, s)
-        uhat = self.avg[win] * lay.tilde[s] - lay.view(self.lam, s) / self.eta
-        local = Local(core=core.astype(np.float64), uhat=uhat, eta=self.eta)
-        duals = [np.where(core[..., None] if y.ndim == 3 else core, y[win], 0.0)
+        u = np.zeros(chunk.core.shape)
+        uhat = np.zeros(chunk.core.shape)
+        for k, s in enumerate(chunk.subdomains):
+            u[k][chunk.places[k]] = lay.view(self.u, s)
+            uhat[k][chunk.places[k]] = (self.avg[lay.windows[s]] * lay.tilde[s]
+                                        - lay.view(self.lam, s) / self.eta)
+        core = chunk.core
+        duals = [np.where(core[..., None] if y.ndim > self.avg.ndim else core,
+                          np.stack([y[b] for b in chunk.boxes]), 0.0)
                  for y in self.duals]
-        u, duals, it, gap = local_solve(self.window_models[s], local, u_s,
-                                        duals, self.inner)
-        # every worker writes its own window and tile only
-        u_s[...] = u
-        for y, d in zip(self.duals, duals):
-            y[win][core] = d[core]
-        return it, gap
+        local = Local(core=core.astype(np.float64), uhat=uhat, eta=self.eta)
+        u, duals, it, gap = local_solve(chunk, local, u, duals, self.inner)
+        # every worker writes its own windows and tiles only
+        for k, s in enumerate(chunk.subdomains):
+            lay.view(self.u, s)[...] = u[k][chunk.places[k]]
+            for y, d in zip(self.duals, duals):
+                y[chunk.boxes[k]][core[k]] = d[k][core[k]]
+        n = len(chunk.subdomains)
+        return [it] * n, [gap] * n
 
     def step(self):
         """One outer iteration; returns its consensus residual and metrics."""
         lay = self.layout
         eta = self.eta
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            results = list(pool.map(self._solve_one, range(lay.count)))
+            results = list(pool.map(self._solve_chunk, self.chunks))
         avg_new = stack_sum(self.u, lay) / lay.counts
         resid_vec = self.u - restrict_global(avg_new, lay)
         self.lam += eta * resid_vec
@@ -353,13 +374,68 @@ class DecoupledAlm:
         self.avg = avg_new
         self.n += 1
         return StepInfo(residual=residual, d_n=d_n,
-                        inner_iters=[r[0] for r in results],
-                        gaps=[r[1] for r in results])
+                        inner_iters=[i for its, _ in results for i in its],
+                        gaps=[g for _, gaps in results for g in gaps])
 
     def multiplier_consensus_norm(self):
         """Norm of the multiplier's consensus component (zero in theory)."""
         avg_lam = stack_sum(self.lam, self.layout) / self.layout.counts
         return math.sqrt(max(consensus_norm_sq(avg_lam, self.layout), 0.0))
+
+
+def _runs(layout, limit):
+    """The fewest equal runs of consecutive subdomains that each fit `limit`.
+
+    A run fits when its length times its box, the largest window height by
+    the largest window width in it, is at most `limit` pixels; a run of one
+    subdomain always fits.  Runs differ in length by at most one, the
+    longer first.
+    """
+    for count in range(1, layout.count + 1):
+        runs = [range(r[0], r[-1] + 1)
+                for r in np.array_split(np.arange(layout.count), count)]
+        if all(len(r) == 1 or len(r) * math.prod(_box(layout, r)) <= limit
+               for r in runs):
+            return runs
+
+
+def _box(layout, subdomains):
+    """The largest window height and the largest window width among them."""
+    return tuple(map(max, zip(*(layout.tilde[s].shape for s in subdomains))))
+
+
+class _Chunk:
+    """Consecutive subdomains whose local problems run as one stack.
+
+    The box shape is _box of the chunk's subdomains.  boxes[k] is subdomain
+    subdomains[k]'s window grown or shifted inward to that shape, inside the
+    grid, and places[k] is where the window lies in its box; core is the
+    (n, h, w) stack of the tiles on the boxes.  Like a model, a chunk has a
+    `saddle`, all that the local solves read of one: the model's, with each
+    block's shift and the linear term's c cut to the boxes and stacked.
+    """
+
+    def __init__(self, model, layout, subdomains):
+        h, w = _box(layout, subdomains)
+        m, n = layout.shape
+        self.subdomains = subdomains
+        self.boxes, self.places = [], []
+        self.core = np.zeros((len(subdomains), h, w), dtype=bool)
+        for k, s in enumerate(subdomains):
+            rows, cols = layout.windows[s]
+            i0, j0 = min(rows.start, m - h), min(cols.start, n - w)
+            self.boxes.append(np.s_[i0:i0 + h, j0:j0 + w])
+            self.places.append(np.s_[rows.start - i0:rows.stop - i0,
+                                     cols.start - j0:cols.stop - j0])
+            self.core[k][self.places[k]] = layout.core[s]
+
+        def cut(a):
+            return None if a is None else np.stack([a[b] for b in self.boxes])
+
+        sd = model.saddle
+        self.saddle = replace(
+            sd, blocks=tuple(replace(blk, shift=cut(blk.shift)) for blk in sd.blocks),
+            linear=None if sd.linear is None else (sd.linear[0], cut(sd.linear[1])))
 
 
 def _check_footprint(model):

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from ddimaging.fields import (
     inner,
@@ -86,6 +87,35 @@ def test_project_ball_scalar_field():
     q = np.array([[5.0, -0.2], [-3.0, 0.0]])
     out = project_ball(q, 2.0)
     assert np.array_equal(out, [[2.0, -0.2], [-2.0, 0.0]])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(n=st.integers(1, 4), m=st.integers(1, 7), w=st.integers(1, 7),
+       channels=st.sampled_from([(), (1,), (2,), (4,)]),
+       r=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_pointwise_maps_take_a_stack_image_by_image(n, m, w, channels, r, seed):
+    # on a stack of n images (ndim 3) a field has a channel axis when it has
+    # a fourth axis; a scalar (1, m, w) stack is not a one-row channel field
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((n, m, w) + channels) * 2.0
+    mag = magnitude(stack, 3)
+    proj = project_ball(stack, r, 3)
+    assert mag.shape == (n, m, w) and proj.shape == stack.shape
+    for i in range(n):
+        assert mag[i].tobytes() == magnitude(stack[i]).tobytes()
+        assert proj[i].tobytes() == project_ball(stack[i], r).tobytes()
+
+
+def test_pointwise_maps_reject_other_ranks():
+    for bad, ndim in ((np.zeros(3), 2), (np.zeros((2, 2, 2, 2)), 2),
+                      (np.zeros((2, 2)), 3)):
+        for call in (lambda: magnitude(bad, ndim), lambda: project_ball(bad, 1.0, ndim)):
+            try:
+                call()
+            except ValueError as exc:
+                assert str(bad.shape) in str(exc)
+            else:
+                raise AssertionError(f"shape {bad.shape} accepted at ndim {ndim}")
 
 
 def test_psnr_uniform_difference():

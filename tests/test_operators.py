@@ -6,6 +6,7 @@ from ddimaging.fields import inner
 from ddimaging.models import ChanVese, HessianL1, TVL1Deblur, stencil_of
 from ddimaging.operators import (
     BlurKernel,
+    adjoint_blur,
     adjoint_dxm,
     adjoint_dxp,
     adjoint_dym,
@@ -239,6 +240,26 @@ def test_blur_wider_than_the_image():
     l = 10**6
     out = blur(u, BlurKernel(l))
     assert np.allclose(out, u.sum() / (2 * l + 1) ** 2, rtol=1e-12, atol=0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(n=st.integers(1, 4), m=st.integers(1, 9), w=st.integers(1, 9),
+       l=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_operators_map_a_stack_image_by_image(n, m, w, l, seed):
+    # a leading axis passes through every operator: op(stack)[k] is
+    # op(stack[k]) bit for bit, n = 1 included
+    rng = np.random.default_rng(seed)
+    k = BlurKernel(l)
+    for op, args, channels in ((grad_plus, (), ()), (grad_minus, (), ()),
+                               (hessian, (), ()), (adjoint_grad_plus, (), (2,)),
+                               (adjoint_grad_minus, (), (2,)),
+                               (adjoint_hessian, (), (4,)), (blur, (k,), ()),
+                               (adjoint_blur, (k,), ())):
+        stack = rng.standard_normal((n, m, w) + channels)
+        out = op(stack, *args)
+        assert out.shape[0] == n, op.__name__
+        for i in range(n):
+            assert out[i].tobytes() == op(stack[i], *args).tobytes(), op.__name__
 
 
 # ---------------------------------------------------------------------------

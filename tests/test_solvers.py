@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ddimaging import models, solvers
-from ddimaging.decomposition import OverlapLayout, Stencil
+from ddimaging.decomposition import OverlapLayout, Stencil, restrict_global, stack_sum
 from ddimaging.fields import magnitude, norm2, project_ball
 from ddimaging.models import (
     Block,
@@ -621,6 +621,69 @@ def test_iterates_stay_on_their_patches():
             u, lam = layout.view(alm.u, s), layout.view(alm.lam, s)
             assert not u[~patch].any() and not lam[~patch].any(), (type(model), s)
             assert u[patch].any(), (type(model), s)
+
+
+def _window_step(alm):
+    """One outer step of alm with a local solve per window: the loop that
+    the chunked DecoupledAlm.step replaced, kept as its reference."""
+    lay, eta, model = alm.layout, alm.eta, alm.model
+    iters, gaps = [], []
+    for s, win in enumerate(lay.windows):
+        core = lay.core[s]
+        u_s = lay.view(alm.u, s)
+        uhat = alm.avg[win] * lay.tilde[s] - lay.view(alm.lam, s) / eta
+        local = Local(core=core.astype(np.float64), uhat=uhat, eta=eta)
+        duals = [np.where(core[..., None] if y.ndim == 3 else core, y[win], 0.0)
+                 for y in alm.duals]
+        u, duals, it, gap = local_solve(replace(model, f=model.f[win]), local,
+                                        u_s, duals, alm.inner)
+        u_s[...] = u
+        for y, d in zip(alm.duals, duals):
+            y[win][core] = d[core]
+        iters.append(it)
+        gaps.append(gap)
+    avg_new = stack_sum(alm.u, lay) / lay.counts
+    alm.lam += eta * (alm.u - restrict_global(avg_new, lay))
+    alm.avg = avg_new
+    return iters, gaps
+
+
+def _alm_state(alm):
+    return [a.tobytes() for a in [alm.u, alm.lam, alm.avg] + alm.duals]
+
+
+def test_chunked_step_equals_the_window_loop(monkeypatch):
+    # uneven tiles, a one-pixel-high tile row (9 rows over 5) and a grid no
+    # larger than one window (3x3 over 2x2), so boxes grow and shift inward
+    # to their chunk's shape; at the default chunk size and at one that
+    # splits the windows into several chunks; gap mode solves one window per
+    # chunk
+    f = np.random.default_rng(39).random((20, 18))
+    default = solvers._CHUNK_PX
+    grids = (((20, 18), 3, 2), ((7, 5), 3, 2), ((9, 10), 5, 2), ((3, 3), 2, 2))
+    for shape, p, q in grids:
+        g = f[:shape[0], :shape[1]]
+        for model in (ChanVese(f=g, alpha=10.0, c1=0.6, c2=0.1),
+                      TVL1Deblur(f=g - 0.3, alpha=10.0, kernel=BlurKernel(2)),
+                      HessianL1(f=g - 0.3, alpha=1.0),
+                      _BackwardTVDenoise(f=g, alpha=1.5)):
+            eta = model.defaults.eta
+            layout = OverlapLayout.from_grid(shape, p, q, stencil_of(model))
+            areas = sum(t.size for t in layout.tilde)
+            inners = [default_inner(model, eta, iters=7)]
+            if shape == (7, 5):
+                inners.append(default_inner(model, eta, gap_tol=1e-5))
+            for limit in (default, areas // 2):
+                monkeypatch.setattr(solvers, "_CHUNK_PX", limit)
+                for prm in inners:
+                    for workers in (1, 2, 4):
+                        alm = DecoupledAlm(model, layout, eta, prm, workers=workers)
+                        ref = DecoupledAlm(model, layout, eta, prm)
+                        for _ in range(4 if prm.gap_tol is None else 2):
+                            info = alm.step()
+                            assert (info.inner_iters, info.gaps) == _window_step(ref)
+                            assert _alm_state(alm) == _alm_state(ref), (
+                                type(model).__name__, shape, limit, prm, workers)
 
 
 @dataclass(frozen=True, eq=False)
