@@ -27,14 +27,18 @@ def magnitude(x, ndim=2):
     """Pointwise magnitude of a field on an ndim-axis image or stack.
 
     Scalars (x.ndim == ndim) give |x|; multi-channel fields (one more axis)
-    give the root-sum-square over the trailing channel axis.  Returns an
-    array of the image's shape.
+    give the root-sum-square over the trailing channel axis, the squares
+    summed left to right into one array.  Returns an array of the image's
+    shape.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == ndim:
         return np.abs(x)
     if x.ndim == ndim + 1:
-        return np.sqrt(np.sum(x * x, axis=-1))
+        acc = x[..., 0] * x[..., 0]
+        for k in range(1, x.shape[-1]):
+            acc += x[..., k] * x[..., k]
+        return np.sqrt(acc, out=acc)
     raise ValueError(f"expected a {ndim}-D or {ndim + 1}-D field, got shape {x.shape}")
 
 
@@ -69,10 +73,9 @@ def project_ball(x, r, ndim=2):
     if not r > 0:
         raise ValueError(f"ball radius must be positive, got {r!r}")
     x = np.asarray(x, dtype=np.float64)
-    scale = np.maximum(1.0, magnitude(x, ndim) / r)
-    if x.ndim > ndim:
-        scale = scale[..., None]
-    return x / scale
+    scale = magnitude(x, ndim)
+    np.maximum(1.0, np.divide(scale, r, out=scale), out=scale)
+    return x / (scale[..., None] if x.ndim > ndim else scale)
 
 
 def psnr(u, ref):

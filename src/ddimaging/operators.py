@@ -2,10 +2,16 @@
 
 Forward differences use the homogeneous Neumann convention: the difference is
 zero at the last row/column.  Backward differences are zero at the first
-row/column.  Adjoints are built by scatter-adding the transposed stencil, so
-each adjoint is the exact matrix transpose of its forward operator including
-the boundary rows; the identity <K u, w> == <u, K* w> then holds to round-off
-with no boundary-case exceptions.
+row/column.  Adjoints scatter the transposed stencil, so each adjoint is the
+exact matrix transpose of its forward operator including the boundary rows;
+the identity <K u, w> == <u, K* w> then holds to round-off with no
+boundary-case exceptions.
+
+The gradients, the Hessian and their adjoints allocate their output once and
+write each channel's differences straight into its slot, with no stacked or
+zero-filled temporaries.  An adjoint's edge rows are 0.0 - p and 0.0 + p, and
+its interior (0.0 + p[i-1]) - p[i], which is exactly what adding the stencil
+into zeros gave, signed zeros included: no adjoint entry is ever -0.0.
 
 Vector fields stack (row-difference, column-difference) along the last axis.
 The composed second-order operator hessian() stacks its four channels in the
@@ -30,60 +36,74 @@ from .fields import check_count, norm2
 # ---------------------------------------------------------------------------
 
 
+_HEAD, _TAIL = slice(None, -1), slice(1, None)
+
+
+def _cut(a, axis, index):
+    """a indexed along its row (axis -2) or column (axis -1) pixel axis."""
+    return a[(..., index) if axis == -1 else (..., index, slice(None))]
+
+
+def _diff(u, axis, forward, out):
+    """Write u's forward or backward difference along axis into out.
+
+    u[i+1] - u[i] lands on i (forward) or on i+1 (backward); the last
+    (forward) or first (backward) row or column is zero.
+    """
+    np.subtract(_cut(u, axis, _TAIL), _cut(u, axis, _HEAD),
+                out=_cut(out, axis, _HEAD if forward else _TAIL))
+    _cut(out, axis, -1 if forward else 0)[...] = 0.0
+    return out
+
+
+def _adjoint_diff(p, axis, forward, out):
+    """Write the adjoint of _diff(., axis, forward) applied to p into out.
+
+    The two steps of scatter-adding the transposed stencil into zeros, the
+    first one writing instead of adding: with q the entries of p that the
+    difference writes, out[i+1] = 0.0 + q[i], then out[i] -= q[i].
+    """
+    q, head = _cut(p, axis, _HEAD if forward else _TAIL), _cut(out, axis, _HEAD)
+    _cut(out, axis, 0)[...] = 0.0
+    np.add(0.0, q, out=_cut(out, axis, _TAIL))
+    np.subtract(head, q, out=head)
+    return out
+
+
 def dxp(u):
     """Forward row difference, zero at the last row."""
-    out = np.zeros_like(u, dtype=np.float64)
-    out[..., :-1, :] = u[..., 1:, :] - u[..., :-1, :]
-    return out
+    return _diff(u, -2, True, np.empty_like(u, dtype=np.float64))
 
 
 def dxm(u):
     """Backward row difference, zero at the first row."""
-    out = np.zeros_like(u, dtype=np.float64)
-    out[..., 1:, :] = u[..., 1:, :] - u[..., :-1, :]
-    return out
+    return _diff(u, -2, False, np.empty_like(u, dtype=np.float64))
 
 
 def dyp(u):
     """Forward column difference, zero at the last column."""
-    out = np.zeros_like(u, dtype=np.float64)
-    out[..., :-1] = u[..., 1:] - u[..., :-1]
-    return out
+    return _diff(u, -1, True, np.empty_like(u, dtype=np.float64))
 
 
 def dym(u):
     """Backward column difference, zero at the first column."""
-    out = np.zeros_like(u, dtype=np.float64)
-    out[..., 1:] = u[..., 1:] - u[..., :-1]
-    return out
+    return _diff(u, -1, False, np.empty_like(u, dtype=np.float64))
 
 
 def adjoint_dxp(p):
-    out = np.zeros_like(p, dtype=np.float64)
-    out[..., 1:, :] += p[..., :-1, :]
-    out[..., :-1, :] -= p[..., :-1, :]
-    return out
+    return _adjoint_diff(p, -2, True, np.empty_like(p, dtype=np.float64))
 
 
 def adjoint_dxm(p):
-    out = np.zeros_like(p, dtype=np.float64)
-    out[..., 1:, :] += p[..., 1:, :]
-    out[..., :-1, :] -= p[..., 1:, :]
-    return out
+    return _adjoint_diff(p, -2, False, np.empty_like(p, dtype=np.float64))
 
 
 def adjoint_dyp(p):
-    out = np.zeros_like(p, dtype=np.float64)
-    out[..., 1:] += p[..., :-1]
-    out[..., :-1] -= p[..., :-1]
-    return out
+    return _adjoint_diff(p, -1, True, np.empty_like(p, dtype=np.float64))
 
 
 def adjoint_dym(p):
-    out = np.zeros_like(p, dtype=np.float64)
-    out[..., 1:] += p[..., 1:]
-    out[..., :-1] -= p[..., 1:]
-    return out
+    return _adjoint_diff(p, -1, False, np.empty_like(p, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -91,24 +111,40 @@ def adjoint_dym(p):
 # ---------------------------------------------------------------------------
 
 
+def _adjoint_sum(p, q, forward, out, scratch):
+    """Write the row difference's adjoint of p plus the column one's of q
+    into out, overwriting scratch."""
+    _adjoint_diff(p, -2, forward, out)
+    return np.add(out, _adjoint_diff(q, -1, forward, scratch), out=out)
+
+
+def _gradient(u, forward):
+    out = np.empty(u.shape + (2,))
+    _diff(u, -2, forward, out[..., 0])
+    _diff(u, -1, forward, out[..., 1])
+    return out
+
+
 def grad_plus(u):
     """Forward gradient: (..., M, N) -> (..., M, N, 2)."""
-    return np.stack((dxp(u), dyp(u)), axis=-1)
+    return _gradient(u, True)
 
 
 def grad_minus(u):
     """Backward gradient: (..., M, N) -> (..., M, N, 2)."""
-    return np.stack((dxm(u), dym(u)), axis=-1)
+    return _gradient(u, False)
 
 
 def adjoint_grad_plus(p):
     """Adjoint of grad_plus: (..., M, N, 2) -> (..., M, N)."""
-    return adjoint_dxp(p[..., 0]) + adjoint_dyp(p[..., 1])
+    shape = p.shape[:-1]
+    return _adjoint_sum(p[..., 0], p[..., 1], True, np.empty(shape), np.empty(shape))
 
 
 def adjoint_grad_minus(p):
     """Adjoint of grad_minus: (..., M, N, 2) -> (..., M, N)."""
-    return adjoint_dxm(p[..., 0]) + adjoint_dym(p[..., 1])
+    shape = p.shape[:-1]
+    return _adjoint_sum(p[..., 0], p[..., 1], False, np.empty(shape), np.empty(shape))
 
 
 def hessian(u):
@@ -117,16 +153,21 @@ def hessian(u):
     Channel order (xx, xy, yx, yy): the backward x/y differences of the
     forward x derivative, then of the forward y derivative.
     """
-    wx = dxp(u)
-    wy = dyp(u)
-    return np.stack((dxm(wx), dym(wx), dxm(wy), dym(wy)), axis=-1)
+    w = np.empty((2,) + u.shape)
+    wx, wy = _diff(u, -2, True, w[0]), _diff(u, -1, True, w[1])
+    out = np.empty(u.shape + (4,))
+    for k, (v, axis) in enumerate(((wx, -2), (wx, -1), (wy, -2), (wy, -1))):
+        _diff(v, axis, False, out[..., k])
+    return out
 
 
 def adjoint_hessian(t):
     """Adjoint of hessian: (..., M, N, 4) -> (..., M, N)."""
-    wx = adjoint_dxm(t[..., 0]) + adjoint_dym(t[..., 1])
-    wy = adjoint_dxm(t[..., 2]) + adjoint_dym(t[..., 3])
-    return adjoint_dxp(wx) + adjoint_dyp(wy)
+    shape = t.shape[:-1]
+    w = np.empty((3,) + shape)
+    wx = _adjoint_sum(t[..., 0], t[..., 1], False, w[0], w[2])
+    wy = _adjoint_sum(t[..., 2], t[..., 3], False, w[1], w[2])
+    return _adjoint_sum(wx, wy, True, np.empty(shape), w[2])
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,15 @@ def blob_scene(m=32, n=32):
     return u
 
 
+def signed_zeros(rng, shape, zeros):
+    """Random entries over magnitudes 1e-8 to 1e8, about a share `zeros` of
+    them +0.0 or -0.0, so that neighbours hold every pair of signed zeros."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    at = rng.random(shape) < zeros
+    x[at] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[at]
+    return x
+
+
 def on_grid(layout, s, a):
     """Window array a of subdomain s placed on an all-zero (M, N) grid.
 

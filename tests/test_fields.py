@@ -1,7 +1,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ddimaging.fields import (
     inner,
@@ -10,6 +10,8 @@ from ddimaging.fields import (
     project_ball,
     psnr,
 )
+
+from conftest import signed_zeros
 
 
 def test_magnitude_scalar_field():
@@ -104,6 +106,26 @@ def test_pointwise_maps_take_a_stack_image_by_image(n, m, w, channels, r, seed):
     for i in range(n):
         assert mag[i].tobytes() == magnitude(stack[i]).tobytes()
         assert proj[i].tobytes() == project_ball(stack[i], r).tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(lead=st.sampled_from([(), (1,), (3,)]), m=st.integers(1, 7),
+       n=st.integers(1, 7), channels=st.sampled_from([1, 2, 4]),
+       zeros=st.sampled_from([0.0, 0.3, 1.0]), r=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2**32 - 1))
+@example(lead=(), m=128, n=128, channels=4, zeros=0.1, r=1.0, seed=0)
+@example(lead=(13,), m=33, n=33, channels=2, zeros=0.1, r=1.0, seed=1)
+def test_pointwise_maps_match_the_channel_reduction_byte_for_byte(
+        lead, m, n, channels, zeros, r, seed):
+    # the channel sum runs left to right, as numpy's reduction over a short
+    # last axis does: the same bytes as np.sum(x * x, axis=-1)
+    rng = np.random.default_rng(seed)
+    x = signed_zeros(rng, lead + (m, n, channels), zeros)
+    ndim = len(lead) + 2
+    mag = np.sqrt(np.sum(x * x, axis=-1))
+    assert magnitude(x, ndim).tobytes() == mag.tobytes()
+    want = x / np.maximum(1.0, mag / r)[..., None]
+    assert project_ball(x, r, ndim).tobytes() == want.tobytes()
 
 
 def test_pointwise_maps_reject_other_ranks():
