@@ -21,6 +21,7 @@ import sys
 from functools import partial
 
 from .decomposition import OverlapLayout
+from .fields import check_positive
 from .models import (
     ChanVese,
     HessianL1,
@@ -32,7 +33,7 @@ from .models import (
 )
 from .operators import BlurKernel, blur
 from .pgmio import load_pgm, save_pgm
-from .solvers import (MetricsRow, NonFiniteEnergyError, check_tol, default_inner,
+from .solvers import (MetricsRow, NonFiniteEnergyError, default_inner,
                       reference_energy, solve_dd, solve_single)
 
 MODELS = {"ccv": ChanVese, "tvl1": TVL1Deblur, "hessl1": HessianL1}
@@ -51,11 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value, spec=".17g"):
-    if value is None:
-        return ""
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return format(value, spec)
+    return "" if value is None else format(value, spec)
 
 
 def write_metrics(rows, path):
@@ -142,7 +139,7 @@ def cmd_solve(args):
     model = _build_model(args, f)
     p, q = _parse_subdomains(args.subdomains)
     tol = args.tol if args.tol is not None else model.defaults.tol
-    check_tol(tol)
+    check_positive("tol", tol)
     e_star = args.reference_energy
     if e_star is not None and not math.isfinite(e_star):
         raise ValueError(f"--reference-energy must be finite, got {e_star!r}")

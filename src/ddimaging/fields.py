@@ -1,4 +1,4 @@
-"""Pixel fields, norms, pointwise projections, and the count check.
+"""Pixel fields, norms, pointwise projections, and the argument checks.
 
 An image on an M x N pixel grid is a float64 array of shape (M, N), indexed
 u[i, j] with i the row and j the column.  Vector fields (two channels) and
@@ -21,6 +21,12 @@ def check_count(name, value):
     if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
             or value < 1):
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def check_positive(name, value):
+    """Raise unless value, the argument `name`, is finite and positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def magnitude(x, ndim=2):

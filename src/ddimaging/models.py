@@ -169,24 +169,23 @@ def _check_params(model, **values):
         raise ValueError(f"alpha must be positive, got {model.alpha!r}")
 
 
-def objective_terms(model, u, ns=None, core=None):
+def objective_terms(model, u, core=None):
     """The weighted terms of the objective at u as (weight, density) pairs.
 
     The linear term comes first, then the blocks in declaration order; the
     density of the linear term is u*c, that of a block |K u - f| pointwise.
     With core given these are the terms of one subdomain: every density is
     masked to the core tile.  u may also be a stack of windows, with the
-    model's data and core stacked alike.  ns is the namespace the operators
-    are resolved in, this module's by default.
+    model's data and core stacked alike.  The operators resolve in this
+    module.
     """
     sd = model.saddle
-    ns = globals() if ns is None else ns
     out = []
     if sd.linear is not None:
         weight, c = sd.linear
         out.append((weight, u * c if core is None else u * c * core))
     for blk in sd.blocks:
-        r = blk.forward(u, ns)
+        r = blk.forward(u, globals())
         if blk.shift is not None:
             r = r - blk.shift
         if core is not None:

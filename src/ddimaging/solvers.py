@@ -59,10 +59,10 @@ from typing import Optional
 import numpy as np
 
 from .decomposition import consensus_norm_sq, essential_domain, restrict_global, stack_sum
-from .fields import check_count, inner, norm2, project_ball, psnr
+from .fields import check_count, check_positive, inner, norm2, project_ball, psnr
 from .models import energy, objective_terms, stencil_of, weighted_sum
-# the blocks name their operators; primal_dual() and duality_gap() look the
-# names up in this module at call time
+# the blocks name their operators; primal_dual() and duality_gap()'s K* look
+# the names up in this module at call time (K u in the gap resolves in models)
 from .operators import (  # noqa: F401
     adjoint_grad_plus,
     adjoint_hessian,
@@ -76,20 +76,10 @@ _BOUND_TOL = 1.0 + 1e-9
 # a local solve stops after GAP_MAX_ITERS iterations whatever the gap
 GAP_CHECK = 25
 GAP_MAX_ITERS = 500_000
-# an outer step runs its local solves as the fewest equal runs of
-# consecutive subdomains whose stacked boxes hold at most this many pixels;
+# an outer step runs its local solves as equal runs of consecutive
+# subdomains whose stacked boxes hold at most this many pixels (see _runs);
 # a worker's working set grows with it (about 1 MB per chunk at this size)
 _CHUNK_PX = 8_192
-
-
-def _check_eta(eta):
-    if not (math.isfinite(eta) and eta > 0):
-        raise ValueError(f"eta must be finite and positive, got {eta!r}")
-
-
-def check_tol(tol):
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -109,10 +99,8 @@ class InnerParams:
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma!r}")
         check_count("iters", self.iters)
-        if self.gap_tol is not None and not (math.isfinite(self.gap_tol)
-                                             and self.gap_tol > 0):
-            raise ValueError(
-                f"gap_tol must be finite and positive, got {self.gap_tol!r}")
+        if self.gap_tol is not None:
+            check_positive("gap_tol", self.gap_tol)
 
 
 def default_inner(model, eta, **overrides):
@@ -120,7 +108,7 @@ def default_inner(model, eta, **overrides):
 
     gamma = eta/8 accelerates within the local strong convexity.
     """
-    _check_eta(eta)
+    check_positive("eta", eta)
     base = dict(gamma=0.125 * eta, iters=model.defaults.inner_iters)
     base.update(overrides)
     return InnerParams(**base)
@@ -249,7 +237,7 @@ def duality_gap(model, local, u, duals):
     v = _transpose_sum(model, duals)
     if sd.linear is not None:
         v = v + sd.linear[0] * sd.linear[1] * local.core
-    prim = (weighted_sum(objective_terms(model, u, globals(), local.core))
+    prim = (weighted_sum(objective_terms(model, u, local.core))
             + 0.5 * eta * norm2(u - uhat) ** 2)
     w = uhat - v / eta
     if sd.box:
@@ -264,7 +252,8 @@ def duality_gap(model, local, u, duals):
 def local_solve(model, local, u, duals, prm):
     """Solve one local problem from a warm start with InnerParams prm.
 
-    Returns (u, duals, iterations, last duality gap or None).
+    Returns (u, duals, iterations, last duality gap or None).  Raises
+    NonFiniteEnergyError at the first duality gap that is not finite.
     """
     gap = None
     limit = prm.iters if prm.gap_tol is None else GAP_MAX_ITERS
@@ -273,6 +262,7 @@ def local_solve(model, local, u, duals, prm):
     for it, (u, duals) in enumerate(islice(steps, limit), 1):
         if prm.gap_tol is not None and it % GAP_CHECK == 0:
             gap = duality_gap(model, local, u, duals)
+            _check_finite("local duality gap", gap, "inner iteration", it)
             if gap <= prm.gap_tol:
                 break
     return u, duals, it, gap
@@ -320,7 +310,7 @@ class DecoupledAlm:
                 f"layout stencil {layout.stencil} does not match the model's "
                 f"{stencil_of(model)}")
         _check_footprint(model)
-        _check_eta(eta)
+        check_positive("eta", eta)
         if inner_prm.gamma > eta * _BOUND_TOL:
             raise ValueError("gamma must not exceed eta")
         check_count("workers", workers)
@@ -384,19 +374,16 @@ class DecoupledAlm:
 
 
 def _runs(layout, limit):
-    """The fewest equal runs of consecutive subdomains that each fit `limit`.
+    """Runs of consecutive subdomains whose stacked boxes fit `limit` pixels.
 
-    A run fits when its length times its box, the largest window height by
-    the largest window width in it, is at most `limit` pixels; a run of one
-    subdomain always fits.  Runs differ in length by at most one, the
-    longer first.
+    A run holds per = max(1, limit // (H * W)) subdomains at most, H by W
+    the layout's largest window height and width, which bound every run's
+    box; the S subdomains split into ceil(S / per) runs, whose lengths
+    differ by at most one, the longer first.
     """
-    for count in range(1, layout.count + 1):
-        runs = [range(r[0], r[-1] + 1)
-                for r in np.array_split(np.arange(layout.count), count)]
-        if all(len(r) == 1 or len(r) * math.prod(_box(layout, r)) <= limit
-               for r in runs):
-            return runs
+    per = max(1, limit // math.prod(_box(layout, range(layout.count))))
+    return [range(r[0], r[-1] + 1) for r in
+            np.array_split(np.arange(layout.count), math.ceil(layout.count / per))]
 
 
 def _box(layout, subdomains):
@@ -445,10 +432,12 @@ def _check_footprint(model):
     grid one pixel wider on every side than the stencil's reach; K* of a
     dual on a tile must land inside the tile's enlargement (see Local), so
     any nonzero outside the centre's enlargement means the declared stencil
-    is too small and the local problems would not be the model's.
+    is too small and the local problems would not be the model's.  The
+    probe stops at the image's larger side, past which a stencil covers
+    every pixel whatever the operator's width.
     """
     stencil = stencil_of(model)
-    c = stencil.reach + 1
+    c = min(stencil.reach, max(model.f.shape)) + 1
     centre = np.zeros((2 * c + 1, 2 * c + 1), dtype=bool)
     centre[c, c] = True
     outside = ~essential_domain(centre, stencil)
@@ -487,7 +476,7 @@ class StopRule:
     """
 
     def __init__(self, model, tol):
-        check_tol(tol)
+        check_positive("tol", tol)
         self.tol = tol
         scales = abs(energy(model, model.f)), norm2(model.f)
         self.e_scale, self.u_scale = (1.0 if x < 1e-12 else x for x in scales)
@@ -508,17 +497,18 @@ class StopRule:
 
 
 class NonFiniteEnergyError(ArithmeticError):
-    """A solve's energy became inf or NaN; the message names the step.
+    """A solve's energy or local duality gap became inf or NaN.
 
-    Overflow or NaN in the iterates, or an energy too large for a float,
-    leaves neither the image nor the stop rule meaningful, so cp_full and
-    solve_dd raise this instead of running on to their budget.
+    The message names the step.  Overflow or NaN in the iterates, or an
+    energy too large for a float, leaves neither the image nor the stop
+    rules meaningful, so cp_full, solve_dd and a gap-mode local_solve raise
+    this instead of running on to their budget.
     """
 
 
-def _check_energy(e, step, n):
-    if not math.isfinite(e):
-        raise NonFiniteEnergyError(f"the energy at {step} {n} is {e!r}, not finite")
+def _check_finite(what, value, step, n):
+    if not math.isfinite(value):
+        raise NonFiniteEnergyError(f"the {what} at {step} {n} is {value!r}, not finite")
 
 
 @dataclass
@@ -551,7 +541,7 @@ def cp_full(model, iters, tol=None, on_iter=None):
     n = 0
     for n, (u, _) in enumerate(islice(steps, iters), 1):
         e = energy(model, u)
-        _check_energy(e, "iteration", n)
+        _check_finite("energy", e, "iteration", n)
         energies.append(e)
         if on_iter is not None:
             on_iter(n, u, e)
@@ -643,7 +633,7 @@ def solve_dd(model, layout, eta, inner_prm, tol, max_outer, workers=1,
     for n in range(1, max_outer + 1):
         info = alm.step()
         e = energy(model, alm.avg)
-        _check_energy(e, "outer step", n)
+        _check_finite("energy", e, "outer step", n)
         mult_ortho = max(mult_ortho, alm.multiplier_consensus_norm()
                          / max(1.0, norm2(alm.lam)))
         rows.add(n, alm.avg, e, info.residual, info.d_n)

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import math
 import sys
+import time
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -682,6 +684,31 @@ def _window_step(alm):
     return iters, gaps
 
 
+def test_chunk_runs_fit_their_limit():
+    lim = solvers._CHUNK_PX
+    for side, p, stencil in itertools.product(
+            (16, 40, 128, 256), (2, 3, 4, 8),
+            (Stencil("forward1"), Stencil("backfwd"), Stencil("band", 1),
+             Stencil("band", 4))):
+        layout = OverlapLayout.from_grid((side, side), p, p, stencil)
+        for limit in (0, 1, 100, 1_000, 4_000, lim, 3 * lim):
+            runs = solvers._runs(layout, limit)
+            assert [s for r in runs for s in r] == list(range(layout.count))
+            sizes = [len(r) for r in runs]
+            assert sizes == sorted(sizes, reverse=True)
+            assert sizes[0] - sizes[-1] <= 1
+            for r in runs:
+                assert len(r) == 1 or len(r) * math.prod(solvers._box(layout, r)) <= limit
+            if limit == 0:
+                assert sizes == [1] * layout.count
+    # the benchmark's layouts: CCV at 256^2 over 8x8 and TV-L1 at 128^2 over
+    # 4x4 with a halfwidth-4 blur
+    for side, p, stencil, count in ((256, 8, Stencil("forward1"), 10),
+                                    (128, 4, Stencil("band", 4), 4)):
+        layout = OverlapLayout.from_grid((side, side), p, p, stencil)
+        assert len(solvers._runs(layout, lim)) == count
+
+
 def _alm_state(alm):
     return [a.tobytes() for a in [alm.u, alm.lam, alm.avg] + alm.duals]
 
@@ -743,6 +770,31 @@ def test_alm_rejects_stencil_that_misses_the_footprint():
     # band(1) does cover a 3x3 kernel
     fits = _NarrowStencilDeblur(f=f, alpha=10.0, kernel=BlurKernel(1))
     DecoupledAlm(fits, layout, 10.0, default_inner(fits, 10.0))
+
+
+def test_footprint_probe_is_capped_at_the_image():
+    # a stencil reaching past the image's larger side covers every pixel, so
+    # the probe stops at the image: a kernel wider than the image builds and
+    # steps as fast as one as wide as it, and band(20) on 16x16 admits a
+    # 201-wide blur
+    f = np.random.default_rng(40).random((16, 16))
+    start = time.perf_counter()
+    wide = TVL1Deblur(f=f, alpha=10.0, kernel=BlurKernel(10**6))
+    layout = OverlapLayout.from_grid(f.shape, 2, 2, stencil_of(wide))
+    alm = DecoupledAlm(wide, layout, 10.0, default_inner(wide, 10.0))
+    alm.step()
+    assert time.perf_counter() - start < 1.0
+    assert np.isfinite(alm.avg).all()
+
+    @dataclass(frozen=True, eq=False)
+    class Band20Deblur(TVL1Deblur):
+        @cached_property
+        def saddle(self):
+            return replace(super().saddle, stencil=Stencil("band", 20))
+
+    covers = Band20Deblur(f=f, alpha=10.0, kernel=BlurKernel(100))
+    layout = OverlapLayout.from_grid(f.shape, 2, 2, stencil_of(covers))
+    DecoupledAlm(covers, layout, 10.0, default_inner(covers, 10.0))
 
 
 def test_step_metric_matches_lyapunov_helper():
@@ -862,6 +914,12 @@ def test_non_finite_energy_stops_the_solve():
                 with pytest.raises(NonFiniteEnergyError, match="at outer step 1 is"):
                     solve_dd(model, layout, eta, default_inner(model, eta), 1e-3,
                              5, workers=workers)
+                # gap mode stops at the first gap check, not at GAP_MAX_ITERS
+                with pytest.raises(NonFiniteEnergyError,
+                                   match="local duality gap at inner iteration 25 is"):
+                    solve_dd(model, layout, eta,
+                             default_inner(model, eta, gap_tol=1e-5), 1e-3, 5,
+                             workers=workers)
             with pytest.raises(NonFiniteEnergyError, match="at iteration 1 is"):
                 cp_full(model, 5)
 
