@@ -9,17 +9,16 @@ model integrand on the tile; the enlargement rule is a Stencil, one of
 * backfwd:  the reads of second differences (backward of forward) at the
   tile, a plus shape with the two anti-diagonal corners in the interior.
 
-Subdomain s lives on its window, the bounding box of its enlarged mask, and
-so do its tile and enlarged masks.  A packed field is a 1-D float64 vector
-holding one copy of each window, back to back in ascending subdomain order;
-OverlapLayout.view(x, s) is window s as a 2-D view, and entries outside the
-enlarged mask are identically zero.  The consensus projection replaces every
-copy of a shared pixel by the mean over the subdomains whose enlarged mask
-contains it, which is the orthogonal projection onto the subspace of copies
-that agree on overlaps: restrict_global(stack_sum(x, layout) / layout.counts,
-layout).  Per-pixel sums always run over ascending subdomain index in a
-single pass, so results are reproducible bit for bit regardless of how local
-work is scheduled.
+Every subdomain lives on a window of one shape (H, W) for the whole layout,
+and so do its tile and enlarged masks.  A packed field is an (S, H, W)
+float64 array whose x[s] is subdomain s's copy on its window, and entries
+outside the enlarged mask are identically zero.  The consensus projection
+replaces every copy of a shared pixel by the mean over the subdomains whose
+enlarged mask contains it, which is the orthogonal projection onto the
+subspace of copies that agree on overlaps: restrict_global(stack_sum(x,
+layout) / layout.counts, layout).  Per-pixel sums always run over ascending
+subdomain index in a single pass, so results are reproducible bit for bit
+regardless of how local work is scheduled.
 """
 
 import numbers
@@ -153,16 +152,32 @@ def partition_rect(shape, p, q):
 class OverlapLayout:
     """Masks, windows and counts for one overlapping decomposition.
 
+    Every window has the shape (H, W) of the largest bounding box of an
+    enlarged mask.  Window s is the bounding box of subdomain s's enlarged
+    mask grown or shifted inward to that shape inside the grid: it starts
+    at row min(top, M - H) and column min(left, N - W), with (top, left)
+    the bounding box's corner.  A local problem posed on its window equals the
+    whole-grid problem bit for bit (see solvers.Local).  On the core, K u
+    reads only patch pixels, which lie in the bounding box, and the
+    operators see the image border exactly where the whole grid does: the
+    window lies inside the grid and meets its border wherever the bounding
+    box does, a bounding box's last row or column is a core row or column
+    only when it is also the image's, and elsewhere the window's border rows
+    carry no core pixel, so the core mask removes what the window's Neumann
+    edge changes there.  Off the patch, uhat and the duals hold zeros, so
+    the iterate stays exactly +0.0 there, and the window's extra cells add
+    exact zeros to every sum, the blur's too.  The duals vanish off the
+    core, and their adjoints land inside the patch, so the window adds up
+    the same nonzero terms in the same order.  A hand-made tiling of very
+    unequal tiles pays S*H*W values per packed field.
+
     Attributes
     ----------
     shape : (M, N)
     tiles : list of half-open boxes, row-major
-    windows : list of (row slice, column slice)
-        The bounding box of each enlarged mask.
-    core, tilde : list of bool arrays, each of its window's shape
+    windows : list of S (row slice, column slice), each H by W
+    core, tilde : (S, H, W) bool
         Tile masks and their stencil enlargements, on their windows.
-    offsets : list of S + 1 ints
-        Where each window starts in a packed field; offsets[-1] is its size.
     counts : (M, N) float64
         How many enlarged masks contain each pixel (>= 1 everywhere).
     interface : (M, N) bool
@@ -172,8 +187,7 @@ class OverlapLayout:
     def __init__(self, shape, tiles, stencil):
         m, n = shape
         cover = np.zeros((m, n), dtype=np.intp)
-        self.counts = np.zeros((m, n))
-        self.core, self.tilde, self.windows, self.offsets = [], [], [], [0]
+        patches = []
         r = stencil.reach
         for s, (i0, i1, j0, j1) in enumerate(tiles):
             if not (0 <= i0 < i1 <= m and 0 <= j0 < j1 <= n):
@@ -187,16 +201,23 @@ class OverlapLayout:
                 raise RuntimeError("enlargement lost core pixels")
             i, j = np.nonzero(grown)
             trim = np.s_[i.min():i.max() + 1, j.min():j.max() + 1]
-            win = np.s_[a0 + i.min():a0 + i.max() + 1, b0 + j.min():b0 + j.max() + 1]
-            self.core.append(core[trim])
-            self.tilde.append(grown[trim])
-            self.counts[win] += self.tilde[-1]
-            self.windows.append(win)
-            self.offsets.append(self.offsets[-1] + self.tilde[-1].size)
+            patches.append((a0 + i.min(), b0 + j.min(), core[trim], grown[trim]))
         if cover.min() < 1:
             raise ValueError("tiles do not cover the grid")
         if cover.max() > 1:
             raise ValueError("tiles overlap")
+        h, w = map(max, zip(*(grown.shape for *_, grown in patches)))
+        self.core = np.zeros((len(patches), h, w), dtype=bool)
+        self.tilde = np.zeros_like(self.core)
+        self.counts = np.zeros((m, n))
+        self.windows = []
+        for s, (top, left, core, grown) in enumerate(patches):
+            i0, j0 = min(top, m - h), min(left, n - w)
+            self.windows.append(np.s_[i0:i0 + h, j0:j0 + w])
+            place = np.s_[top - i0:top - i0 + grown.shape[0],
+                          left - j0:left - j0 + grown.shape[1]]
+            self.core[s][place], self.tilde[s][place] = core, grown
+            self.counts[self.windows[s]] += self.tilde[s]
         self.shape = (m, n)
         self.stencil = stencil
         self.tiles = list(tiles)
@@ -210,23 +231,22 @@ class OverlapLayout:
     def count(self):
         return len(self.tiles)
 
-    def view(self, packed, s):
-        """Window s of a packed field, as a 2-D view."""
-        return packed[self.offsets[s]:self.offsets[s + 1]].reshape(self.tilde[s].shape)
+
+def cut(a, windows):
+    """The windows of a global array, stacked on a new leading axis."""
+    return np.stack([a[w] for w in windows])
 
 
 def restrict_global(u, layout):
     """Pack a global field into per-subdomain copies on the enlarged masks."""
-    u = np.asarray(u, dtype=np.float64)
-    return np.concatenate([(u[w] * t).ravel()
-                           for w, t in zip(layout.windows, layout.tilde)])
+    return cut(np.asarray(u, dtype=np.float64), layout.windows) * layout.tilde
 
 
 def stack_sum(packed, layout):
     """Ascending-index single-pass sum of the per-subdomain copies."""
     total = np.zeros(layout.shape, dtype=np.float64)
-    for s, w in enumerate(layout.windows):
-        total[w] += layout.view(packed, s)
+    for x, w in zip(packed, layout.windows):
+        total[w] += x
     return total
 
 

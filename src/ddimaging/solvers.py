@@ -9,14 +9,14 @@ consensus projection:
     lambda   <- lambda + eta * (utilde - P utilde)
 
 The local problems decouple completely, so the middle line runs many
-subdomains at once.  Runs of consecutive subdomains form chunks; each
-subdomain's window, the bounding box of its enlarged patch, grows or shifts
-inward to its chunk's box, the largest window shape in the chunk, and a
-chunk's local problems run as one stack of boxes.  The chunks run on a pool
-of `workers` threads.  The copies utilde and lambda are packed fields
-holding one window per subdomain.  Only the consensus averaging sees more
-than one subdomain's copy, and it always sums in ascending subdomain order,
-which makes runs with different worker counts identical bit for bit.
+subdomains at once.  The copies utilde and lambda are packed fields, (S, H,
+W) stacks of one window per subdomain, all of the layout's one shape (see
+decomposition.OverlapLayout).  A chunk is a slice of consecutive
+subdomains, and its local problems run as that slice of the stack; the
+chunks run on a pool of `workers` threads.  Only the consensus averaging
+sees more than one subdomain's copy, and it always sums in ascending
+subdomain order, which makes runs with different worker counts identical
+bit for bit.
 
 Every model declares its saddle-point structure (models.Saddle), and one
 routine, primal_dual(), solves both the local problems and the whole-image
@@ -30,7 +30,7 @@ with 0 <= gamma <= eta (Alg. 2), warm-started primal and dual variables, and
 steps reset to step_sizes(model) at every outer iteration.  The baseline is
 the case eta = 0, gamma = 0 (so theta = 1, Alg. 1) with no masks.
 
-A local problem is the model cut to the subdomain's box, with every
+A local problem is the model cut to the subdomain's window, with every
 block masked to its core tile, (K u - f) * core, plus the proximal term.
 Its iterate stays on the enlarged patch with no mask of its own, because
 the patch is the footprint of the operators on the tile: K* of a dual that
@@ -58,9 +58,9 @@ from typing import Optional
 
 import numpy as np
 
-from .decomposition import consensus_norm_sq, essential_domain, restrict_global, stack_sum
+from .decomposition import consensus_norm_sq, cut, essential_domain, restrict_global, stack_sum
 from .fields import check_count, check_positive, inner, norm2, project_ball, psnr
-from .models import energy, objective_terms, stencil_of, weighted_sum
+from .models import Saddle, energy, objective_terms, stencil_of, weighted_sum
 # the blocks name their operators; primal_dual() and duality_gap()'s K* look
 # the names up in this module at call time (K u in the gap resolves in models)
 from .operators import (  # noqa: F401
@@ -77,7 +77,7 @@ _BOUND_TOL = 1.0 + 1e-9
 GAP_CHECK = 25
 GAP_MAX_ITERS = 500_000
 # an outer step runs its local solves as equal runs of consecutive
-# subdomains whose stacked boxes hold at most this many pixels (see _runs);
+# subdomains whose stacked windows hold at most this many pixels (see _runs);
 # a worker's working set grows with it (about 1 MB per chunk at this size)
 _CHUNK_PX = 8_192
 
@@ -151,22 +151,11 @@ class Local:
     the linear term w*<u, c core>.  J_s reads u on the enlarged patch only,
     and uhat vanishes off the patch, so the iterate stays on the patch.
 
-    DecoupledAlm poses it on a box, the subdomain's window (the bounding
-    box of the patch) grown or shifted inward to its chunk's box shape, with
-    the chunk's other boxes stacked on a leading axis; the result equals the
-    whole-grid problem's bit for bit.  On the core, K u reads only patch
-    pixels, which lie in the window, and the operators see the image border
-    exactly where the whole grid does: the box lies inside the grid and meets
-    its border wherever the window does, a window's last row or column is a
-    core row or column only when it is also the image's, and elsewhere the
-    box's border rows carry no core pixel, so the core mask removes what the
-    box's Neumann edge changes there.  The box's extra rows and columns lie
-    off the patch, where uhat, the duals and therefore the iterate are
-    exactly zero, so they add exact zeros to every sum, the blur's too.  The
-    duals vanish off the core, and their adjoints land inside the patch, so
-    the box adds up the same nonzero terms in the same order.  Every step is
-    elementwise over the stack, so each box sees the arithmetic it would see
-    alone.
+    DecoupledAlm poses it on the subdomain's window, with the chunk's other
+    windows stacked on a leading axis; the result equals the whole-grid
+    problem's bit for bit (decomposition.OverlapLayout says why).  Every
+    step is elementwise over the stack, so each window sees the arithmetic
+    it would see alone.
     """
 
     core: np.ndarray
@@ -284,16 +273,18 @@ class StepInfo:
 class DecoupledAlm:
     """State and one-step driver of the decoupled augmented Lagrangian loop.
 
-    Holds the primal copies `u` and the multiplier `lam` as packed fields
-    (layout.view(alm.u, s) is subdomain s's window), one dual field per
-    block of the model (warm-started across outer steps), and the consensus
-    average `avg`, the global image.  A subdomain's duals vanish off its
-    tile and the tiles partition the image, so one field of the shape of
-    K u holds every subdomain's dual, each on its own tile.  The local
-    solves run in chunks (see _Chunk), each on a stack of boxes with the
-    model's data cut to them: the image-sized data of a model's local
-    problems are its blocks' shifts and its linear term's c.  Gap mode
-    solves one window per chunk, so each gap sums exactly its window.  The
+    Holds the primal copies `u` and the multiplier `lam` as packed fields,
+    (S, H, W) stacks whose alm.u[s] is subdomain s's window, one dual field
+    per block of the model (warm-started across outer steps), and the
+    consensus average `avg`, the global image.  A subdomain's duals vanish
+    off its tile and the tiles partition the image, so one field of the
+    shape of K u holds every subdomain's dual, each on its own tile; they
+    stay global because the local solves read and write them on the tiles
+    only.  The local solves run in chunks, slices of consecutive subdomains
+    (see _runs), each on its slice of the stacks with the model's data cut
+    to its windows: the image-sized data of a model's local problems are its
+    blocks' shifts and its linear term's c, cut to each window once.  Gap
+    mode solves one window per chunk, so each gap sums its own window.  The
     model's stencil must cover its operators' footprint, which the
     constructor checks.  All iterates start at zero, which makes the
     multiplier orthogonal to the consensus subspace and keeps it so by
@@ -319,35 +310,30 @@ class DecoupledAlm:
         self.eta = float(eta)
         self.inner = inner_prm
         self.workers = workers
-        self.u = np.zeros(layout.offsets[-1])
-        self.lam = np.zeros(layout.offsets[-1])
+        self.u = np.zeros(layout.tilde.shape)
+        self.lam = np.zeros(layout.tilde.shape)
         self.avg = np.zeros(layout.shape)
         self.duals = zero_duals(model)
         limit = 0 if inner_prm.gap_tol is not None else _CHUNK_PX
-        self.chunks = [_Chunk(model, layout, run) for run in _runs(layout, limit)]
+        self.chunks = [_Chunk(run, _cut_saddle(model.saddle, layout.windows[run]))
+                       for run in _runs(layout, limit)]
         self.n = 0
 
     def _solve_chunk(self, chunk):
-        lay = self.layout
-        u = np.zeros(chunk.core.shape)
-        uhat = np.zeros(chunk.core.shape)
-        for k, s in enumerate(chunk.subdomains):
-            u[k][chunk.places[k]] = lay.view(self.u, s)
-            uhat[k][chunk.places[k]] = (self.avg[lay.windows[s]] * lay.tilde[s]
-                                        - lay.view(self.lam, s) / self.eta)
-        core = chunk.core
+        lay, run = self.layout, chunk.run
+        core, windows = lay.core[run], lay.windows[run]
+        uhat = cut(self.avg, windows) * lay.tilde[run] - self.lam[run] / self.eta
         duals = [np.where(core[..., None] if y.ndim > self.avg.ndim else core,
-                          np.stack([y[b] for b in chunk.boxes]), 0.0)
+                          cut(y, windows), 0.0)
                  for y in self.duals]
         local = Local(core=core.astype(np.float64), uhat=uhat, eta=self.eta)
-        u, duals, it, gap = local_solve(chunk, local, u, duals, self.inner)
-        # every worker writes its own windows and tiles only
-        for k, s in enumerate(chunk.subdomains):
-            lay.view(self.u, s)[...] = u[k][chunk.places[k]]
-            for y, d in zip(self.duals, duals):
-                y[chunk.boxes[k]][core[k]] = d[k][core[k]]
-        n = len(chunk.subdomains)
-        return [it] * n, [gap] * n
+        u, duals, it, gap = local_solve(chunk, local, self.u[run], duals, self.inner)
+        # every worker writes its own copies and tiles only
+        self.u[run] = u
+        for y, d in zip(self.duals, duals):
+            for w, c, d_s in zip(windows, core, d):
+                y[w][c] = d_s[c]
+        return [it] * len(core), [gap] * len(core)
 
     def step(self):
         """One outer iteration; returns its consensus residual and metrics."""
@@ -374,55 +360,37 @@ class DecoupledAlm:
 
 
 def _runs(layout, limit):
-    """Runs of consecutive subdomains whose stacked boxes fit `limit` pixels.
+    """Slices of consecutive subdomains whose stacked windows fit `limit` pixels.
 
     A run holds per = max(1, limit // (H * W)) subdomains at most, H by W
-    the layout's largest window height and width, which bound every run's
-    box; the S subdomains split into ceil(S / per) runs, whose lengths
-    differ by at most one, the longer first.
+    the layout's window shape; the S subdomains split into ceil(S / per)
+    runs, whose lengths differ by at most one, the longer first.
     """
-    per = max(1, limit // math.prod(_box(layout, range(layout.count))))
-    return [range(r[0], r[-1] + 1) for r in
+    per = max(1, limit // layout.tilde[0].size)
+    return [slice(int(r[0]), int(r[-1]) + 1) for r in
             np.array_split(np.arange(layout.count), math.ceil(layout.count / per))]
 
 
-def _box(layout, subdomains):
-    """The largest window height and the largest window width among them."""
-    return tuple(map(max, zip(*(layout.tilde[s].shape for s in subdomains))))
-
-
+@dataclass(frozen=True)
 class _Chunk:
     """Consecutive subdomains whose local problems run as one stack.
 
-    The box shape is _box of the chunk's subdomains.  boxes[k] is subdomain
-    subdomains[k]'s window grown or shifted inward to that shape, inside the
-    grid, and places[k] is where the window lies in its box; core is the
-    (n, h, w) stack of the tiles on the boxes.  Like a model, a chunk has a
-    `saddle`, all that the local solves read of one: the model's, with each
-    block's shift and the linear term's c cut to the boxes and stacked.
+    Like a model, a chunk has a `saddle`, all that the local solves read of
+    one: the model's, with each block's shift and the linear term's c cut
+    to the windows of the subdomains in `run`, a slice.
     """
 
-    def __init__(self, model, layout, subdomains):
-        h, w = _box(layout, subdomains)
-        m, n = layout.shape
-        self.subdomains = subdomains
-        self.boxes, self.places = [], []
-        self.core = np.zeros((len(subdomains), h, w), dtype=bool)
-        for k, s in enumerate(subdomains):
-            rows, cols = layout.windows[s]
-            i0, j0 = min(rows.start, m - h), min(cols.start, n - w)
-            self.boxes.append(np.s_[i0:i0 + h, j0:j0 + w])
-            self.places.append(np.s_[rows.start - i0:rows.stop - i0,
-                                     cols.start - j0:cols.stop - j0])
-            self.core[k][self.places[k]] = layout.core[s]
+    run: slice
+    saddle: Saddle
 
-        def cut(a):
-            return None if a is None else np.stack([a[b] for b in self.boxes])
 
-        sd = model.saddle
-        self.saddle = replace(
-            sd, blocks=tuple(replace(blk, shift=cut(blk.shift)) for blk in sd.blocks),
-            linear=None if sd.linear is None else (sd.linear[0], cut(sd.linear[1])))
+def _cut_saddle(sd, windows):
+    """The saddle with each block's shift and the linear term's c cut to
+    the windows and stacked."""
+    def data(a):
+        return None if a is None else cut(a, windows)
+    return replace(sd, blocks=tuple(replace(blk, shift=data(blk.shift)) for blk in sd.blocks),
+                   linear=None if sd.linear is None else (sd.linear[0], data(sd.linear[1])))
 
 
 def _check_footprint(model):

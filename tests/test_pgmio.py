@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,8 +149,9 @@ def _samples(shape, maxval, seed):
 @given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9)), maxval=_maxvals,
        binary=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_roundtrip_property(tmp_path_factory, shape, maxval, binary, seed):
-    # fields on the 1/maxval grid survive save/load exactly, in P2 and P5
-    path = tmp_path_factory.getbasetemp() / "roundtrip.pgm"
+    # fields on the 1/maxval grid survive save/load exactly, in P2 and P5;
+    # each example writes a new file, since rewriting one costs far more
+    path = tmp_path_factory.mktemp("roundtrip") / "a.pgm"
     u = _samples(shape, maxval, seed) / maxval
     save_pgm(u, path, maxval=maxval, binary=binary)
     assert path.read_bytes()[:2] == (b"P5" if binary else b"P2")
@@ -161,12 +164,15 @@ def test_roundtrip_property(tmp_path_factory, shape, maxval, binary, seed):
 @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)), maxval=_maxvals,
        seed=st.integers(0, 2**32 - 1))
 def test_every_truncated_p5_body_is_rejected(tmp_path_factory, shape, maxval, seed):
-    path = tmp_path_factory.getbasetemp() / "truncated.pgm"
+    # a new file per example, shrunk in place from the longest cut down:
+    # rewriting one file costs far more than either
+    path = tmp_path_factory.mktemp("truncated") / "a.pgm"
     save_pgm(_samples(shape, maxval, seed) / maxval, path, maxval=maxval)
-    full = path.read_bytes()
+    size = path.stat().st_size
     header = len(b"P5\n%d %d\n%d\n" % (shape[1], shape[0], maxval))
-    for cut in range(header, len(full)):
-        path.write_bytes(full[:cut])
+    for cut in reversed(range(header, size)):
+        os.truncate(path, cut)
+        assert path.stat().st_size == cut
         with pytest.raises(ValueError, match="truncated") as exc:
             load_pgm(path)
         assert str(path) in str(exc.value), cut

@@ -7,9 +7,11 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddimaging import models, operators, solvers
 from ddimaging.decomposition import OverlapLayout, Stencil, restrict_global, stack_sum
@@ -433,7 +435,7 @@ def test_single_subdomain_multiplier_stays_zero():
         info = alm.step()
         assert info.residual == 0.0
         assert not alm.lam.any()
-        assert np.array_equal(alm.avg, layout.view(alm.u, 0))
+        assert np.array_equal(alm.avg, alm.u[0])
 
 
 def test_multiplier_orthogonal_over_100_steps():
@@ -511,8 +513,7 @@ FROZEN_TRAJECTORY = {
 def _stack_sha256(packed, layout):
     """SHA-256 of a packed field as an (S, M, N) stack, each copy zero off
     its window."""
-    stack = np.stack([on_grid(layout, s, layout.view(packed, s))
-                      for s in range(layout.count)])
+    stack = np.stack([on_grid(layout, s, x) for s, x in enumerate(packed)])
     return hashlib.sha256(stack.tobytes()).hexdigest()
 
 
@@ -640,8 +641,8 @@ def test_a_block_may_name_an_operator_built_by_stacking(monkeypatch):
 
 def test_iterates_stay_on_their_patches():
     # a local problem reads u on its patch only and uhat vanishes off it, so
-    # the primal copies and the multiplier stay exactly zero on the rest of
-    # their windows
+    # the primal copies and the multiplier stay exactly +0.0 on the rest of
+    # their windows: the frozen digests hash those bytes too
     f = np.random.default_rng(36).random((13, 11))
     for model in (ChanVese(f=f, alpha=10.0, c1=0.6, c2=0.1),
                   # shifted data drives the iterates negative
@@ -654,9 +655,11 @@ def test_iterates_stay_on_their_patches():
         for _ in range(4):
             alm.step()
         for s, patch in enumerate(layout.tilde):
-            u, lam = layout.view(alm.u, s), layout.view(alm.lam, s)
+            u, lam = alm.u[s], alm.lam[s]
             assert not u[~patch].any() and not lam[~patch].any(), (type(model), s)
             assert u[patch].any(), (type(model), s)
+        for x in (alm.u, alm.lam):
+            assert not np.signbit(x[x == 0.0]).any(), type(model)
 
 
 def _window_step(alm):
@@ -666,14 +669,13 @@ def _window_step(alm):
     iters, gaps = [], []
     for s, win in enumerate(lay.windows):
         core = lay.core[s]
-        u_s = lay.view(alm.u, s)
-        uhat = alm.avg[win] * lay.tilde[s] - lay.view(alm.lam, s) / eta
+        uhat = alm.avg[win] * lay.tilde[s] - alm.lam[s] / eta
         local = Local(core=core.astype(np.float64), uhat=uhat, eta=eta)
         duals = [np.where(core[..., None] if y.ndim == 3 else core, y[win], 0.0)
                  for y in alm.duals]
         u, duals, it, gap = local_solve(replace(model, f=model.f[win]), local,
-                                        u_s, duals, alm.inner)
-        u_s[...] = u
+                                        alm.u[s], duals, alm.inner)
+        alm.u[s] = u
         for y, d in zip(alm.duals, duals):
             y[win][core] = d[core]
         iters.append(it)
@@ -691,14 +693,16 @@ def test_chunk_runs_fit_their_limit():
             (Stencil("forward1"), Stencil("backfwd"), Stencil("band", 1),
              Stencil("band", 4))):
         layout = OverlapLayout.from_grid((side, side), p, p, stencil)
+        subdomains = range(layout.count)
         for limit in (0, 1, 100, 1_000, 4_000, lim, 3 * lim):
             runs = solvers._runs(layout, limit)
-            assert [s for r in runs for s in r] == list(range(layout.count))
-            sizes = [len(r) for r in runs]
+            assert all(isinstance(r, slice) for r in runs)
+            assert [s for r in runs for s in subdomains[r]] == list(subdomains)
+            sizes = [len(subdomains[r]) for r in runs]
             assert sizes == sorted(sizes, reverse=True)
             assert sizes[0] - sizes[-1] <= 1
             for r in runs:
-                assert len(r) == 1 or len(r) * math.prod(solvers._box(layout, r)) <= limit
+                assert len(layout.tilde[r]) == 1 or layout.tilde[r].size <= limit
             if limit == 0:
                 assert sizes == [1] * layout.count
     # the benchmark's layouts: CCV at 256^2 over 8x8 and TV-L1 at 128^2 over
@@ -745,6 +749,62 @@ def test_chunked_step_equals_the_window_loop(monkeypatch):
                             assert (info.inner_iters, info.gaps) == _window_step(ref)
                             assert _alm_state(alm) == _alm_state(ref), (
                                 type(model).__name__, shape, limit, prm, workers)
+
+
+def _whole_grid_solves(alm, state):
+    """Each subdomain's local problem of the outer step from `state` (u, lam,
+    avg and the duals), solved on the whole M x N grid with the model not
+    cut: its core and uhat placed on the grid.  Returns the S iterates and
+    the S dual lists."""
+    lay, eta = alm.layout, alm.eta
+    u, lam, avg, duals = state
+    solves = []
+    for s in range(lay.count):
+        core = on_grid(lay, s, lay.core[s])
+        uhat = avg * on_grid(lay, s, lay.tilde[s]) - on_grid(lay, s, lam[s]) / eta
+        local = Local(core=core.astype(np.float64), uhat=uhat, eta=eta)
+        d = [np.where(core[..., None] if y.ndim == 3 else core, y, 0.0) for y in duals]
+        u_s, d, _, _ = local_solve(alm.model, local, on_grid(lay, s, u[s]), d, alm.inner)
+        solves.append((core, u_s, d))
+    return solves
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(m=st.integers(1, 12), n=st.integers(1, 12),
+       kind=st.sampled_from(["ccv", "tvl1", "hessl1", "backward_tv"]),
+       halfwidth=st.integers(1, 20), workers=st.integers(1, 3),
+       chunk_px=st.sampled_from([1, 40, solvers._CHUNK_PX]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_local_solves_are_whole_grid_restrictions(m, n, kind, halfwidth, workers,
+                                                  chunk_px, seed, data):
+    # any grid up to 12x12, one-pixel tiles included, blurs wider than the
+    # image, and chunks of one window up to the default size; shifted data
+    # drives the iterates negative
+    p = data.draw(st.integers(1, m), label="p")
+    q = data.draw(st.integers(1, n), label="q")
+    f = np.random.default_rng(seed).random((m, n))
+    model = {"ccv": lambda: ChanVese(f=f, alpha=10.0, c1=0.6, c2=0.1),
+             "tvl1": lambda: TVL1Deblur(f=f - 0.3, alpha=10.0,
+                                        kernel=BlurKernel(halfwidth)),
+             "hessl1": lambda: HessianL1(f=f - 0.3, alpha=1.0),
+             "backward_tv": lambda: _BackwardTVDenoise(f=f, alpha=1.5)}[kind]()
+    eta = model.defaults.eta
+    prm = default_inner(model, eta, iters=4)
+    layout = OverlapLayout.from_grid((m, n), p, q, stencil_of(model))
+    with mock.patch.object(solvers, "_CHUNK_PX", chunk_px):
+        ref = DecoupledAlm(model, layout, eta, prm)
+        alm = DecoupledAlm(model, layout, eta, prm, workers=workers)
+    for _ in range(2):
+        state = [alm.u.copy(), alm.lam.copy(), alm.avg.copy(), [y.copy() for y in alm.duals]]
+        alm.step()
+        ref.step()
+        assert _alm_state(alm) == _alm_state(ref)
+        for s, (core, u_s, d) in enumerate(_whole_grid_solves(alm, state)):
+            assert on_grid(layout, s, alm.u[s]).tobytes() == u_s.tobytes(), s
+            for y, d_b in zip(alm.duals, d):
+                assert y[core].tobytes() == d_b[core].tobytes(), s
+        lam_norm = norm2(alm.lam)
+        assert alm.multiplier_consensus_norm() <= 1e-10 * max(1.0, lam_norm)
 
 
 @dataclass(frozen=True, eq=False)
