@@ -239,12 +239,18 @@ def cut(a, windows):
 
 def restrict_global(u, layout):
     """Pack a global field into per-subdomain copies on the enlarged masks."""
-    return cut(np.asarray(u, dtype=np.float64), layout.windows) * layout.tilde
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != layout.shape:
+        raise ValueError(f"cannot restrict shape {u.shape} to a layout of shape {layout.shape}")
+    return cut(u, layout.windows) * layout.tilde
 
 
 def stack_sum(packed, layout):
-    """Ascending-index single-pass sum of the per-subdomain copies."""
-    total = np.zeros(layout.shape, dtype=np.float64)
+    """Ascending-index single-pass sum of (S, H, W[, c]) copies: an (M, N[, c]) field."""
+    if packed.shape[:3] != layout.core.shape:
+        raise ValueError(f"cannot sum shape {packed.shape} on a layout of "
+                         f"(S, H, W) {layout.core.shape}")
+    total = np.zeros(layout.shape + packed.shape[3:], dtype=np.float64)
     for x, w in zip(packed, layout.windows):
         total[w] += x
     return total

@@ -34,9 +34,9 @@ A local problem is the model cut to the subdomain's window, with every
 block masked to its core tile, (K u - f) * core, plus the proximal term.
 Its iterate stays on the enlarged patch with no mask of its own, because
 the patch is the footprint of the operators on the tile: K* of a dual that
-vanishes off the tile vanishes off the patch.  A subdomain's duals vanish
-off its tile and the tiles partition the image, so each block keeps one
-global dual field.
+vanishes off the tile vanishes off the patch.  Each block's dual is packed
+too, exactly +0.0 off each subdomain's tile, and the tiles partition the
+image, so stack_sum() assembles the global dual field exactly.
 
 primal_dual() yields its iterates and never stops by itself; its callers own
 the loop.  local_solve() runs a fixed iteration budget by default; its
@@ -136,9 +136,8 @@ def acceleration_schedule(sigma, tau, gamma):
     return theta, sigma / theta, tau * theta
 
 
-def zero_duals(model):
-    """One zero dual field per block, shaped like K u."""
-    u = np.zeros(model.f.shape)
+def zero_duals(model, u):
+    """One zero dual field per block, shaped like K u on the image or stack u."""
     return [np.zeros_like(b.forward(u)) for b in model.saddle.blocks]
 
 
@@ -152,10 +151,10 @@ class Local:
     and uhat vanishes off the patch, so the iterate stays on the patch.
 
     DecoupledAlm poses it on the subdomain's window, with the chunk's other
-    windows stacked on a leading axis; the result equals the whole-grid
-    problem's bit for bit (decomposition.OverlapLayout says why).  Every
-    step is elementwise over the stack, so each window sees the arithmetic
-    it would see alone.
+    windows stacked on a leading axis, duals included; the result equals the
+    whole-grid problem's bit for bit (decomposition.OverlapLayout says why).
+    Every step is elementwise over the stack, so each window sees the
+    arithmetic it would see alone.
     """
 
     core: np.ndarray
@@ -273,16 +272,14 @@ class StepInfo:
 class DecoupledAlm:
     """State and one-step driver of the decoupled augmented Lagrangian loop.
 
-    Holds the primal copies `u` and the multiplier `lam` as packed fields,
-    (S, H, W) stacks whose alm.u[s] is subdomain s's window, one dual field
-    per block of the model (warm-started across outer steps), and the
-    consensus average `avg`, the global image.  A subdomain's duals vanish
-    off its tile and the tiles partition the image, so one field of the
-    shape of K u holds every subdomain's dual, each on its own tile; they
-    stay global because the local solves read and write them on the tiles
-    only.  The local solves run in chunks, slices of consecutive subdomains
-    (see _runs), each on its slice of the stacks with the model's data cut
-    to its windows: the image-sized data of a model's local problems are its
+    Holds the primal copies `u`, the multiplier `lam` and each block's dual
+    (warm-started across outer steps) as (S, H, W[, c]) packed stacks whose
+    alm.u[s] and alm.duals[b][s] are subdomain s's, and the consensus
+    average `avg`, the global image.  A dual is +0.0 off its tile, so
+    stack_sum(alm.duals[b], layout) is block b's global dual field.  The
+    local solves run in chunks, slices of consecutive subdomains (see
+    _runs), each on its slice of the stacks with the model's data cut to its
+    windows: the image-sized data of a model's local problems are its
     blocks' shifts and its linear term's c, cut to each window once.  Gap
     mode solves one window per chunk, so each gap sums its own window.  The
     model's stencil must cover its operators' footprint, which the
@@ -313,7 +310,7 @@ class DecoupledAlm:
         self.u = np.zeros(layout.tilde.shape)
         self.lam = np.zeros(layout.tilde.shape)
         self.avg = np.zeros(layout.shape)
-        self.duals = zero_duals(model)
+        self.duals = zero_duals(model, self.u)
         limit = 0 if inner_prm.gap_tol is not None else _CHUNK_PX
         self.chunks = [_Chunk(run, _cut_saddle(model.saddle, layout.windows[run]))
                        for run in _runs(layout, limit)]
@@ -321,19 +318,15 @@ class DecoupledAlm:
 
     def _solve_chunk(self, chunk):
         lay, run = self.layout, chunk.run
-        core, windows = lay.core[run], lay.windows[run]
-        uhat = cut(self.avg, windows) * lay.tilde[run] - self.lam[run] / self.eta
-        duals = [np.where(core[..., None] if y.ndim > self.avg.ndim else core,
-                          cut(y, windows), 0.0)
-                 for y in self.duals]
-        local = Local(core=core.astype(np.float64), uhat=uhat, eta=self.eta)
-        u, duals, it, gap = local_solve(chunk, local, self.u[run], duals, self.inner)
-        # every worker writes its own copies and tiles only
+        uhat = cut(self.avg, lay.windows[run]) * lay.tilde[run] - self.lam[run] / self.eta
+        local = Local(core=lay.core[run].astype(np.float64), uhat=uhat, eta=self.eta)
+        u, duals, it, gap = local_solve(chunk, local, self.u[run],
+                                        [y[run] for y in self.duals], self.inner)
+        # every worker writes its own slice of the stacks only
         self.u[run] = u
         for y, d in zip(self.duals, duals):
-            for w, c, d_s in zip(windows, core, d):
-                y[w][c] = d_s[c]
-        return [it] * len(core), [gap] * len(core)
+            y[run] = d
+        return [it] * len(u), [gap] * len(u)
 
     def step(self):
         """One outer iteration; returns its consensus residual and metrics."""
@@ -503,7 +496,7 @@ def cp_full(model, iters, tol=None, on_iter=None):
     stop = None if tol is None else StopRule(model, tol)
     sigma, tau = step_sizes(model, model.defaults.cp_tau)
     u = np.zeros_like(model.f, dtype=np.float64)
-    steps = primal_dual(model, u, zero_duals(model), sigma, tau, 0.0)
+    steps = primal_dual(model, u, zero_duals(model, u), sigma, tau, 0.0)
     energies = []
     converged = False
     n = 0

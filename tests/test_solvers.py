@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddimaging import models, operators, solvers
-from ddimaging.decomposition import OverlapLayout, Stencil, restrict_global, stack_sum
+from ddimaging.decomposition import OverlapLayout, Stencil, cut, restrict_global, stack_sum
 from ddimaging.fields import magnitude, norm2, project_ball
 from ddimaging.models import (
     Block,
@@ -24,6 +24,7 @@ from ddimaging.models import (
     Saddle,
     TVL1Deblur,
     energy,
+    objective_terms,
     stencil_of,
 )
 from ddimaging.operators import (
@@ -237,7 +238,7 @@ def test_ccv_local_prox_matches_grid():
         u_star = np.array([[grid[k[0]], grid[k[1]]]])
         local = Local(core=np.ones((1, 2)), uhat=uhat, eta=eta)
         u, _, it, gap = local_solve(model, local, np.zeros((1, 2)),
-                                    zero_duals(model), prm)
+                                    zero_duals(model, model.f), prm)
         assert gap is not None and gap <= 1e-12
         assert np.abs(u - u_star).max() <= 2e-3
         e_solver = (model.alpha * (model.g[0, 0] * u[0, 0] + model.g[0, 1] * u[0, 1])
@@ -296,7 +297,7 @@ def test_tvl1_local_prox_matches_grid():
         u_star, e_star = hierarchical_grid_min(e_fn)
         local = Local(core=np.ones((2, 2)), uhat=uhat, eta=eta)
         u, _, it, gap = local_solve(model, local, np.zeros((2, 2)),
-                                    zero_duals(model), prm)
+                                    zero_duals(model, model.f), prm)
         assert gap is not None and gap <= 1e-11
         got = np.array([u[0, 0], u[0, 1], u[1, 0], u[1, 1]])
         assert np.abs(got - u_star).max() <= 2e-3
@@ -327,7 +328,7 @@ def test_hessl1_local_prox_matches_grid():
         u_star, e_star = hierarchical_grid_min(e_fn)
         local = Local(core=np.ones((2, 2)), uhat=uhat, eta=eta)
         u, _, it, gap = local_solve(model, local, np.zeros((2, 2)),
-                                    zero_duals(model), prm)
+                                    zero_duals(model, model.f), prm)
         assert gap is not None and gap <= 1e-11
         got = np.array([u[0, 0], u[0, 1], u[1, 0], u[1, 1]])
         assert np.abs(got - u_star).max() <= 2e-3
@@ -351,12 +352,12 @@ def test_gap_certifies_suboptimality():
 
     prm_exact = default_inner(model, eta, gap_tol=1e-13)
     u_star, _, _, _ = local_solve(model, local, np.zeros((6, 6)),
-                                  zero_duals(model), prm_exact)
+                                  zero_duals(model, model.f), prm_exact)
     e_star = local_energy_at(u_star)
     for iters in (5, 20, 80):
         prm = default_inner(model, eta, iters=iters)
         u, duals, _, _ = local_solve(model, local, np.zeros((6, 6)),
-                                     zero_duals(model), prm)
+                                     zero_duals(model, model.f), prm)
         gap = duality_gap(model, local, u, duals)
         assert gap >= -1e-10
         assert local_energy_at(u) - e_star <= gap + 1e-10
@@ -404,7 +405,7 @@ def test_cp_full_is_primal_dual_at_eta_zero():
         res = cp_full(model, 300)
         local = Local(core=np.ones(f.shape), uhat=np.zeros(f.shape), eta=0.0)
         trace = []
-        steps = primal_dual(model, np.zeros(f.shape), zero_duals(model),
+        steps = primal_dual(model, np.zeros(f.shape), zero_duals(model, model.f),
                             sigma, tau, 0.0, local)
         for it, (u, _) in enumerate(islice(steps, 300), 1):
             trace.append(energy(model, u))
@@ -467,8 +468,8 @@ def test_dual_variables_stay_feasible():
             alm.step()
         assert len(alm.duals) == len(model.saddle.blocks)
         for blk, y in zip(model.saddle.blocks, alm.duals):
-            assert y.shape == blk.forward(np.zeros(shape)).shape
-            assert magnitude(y).max() <= blk.radius * (1.0 + 1e-12)
+            assert y.shape == layout.core.shape + blk.forward(np.zeros(shape)).shape[2:]
+            assert magnitude(y, 3).max() <= blk.radius * (1.0 + 1e-12)
 
 
 def test_bitwise_determinism_across_worker_counts():
@@ -477,9 +478,9 @@ def test_bitwise_determinism_across_worker_counts():
     model = TVL1Deblur(f=f, alpha=2.0, kernel=BlurKernel(1))
     layout = OverlapLayout.from_grid((18, 12), 2, 2, stencil_of(model))
     runs = []
-    # the workers share the packed copies and the dual fields, each writing
-    # its own window and tiles; a short switch interval interleaves them as
-    # often as it can
+    # the workers share the packed copies and duals, each writing its own
+    # slice of the stacks; a short switch interval interleaves them as often
+    # as it can
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -540,8 +541,8 @@ def test_frozen_trajectory():
 
 # After 2 outer steps of the same set-up in gap mode (gap_tol 1e-5, workers
 # 1): the per-step inner iteration counts, then the SHA-256 of alm.u and
-# alm.lam as _stack_sha256 stacks and of each dual field plus 0.0 (which folds
-# -0.0 into +0.0).
+# alm.lam as _stack_sha256 stacks and of each block's global dual field,
+# stack_sum of its packed duals, plus 0.0 (which folds -0.0 into +0.0).
 FROZEN_GAP_TRAJECTORY = {
     "ccv": ([[125, 175, 100, 150, 75, 100], [150, 75, 100, 50, 50, 75]],
             "e9368611f9b95766e07c010954d5a8844730ed795c8f8b652b7fa49039910b28",
@@ -568,7 +569,8 @@ def test_frozen_gap_trajectory():
                            default_inner(model, eta, gap_tol=1e-5))
         iters = [alm.step().inner_iters for _ in range(2)]
         sha = [_stack_sha256(alm.u, layout), _stack_sha256(alm.lam, layout)]
-        sha += [hashlib.sha256((y + 0.0).tobytes()).hexdigest() for y in alm.duals]
+        sha += [hashlib.sha256((stack_sum(y, layout) + 0.0).tobytes()).hexdigest()
+                for y in alm.duals]
         assert (iters, sha[0], sha[1], tuple(sha[2:])) == FROZEN_GAP_TRAJECTORY[name], name
 
 
@@ -642,7 +644,8 @@ def test_a_block_may_name_an_operator_built_by_stacking(monkeypatch):
 def test_iterates_stay_on_their_patches():
     # a local problem reads u on its patch only and uhat vanishes off it, so
     # the primal copies and the multiplier stay exactly +0.0 on the rest of
-    # their windows: the frozen digests hash those bytes too
+    # their windows: the frozen digests hash those bytes too; the duals stay
+    # exactly +0.0 off their tiles, which makes stack_sum of them exact
     f = np.random.default_rng(36).random((13, 11))
     for model in (ChanVese(f=f, alpha=10.0, c1=0.6, c2=0.1),
                   # shifted data drives the iterates negative
@@ -660,6 +663,10 @@ def test_iterates_stay_on_their_patches():
             assert u[patch].any(), (type(model), s)
         for x in (alm.u, alm.lam):
             assert not np.signbit(x[x == 0.0]).any(), type(model)
+        for b, y in enumerate(alm.duals):
+            for s, core in enumerate(layout.core):
+                off = y[s][~core]
+                assert not off.any() and not np.signbit(off).any(), (type(model), b, s)
 
 
 def _window_step(alm):
@@ -671,13 +678,11 @@ def _window_step(alm):
         core = lay.core[s]
         uhat = alm.avg[win] * lay.tilde[s] - alm.lam[s] / eta
         local = Local(core=core.astype(np.float64), uhat=uhat, eta=eta)
-        duals = [np.where(core[..., None] if y.ndim == 3 else core, y[win], 0.0)
-                 for y in alm.duals]
         u, duals, it, gap = local_solve(replace(model, f=model.f[win]), local,
-                                        alm.u[s], duals, alm.inner)
+                                        alm.u[s], [y[s] for y in alm.duals], alm.inner)
         alm.u[s] = u
         for y, d in zip(alm.duals, duals):
-            y[win][core] = d[core]
+            y[s] = d
         iters.append(it)
         gaps.append(gap)
     avg_new = stack_sum(alm.u, lay) / lay.counts
@@ -763,15 +768,25 @@ def _whole_grid_solves(alm, state):
         core = on_grid(lay, s, lay.core[s])
         uhat = avg * on_grid(lay, s, lay.tilde[s]) - on_grid(lay, s, lam[s]) / eta
         local = Local(core=core.astype(np.float64), uhat=uhat, eta=eta)
-        d = [np.where(core[..., None] if y.ndim == 3 else core, y, 0.0) for y in duals]
+        d = [on_grid(lay, s, y[s]) for y in duals]
         u_s, d, _, _ = local_solve(alm.model, local, on_grid(lay, s, u[s]), d, alm.inner)
         solves.append((core, u_s, d))
     return solves
 
 
+def _drawn_model(kind, f, halfwidth):
+    """The model `kind` on data f; shifted data drives the iterates negative."""
+    return {"ccv": lambda: ChanVese(f=f, alpha=10.0, c1=0.6, c2=0.1),
+            "tvl1": lambda: TVL1Deblur(f=f - 0.3, alpha=10.0, kernel=BlurKernel(halfwidth)),
+            "hessl1": lambda: HessianL1(f=f - 0.3, alpha=1.0),
+            "backward_tv": lambda: _BackwardTVDenoise(f=f, alpha=1.5)}[kind]()
+
+
+_KINDS = st.sampled_from(["ccv", "tvl1", "hessl1", "backward_tv"])
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
-@given(m=st.integers(1, 12), n=st.integers(1, 12),
-       kind=st.sampled_from(["ccv", "tvl1", "hessl1", "backward_tv"]),
+@given(m=st.integers(1, 12), n=st.integers(1, 12), kind=_KINDS,
        halfwidth=st.integers(1, 20), workers=st.integers(1, 3),
        chunk_px=st.sampled_from([1, 40, solvers._CHUNK_PX]),
        seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -783,11 +798,7 @@ def test_local_solves_are_whole_grid_restrictions(m, n, kind, halfwidth, workers
     p = data.draw(st.integers(1, m), label="p")
     q = data.draw(st.integers(1, n), label="q")
     f = np.random.default_rng(seed).random((m, n))
-    model = {"ccv": lambda: ChanVese(f=f, alpha=10.0, c1=0.6, c2=0.1),
-             "tvl1": lambda: TVL1Deblur(f=f - 0.3, alpha=10.0,
-                                        kernel=BlurKernel(halfwidth)),
-             "hessl1": lambda: HessianL1(f=f - 0.3, alpha=1.0),
-             "backward_tv": lambda: _BackwardTVDenoise(f=f, alpha=1.5)}[kind]()
+    model = _drawn_model(kind, f, halfwidth)
     eta = model.defaults.eta
     prm = default_inner(model, eta, iters=4)
     layout = OverlapLayout.from_grid((m, n), p, q, stencil_of(model))
@@ -802,9 +813,32 @@ def test_local_solves_are_whole_grid_restrictions(m, n, kind, halfwidth, workers
         for s, (core, u_s, d) in enumerate(_whole_grid_solves(alm, state)):
             assert on_grid(layout, s, alm.u[s]).tobytes() == u_s.tobytes(), s
             for y, d_b in zip(alm.duals, d):
-                assert y[core].tobytes() == d_b[core].tobytes(), s
+                assert y[s][layout.core[s]].tobytes() == d_b[core].tobytes(), s
         lam_norm = norm2(alm.lam)
         assert alm.multiplier_consensus_norm() <= 1e-10 * max(1.0, lam_norm)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(m=st.integers(1, 12), n=st.integers(1, 12), kind=_KINDS,
+       halfwidth=st.integers(1, 20), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_tile_terms_are_the_global_integrand_on_the_tile(m, n, kind, halfwidth, seed, data):
+    # the draws of test_local_solves_are_whole_grid_restrictions: each
+    # term's density over a chunk of all S windows, masked to the cores as
+    # the local problems mask it, equals the whole image's on every tile
+    p = data.draw(st.integers(1, m), label="p")
+    q = data.draw(st.integers(1, n), label="q")
+    rng = np.random.default_rng(seed)
+    model = _drawn_model(kind, rng.random((m, n)), halfwidth)
+    layout = OverlapLayout.from_grid((m, n), p, q, stencil_of(model))
+    u = rng.random((m, n))
+    chunk = solvers._Chunk(slice(0, layout.count),
+                           solvers._cut_saddle(model.saddle, layout.windows))
+    tiles = objective_terms(chunk, cut(u, layout.windows), layout.core.astype(np.float64))
+    whole = objective_terms(model, u)
+    assert [w for w, _ in tiles] == [w for w, _ in whole]
+    for (_, d_tiles), (_, d) in zip(tiles, whole):
+        for s, (win, core) in enumerate(zip(layout.windows, layout.core)):
+            assert d_tiles[s][core].tobytes() == d[win][core].tobytes(), s
 
 
 @dataclass(frozen=True, eq=False)
