@@ -143,6 +143,9 @@ def cmd_solve(args):
     e_star = args.reference_energy
     if e_star is not None and not math.isfinite(e_star):
         raise ValueError(f"--reference-energy must be finite, got {e_star!r}")
+    if e_star is not None and args.compute_reference_iters is not None:
+        raise ValueError("--reference-energy and --compute-reference-iters "
+                         "exclude each other: give the energy or compute it")
     for path in filter(None, (args.output, args.metrics)):
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"{path}: no such directory {os.path.dirname(path)!r}")
@@ -162,7 +165,7 @@ def cmd_solve(args):
         run = partial(solve_dd, model, layout, eta, inner_prm, tol,
                       args.max_outer or 500, workers=args.workers or 1)
 
-    if e_star is None and args.compute_reference_iters is not None:
+    if args.compute_reference_iters is not None:
         e_star = reference_energy(model, args.compute_reference_iters)
     result = run(e_star=e_star, ground_truth=ground_truth,
                  timing=not args.no_timing)

@@ -157,7 +157,7 @@ class OverlapLayout:
     mask grown or shifted inward to that shape inside the grid: it starts
     at row min(top, M - H) and column min(left, N - W), with (top, left)
     the bounding box's corner.  A local problem posed on its window equals the
-    whole-grid problem bit for bit (see solvers.Local).  On the core, K u
+    whole-grid problem bit for bit (see solvers._local_saddle).  On the core, K u
     reads only patch pixels, which lie in the bounding box, and the
     operators see the image border exactly where the whole grid does: the
     window lies inside the grid and meets its border wherever the bounding

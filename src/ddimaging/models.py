@@ -76,13 +76,16 @@ HESSIAN = Block("hessian", "adjoint_hessian", 1.0)
 
 @dataclass(frozen=True, eq=False)
 class Saddle:
-    """The saddle-point structure of a model (see the module docstring)."""
+    """The saddle-point structure of a model (see the module docstring);
+    with core and prox set, a local problem's (see solvers._local_saddle)."""
 
     blocks: tuple
     bound: float
     stencil: Stencil
     linear: Optional[tuple] = None  # (w, c)
     box: bool = False
+    core: Optional[np.ndarray] = None
+    prox: Optional[tuple] = None  # (eta, uhat)
 
 
 @dataclass(frozen=True)
@@ -169,27 +172,26 @@ def _check_params(model, **values):
         raise ValueError(f"alpha must be positive, got {model.alpha!r}")
 
 
-def objective_terms(model, u, core=None):
-    """The weighted terms of the objective at u as (weight, density) pairs.
+def objective_terms(sd, u):
+    """The weighted terms of the saddle's objective at u as (weight, density) pairs.
 
     The linear term comes first, then the blocks in declaration order; the
     density of the linear term is u*c, that of a block |K u - f| pointwise.
-    With core given these are the terms of one subdomain: every density is
-    masked to the core tile.  u may also be a stack of windows, with the
-    model's data and core stacked alike.  The operators resolve in this
-    module.
+    With sd.core set these are the terms of a local problem: every density
+    is masked to the core tiles, and u may be a stack of windows, with the
+    data and core stacked alike.  The proximal term is not among them.  The
+    operators resolve in this module.
     """
-    sd = model.saddle
     out = []
     if sd.linear is not None:
         weight, c = sd.linear
-        out.append((weight, u * c if core is None else u * c * core))
+        out.append((weight, u * c if sd.core is None else u * c * sd.core))
     for blk in sd.blocks:
         r = blk.forward(u, globals())
         if blk.shift is not None:
             r = r - blk.shift
-        if core is not None:
-            r = r * (core[..., None] if r.ndim > u.ndim else core)
+        if sd.core is not None:
+            r = r * (sd.core[..., None] if r.ndim > u.ndim else sd.core)
         out.append((blk.radius, magnitude(r, u.ndim)))
     return out
 
@@ -215,7 +217,7 @@ def energy(model, u):
     u = _as_field(model, u)
     if model.saddle.box and not _box_ok(u):
         return float("inf")
-    return weighted_sum(objective_terms(model, u))
+    return weighted_sum(objective_terms(model.saddle, u))
 
 
 def integrand(model, u):
@@ -225,7 +227,7 @@ def integrand(model, u):
     pixels violating the box carry +inf.
     """
     u = _as_field(model, u)
-    t = reduce(add, (w * d for w, d in objective_terms(model, u)))
+    t = reduce(add, (w * d for w, d in objective_terms(model.saddle, u)))
     if model.saddle.box:
         bad = (u < 0.0) | (u > 1.0)
         if bad.any():

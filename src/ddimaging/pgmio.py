@@ -1,9 +1,10 @@
 """Reading and writing PGM images (ASCII P2 and binary P5).
 
 Loaded samples are mapped linearly to [0, 1] by dividing by the header's
-maxval.  Saving quantizes with round-half-up after clamping to [0, 1];
-16-bit binary samples are big-endian, as the format requires.  An 8-bit
-image therefore survives a save/load round trip exactly.
+maxval.  Saving quantizes with round-half-up after clamping to [0, 1]
+(infinities too) and refuses NaN before it opens the file; 16-bit binary
+samples are big-endian, as the format requires.  An 8-bit image therefore
+survives a save/load round trip exactly.
 """
 
 import numpy as np
@@ -86,6 +87,9 @@ def save_pgm(field, path, maxval=255, binary=True):
     field = np.asarray(field, dtype=np.float64)
     if field.ndim != 2:
         raise ValueError(f"expected a 2-D field, got shape {field.shape}")
+    nans = np.count_nonzero(np.isnan(field))
+    if nans:
+        raise ValueError(f"{path}: cannot save {nans} NaN pixel(s)")
     clamped = np.clip(field, 0.0, 1.0)
     values = np.floor(clamped * maxval + 0.5).astype(np.int64)
     values = np.clip(values, 0, maxval)

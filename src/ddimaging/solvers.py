@@ -27,16 +27,18 @@ primal-dual algorithm for convex problems with applications to imaging"
     theta = 1/sqrt(1 + 2*gamma*tau),  tau <- theta*tau,  sigma <- sigma/theta
 
 with 0 <= gamma <= eta (Alg. 2), warm-started primal and dual variables, and
-steps reset to step_sizes(model) at every outer iteration.  The baseline is
-the case eta = 0, gamma = 0 (so theta = 1, Alg. 1) with no masks.
+steps reset to step_sizes(sd) at every outer iteration.  The baseline is the
+case eta = 0, gamma = 0 (so theta = 1, Alg. 1) on the model's own saddle,
+which has neither core nor prox.
 
-A local problem is the model cut to the subdomain's window, with every
-block masked to its core tile, (K u - f) * core, plus the proximal term.
-Its iterate stays on the enlarged patch with no mask of its own, because
-the patch is the footprint of the operators on the tile: K* of a dual that
-vanishes off the tile vanishes off the patch.  Each block's dual is packed
-too, exactly +0.0 off each subdomain's tile, and the tiles partition the
-image, so stack_sum() assembles the global dual field exactly.
+A local problem is a Saddle too (see _local_saddle): the model's, cut to
+the subdomain's window, with its core masking every block to the tile,
+(K u - f) * core, and its prox adding (eta/2)||u - uhat||^2.  Its iterate
+stays on the enlarged patch with no mask of its own, because the patch is
+the footprint of the operators on the tile: K* of a dual that vanishes off
+the tile vanishes off the patch.  Each block's dual is packed too, exactly
++0.0 off each subdomain's tile, and the tiles partition the image, so
+stack_sum() assembles the global dual field exactly.
 
 primal_dual() yields its iterates and never stops by itself; its callers own
 the loop.  local_solve() runs a fixed iteration budget by default; its
@@ -60,7 +62,7 @@ import numpy as np
 
 from .decomposition import consensus_norm_sq, cut, essential_domain, restrict_global, stack_sum
 from .fields import check_count, check_positive, inner, norm2, project_ball, psnr
-from .models import Saddle, energy, objective_terms, stencil_of, weighted_sum
+from .models import energy, objective_terms, stencil_of, weighted_sum
 # the blocks name their operators; primal_dual() and duality_gap()'s K* look
 # the names up in this module at call time (K u in the gap resolves in models)
 from .operators import (  # noqa: F401
@@ -88,7 +90,7 @@ class InnerParams:
 
     gap_tol=None runs exactly `iters` iterations; otherwise iterations
     continue (up to GAP_MAX_ITERS) until the local duality gap is <= gap_tol,
-    checked every GAP_CHECK iterations.  The steps are step_sizes(model).
+    checked every GAP_CHECK iterations.  The steps are step_sizes(sd).
     """
 
     gamma: float
@@ -114,12 +116,12 @@ def default_inner(model, eta, **overrides):
     return InnerParams(**base)
 
 
-def step_sizes(model, tau=None):
-    """Initial (sigma, tau) spending the whole admissible product 1/bound.
+def step_sizes(sd, tau=None):
+    """Initial (sigma, tau) spending the whole admissible product 1/sd.bound.
 
     sigma = tau = 1/sqrt(bound), or sigma = 1/(bound*tau) given a tau.
     """
-    bound = model.saddle.bound
+    bound = sd.bound
     if tau is None:
         step = 1.0 / math.sqrt(bound)
         return step, step
@@ -136,58 +138,35 @@ def acceleration_schedule(sigma, tau, gamma):
     return theta, sigma / theta, tau * theta
 
 
-def zero_duals(model, u):
+def zero_duals(sd, u):
     """One zero dual field per block, shaped like K u on the image or stack u."""
-    return [np.zeros_like(b.forward(u)) for b in model.saddle.blocks]
+    return [np.zeros_like(b.forward(u)) for b in sd.blocks]
 
 
-@dataclass
-class Local:
-    """Subdomain s's problem min J_s(u) + (eta/2)||u - uhat||^2.
-
-    J_s is the model with every block masked to the core tile, a 0/1 float
-    (faster to multiply than a boolean): r_b ||(K_b u - f_b) core||_1 plus
-    the linear term w*<u, c core>.  J_s reads u on the enlarged patch only,
-    and uhat vanishes off the patch, so the iterate stays on the patch.
-
-    DecoupledAlm poses it on the subdomain's window, with the chunk's other
-    windows stacked on a leading axis, duals included; the result equals the
-    whole-grid problem's bit for bit (decomposition.OverlapLayout says why).
-    Every step is elementwise over the stack, so each window sees the
-    arithmetic it would see alone.
-    """
-
-    core: np.ndarray
-    uhat: np.ndarray
-    eta: float
-
-
-def _transpose_sum(model, duals):
+def _transpose_sum(sd, duals):
     """K* y: the blocks' adjoints summed in declaration order."""
     return reduce(add, (blk.transpose(y, globals())
-                        for blk, y in zip(model.saddle.blocks, duals)))
+                        for blk, y in zip(sd.blocks, duals)))
 
 
-def primal_dual(model, u, duals, sigma, tau, gamma, local=None):
-    """Primal-dual iteration on the model's saddle problem.
+def primal_dual(sd, u, duals, sigma, tau, gamma):
+    """Primal-dual iteration on the saddle problem sd.
 
     Each step: dual ascent and ball projection per block, the primal
-    resolvent (clamped to [0, 1] for box models), the acceleration schedule
-    and the overrelaxation.  local=None is the whole image without a
-    proximal term; with a Local every block's K u - f_b and the linear term
-    are masked to its core and the primal resolvent includes the proximal
-    term.  Yields (u, duals) after every step and never ends: the caller
-    owns the loop and stops it (islice for a fixed budget).  The arguments
-    are not modified.
+    resolvent (clamped to [0, 1] when sd.box) with the proximal term when
+    sd.prox is set, the acceleration schedule and the overrelaxation.  When
+    sd.core is set every block's K u - f_b and the linear term are masked to
+    it.  Yields (u, duals) after every step and never ends: the caller owns
+    the loop and stops it (islice for a fixed budget).  The arguments are
+    not modified.
     """
-    sd = model.saddle
     duals = list(duals)
     masks = [None] * len(duals)
     lin = None if sd.linear is None else sd.linear[0] * sd.linear[1]
-    if local is not None:
-        masks = [local.core[..., None] if y.ndim > u.ndim else local.core
+    if sd.core is not None:
+        masks = [sd.core[..., None] if y.ndim > u.ndim else sd.core
                  for y in duals]
-        lin = None if lin is None else lin * local.core
+        lin = None if lin is None else lin * sd.core
     ubar = u
     while True:
         for b, blk in enumerate(sd.blocks):
@@ -197,14 +176,14 @@ def primal_dual(model, u, duals, sigma, tau, gamma, local=None):
             if masks[b] is not None:
                 ku = ku * masks[b]
             duals[b] = project_ball(duals[b] + sigma * ku, blk.radius, u.ndim)
-        v = _transpose_sum(model, duals)
+        v = _transpose_sum(sd, duals)
         if lin is not None:
             v = v + lin
-        if local is None:
+        if sd.prox is None:
             unew = u - tau * v
         else:
-            unew = ((u - tau * v + (tau * local.eta) * local.uhat)
-                    / (1.0 + tau * local.eta))
+            eta, uhat = sd.prox
+            unew = (u - tau * v + (tau * eta) * uhat) / (1.0 + tau * eta)
         if sd.box:
             np.clip(unew, 0.0, 1.0, out=unew)
         theta, sigma, tau = acceleration_schedule(sigma, tau, gamma)
@@ -213,19 +192,18 @@ def primal_dual(model, u, duals, sigma, tau, gamma, local=None):
         yield u, duals
 
 
-def duality_gap(model, local, u, duals):
-    """Duality gap of a local problem at (u, duals).
+def duality_gap(sd, u, duals):
+    """Duality gap of a local problem sd, with core and prox set, at (u, duals).
 
     The primal value at u minus the dual value at duals; it bounds the
     suboptimality of u from above and vanishes at the saddle point.  The
     duals vanish off the core, so <f_b core, y_b> = <f_b, y_b>.
     """
-    sd = model.saddle
-    eta, uhat = local.eta, local.uhat
-    v = _transpose_sum(model, duals)
+    eta, uhat = sd.prox
+    v = _transpose_sum(sd, duals)
     if sd.linear is not None:
-        v = v + sd.linear[0] * sd.linear[1] * local.core
-    prim = (weighted_sum(objective_terms(model, u, local.core))
+        v = v + sd.linear[0] * sd.linear[1] * sd.core
+    prim = (weighted_sum(objective_terms(sd, u))
             + 0.5 * eta * norm2(u - uhat) ** 2)
     w = uhat - v / eta
     if sd.box:
@@ -237,19 +215,19 @@ def duality_gap(model, local, u, duals):
     return prim - dual
 
 
-def local_solve(model, local, u, duals, prm):
-    """Solve one local problem from a warm start with InnerParams prm.
+def local_solve(sd, u, duals, prm):
+    """Solve the local problem sd from a warm start with InnerParams prm.
 
     Returns (u, duals, iterations, last duality gap or None).  Raises
     NonFiniteEnergyError at the first duality gap that is not finite.
     """
     gap = None
     limit = prm.iters if prm.gap_tol is None else GAP_MAX_ITERS
-    sigma, tau = step_sizes(model)
-    steps = primal_dual(model, u, duals, sigma, tau, prm.gamma, local)
+    sigma, tau = step_sizes(sd)
+    steps = primal_dual(sd, u, duals, sigma, tau, prm.gamma)
     for it, (u, duals) in enumerate(islice(steps, limit), 1):
         if prm.gap_tol is not None and it % GAP_CHECK == 0:
-            gap = duality_gap(model, local, u, duals)
+            gap = duality_gap(sd, u, duals)
             _check_finite("local duality gap", gap, "inner iteration", it)
             if gap <= prm.gap_tol:
                 break
@@ -278,12 +256,12 @@ class DecoupledAlm:
     average `avg`, the global image.  A dual is +0.0 off its tile, so
     stack_sum(alm.duals[b], layout) is block b's global dual field.  The
     local solves run in chunks, slices of consecutive subdomains (see
-    _runs), each on its slice of the stacks with the model's data cut to its
-    windows: the image-sized data of a model's local problems are its
-    blocks' shifts and its linear term's c, cut to each window once.  Gap
-    mode solves one window per chunk, so each gap sums its own window.  The
-    model's stencil must cover its operators' footprint, which the
-    constructor checks.  All iterates start at zero, which makes the
+    _runs): alm.chunks holds one (run, saddle) pair per chunk, the saddle
+    its local problems, built once (see _local_saddle), and each step
+    solves it on its slice of the stacks with prox set to (eta, uhat) on a
+    copy.  Gap mode solves one window per chunk, so each gap sums its own
+    window.  The model's stencil must cover its operators' footprint, which
+    the constructor checks.  All iterates start at zero, which makes the
     multiplier orthogonal to the consensus subspace and keeps it so by
     induction.
     """
@@ -300,7 +278,7 @@ class DecoupledAlm:
         _check_footprint(model)
         check_positive("eta", eta)
         if inner_prm.gamma > eta * _BOUND_TOL:
-            raise ValueError("gamma must not exceed eta")
+            raise ValueError(f"gamma = {inner_prm.gamma!r} must not exceed eta = {eta!r}")
         check_count("workers", workers)
         self.model = model
         self.layout = layout
@@ -310,17 +288,16 @@ class DecoupledAlm:
         self.u = np.zeros(layout.tilde.shape)
         self.lam = np.zeros(layout.tilde.shape)
         self.avg = np.zeros(layout.shape)
-        self.duals = zero_duals(model, self.u)
+        self.duals = zero_duals(model.saddle, self.u)
         limit = 0 if inner_prm.gap_tol is not None else _CHUNK_PX
-        self.chunks = [_Chunk(run, _cut_saddle(model.saddle, layout.windows[run]))
+        self.chunks = [(run, _local_saddle(model.saddle, layout, run))
                        for run in _runs(layout, limit)]
         self.n = 0
 
     def _solve_chunk(self, chunk):
-        lay, run = self.layout, chunk.run
+        (run, sd), lay = chunk, self.layout
         uhat = cut(self.avg, lay.windows[run]) * lay.tilde[run] - self.lam[run] / self.eta
-        local = Local(core=lay.core[run].astype(np.float64), uhat=uhat, eta=self.eta)
-        u, duals, it, gap = local_solve(chunk, local, self.u[run],
+        u, duals, it, gap = local_solve(replace(sd, prox=(self.eta, uhat)), self.u[run],
                                         [y[run] for y in self.duals], self.inner)
         # every worker writes its own slice of the stacks only
         self.u[run] = u
@@ -364,26 +341,27 @@ def _runs(layout, limit):
             np.array_split(np.arange(layout.count), math.ceil(layout.count / per))]
 
 
-@dataclass(frozen=True)
-class _Chunk:
-    """Consecutive subdomains whose local problems run as one stack.
+def _local_saddle(sd, layout, run):
+    """The local problems of the subdomains in `run`, a slice, as one Saddle.
 
-    Like a model, a chunk has a `saddle`, all that the local solves read of
-    one: the model's, with each block's shift and the linear term's c cut
-    to the windows of the subdomains in `run`, a slice.
+    Subdomain s's problem is min J_s(u) + (eta/2)||u - uhat||^2, J_s the
+    model's saddle sd with every term masked to the tile:
+    r_b ||(K_b u - f_b) core||_1 and w*<u, c core>.  So the result is sd
+    with each block's shift and the linear term's c cut to the windows of
+    `run` and stacked, and with core their tiles' 0/1 float masks (faster
+    to multiply than a boolean); each step sets prox to (eta, uhat).  The
+    stacked windows, duals included, give the whole-grid problems' results
+    bit for bit (decomposition.OverlapLayout says why): every step is
+    elementwise over the stack, so each window sees the arithmetic it would
+    see alone.
     """
+    windows = layout.windows[run]
 
-    run: slice
-    saddle: Saddle
-
-
-def _cut_saddle(sd, windows):
-    """The saddle with each block's shift and the linear term's c cut to
-    the windows and stacked."""
     def data(a):
         return None if a is None else cut(a, windows)
     return replace(sd, blocks=tuple(replace(blk, shift=data(blk.shift)) for blk in sd.blocks),
-                   linear=None if sd.linear is None else (sd.linear[0], data(sd.linear[1])))
+                   linear=None if sd.linear is None else (sd.linear[0], data(sd.linear[1])),
+                   core=layout.core[run].astype(np.float64))
 
 
 def _check_footprint(model):
@@ -391,11 +369,11 @@ def _check_footprint(model):
 
     Each block's adjoint is applied to random duals at the centre pixel of a
     grid one pixel wider on every side than the stencil's reach; K* of a
-    dual on a tile must land inside the tile's enlargement (see Local), so
-    any nonzero outside the centre's enlargement means the declared stencil
-    is too small and the local problems would not be the model's.  The
-    probe stops at the image's larger side, past which a stencil covers
-    every pixel whatever the operator's width.
+    dual on a tile must land inside the tile's enlargement (see
+    _local_saddle), so any nonzero outside the centre's enlargement means
+    the declared stencil is too small and the local problems would not be
+    the model's.  The probe stops at the image's larger side, past which a
+    stencil covers every pixel whatever the operator's width.
     """
     stencil = stencil_of(model)
     c = min(stencil.reach, max(model.f.shape)) + 1
@@ -488,15 +466,16 @@ def cp_full(model, iters, tol=None, on_iter=None):
     consecutive iterates).  Records the energy after every iteration; the
     best value over the trace is an upper bound on the minimum and serves as
     the reference energy.  on_iter(n, u, e) is called after each iteration
-    when provided.  The steps are step_sizes(model, model.defaults.cp_tau).
+    when provided.  The steps are step_sizes(model.saddle, model.defaults.cp_tau).
     Raises NonFiniteEnergyError at the first iteration whose energy is not
     finite.
     """
     check_count("iters", iters)
     stop = None if tol is None else StopRule(model, tol)
-    sigma, tau = step_sizes(model, model.defaults.cp_tau)
+    sd = model.saddle
+    sigma, tau = step_sizes(sd, model.defaults.cp_tau)
     u = np.zeros_like(model.f, dtype=np.float64)
-    steps = primal_dual(model, u, zero_duals(model, u), sigma, tau, 0.0)
+    steps = primal_dual(sd, u, zero_duals(sd, u), sigma, tau, 0.0)
     energies = []
     converged = False
     n = 0

@@ -212,6 +212,9 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
                          (["--reference-energy", "nan"], "--reference-energy"),
                          (["--reference-energy", "-inf", "--subdomains", "2x2"],
                           "--reference-energy"),
+                         # a given reference energy and one to compute
+                         (["--reference-energy", "1.0"],
+                          "--reference-energy and --compute-reference-iters"),
                          (["--inner-iters", "0", "--subdomains", "2x2"], "iters"),
                          (["--subdomains", "30x30"], "30x30"),
                          (["--workers", "0", "--subdomains", "2x2"], "--workers"),

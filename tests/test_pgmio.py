@@ -48,9 +48,9 @@ def test_save_rounds_half_up(tmp_path):
 
 def test_save_clips_out_of_range(tmp_path):
     path = tmp_path / "clip.pgm"
-    save_pgm(np.array([[-0.5, 1.5]]), path)
+    save_pgm(np.array([[-0.5, 1.5, -np.inf, np.inf]]), path)
     back = load_pgm(path)
-    assert np.array_equal(back, [[0.0, 1.0]])
+    assert np.array_equal(back, [[0.0, 1.0, 0.0, 1.0]])
 
 
 def test_p2_ascii_with_comments(tmp_path):
@@ -124,6 +124,11 @@ def test_save_rejects_bad_inputs(tmp_path):
         save_pgm(np.zeros((2, 2)), tmp_path / "x.pgm", maxval=70000)
     with pytest.raises(ValueError):
         save_pgm(np.zeros((2, 2, 2)), tmp_path / "y.pgm")
+    # NaN has no sample value: nothing is written, rather than a 0 pixel
+    path = tmp_path / "nan.pgm"
+    with pytest.raises(ValueError, match=r"nan\.pgm.* 2 NaN"):
+        save_pgm([[np.nan, 0.5], [np.nan, np.inf]], path)
+    assert not path.exists()
 
 
 def test_values_normalized_to_unit_range(tmp_path):

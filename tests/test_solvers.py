@@ -43,7 +43,6 @@ from ddimaging.operators import (
 from ddimaging.solvers import (
     DecoupledAlm,
     InnerParams,
-    Local,
     NonFiniteEnergyError,
     StopRule,
     acceleration_schedule,
@@ -61,6 +60,11 @@ from ddimaging.solvers import (
 )
 
 from conftest import blob_scene, on_grid
+
+
+def _local(model, core, uhat, eta):
+    """The model's local problem on its grid: masked to core, proximal to uhat."""
+    return replace(model.saddle, core=core, prox=(eta, uhat))
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +126,11 @@ def test_step_bounds_and_defaults():
         assert 1.0 / model.saddle.bound == bound
         # the local solves' and the baseline's steps, the only ones in use,
         # stay within sigma*tau <= 1/bound (Chambolle & Pock, Alg. 1 and 2)
-        sigma, tau = step_sizes(model)
+        sigma, tau = step_sizes(model.saddle)
         assert sigma == tau == 1.0 / math.sqrt(model.saddle.bound)
         assert sigma * tau <= bound * (1.0 + 1e-9)
         cp_tau = model.defaults.cp_tau
-        sigma, tau = step_sizes(model, cp_tau)
+        sigma, tau = step_sizes(model.saddle, cp_tau)
         assert tau == (sigma if cp_tau is None else cp_tau)
         assert sigma * tau <= bound * (1.0 + 1e-9)
         prm = default_inner(model, eta=2.0)
@@ -149,8 +153,8 @@ def test_alm_rejects_bad_configs():
             raise AssertionError(f"eta {eta!r} accepted")
     try:
         DecoupledAlm(model, layout, 1.0, default_inner(model, 1.0, gamma=2.0))
-    except ValueError:
-        pass
+    except ValueError as exc:
+        assert "2.0" in str(exc) and "1.0" in str(exc)
     else:
         raise AssertionError("gamma > eta accepted")
     wrong = OverlapLayout.from_grid((6, 6), 2, 2, Stencil("band", 1))
@@ -236,9 +240,9 @@ def test_ccv_local_prox_matches_grid():
                   + 0.5 * eta * ((a - uhat[0, 0]) ** 2 + (b - uhat[0, 1]) ** 2))
         k = np.unravel_index(np.argmin(e_grid), e_grid.shape)
         u_star = np.array([[grid[k[0]], grid[k[1]]]])
-        local = Local(core=np.ones((1, 2)), uhat=uhat, eta=eta)
-        u, _, it, gap = local_solve(model, local, np.zeros((1, 2)),
-                                    zero_duals(model, model.f), prm)
+        local = _local(model, np.ones((1, 2)), uhat, eta)
+        u, _, it, gap = local_solve(local, np.zeros((1, 2)),
+                                    zero_duals(local, model.f), prm)
         assert gap is not None and gap <= 1e-12
         assert np.abs(u - u_star).max() <= 2e-3
         e_solver = (model.alpha * (model.g[0, 0] * u[0, 0] + model.g[0, 1] * u[0, 1])
@@ -295,9 +299,9 @@ def test_tvl1_local_prox_matches_grid():
             return alpha * fid + tv + 0.5 * eta * prox
 
         u_star, e_star = hierarchical_grid_min(e_fn)
-        local = Local(core=np.ones((2, 2)), uhat=uhat, eta=eta)
-        u, _, it, gap = local_solve(model, local, np.zeros((2, 2)),
-                                    zero_duals(model, model.f), prm)
+        local = _local(model, np.ones((2, 2)), uhat, eta)
+        u, _, it, gap = local_solve(local, np.zeros((2, 2)),
+                                    zero_duals(local, model.f), prm)
         assert gap is not None and gap <= 1e-11
         got = np.array([u[0, 0], u[0, 1], u[1, 0], u[1, 1]])
         assert np.abs(got - u_star).max() <= 2e-3
@@ -326,9 +330,9 @@ def test_hessl1_local_prox_matches_grid():
             return alpha * fid + mag01 + mag10 + mag11 + 0.5 * eta * prox
 
         u_star, e_star = hierarchical_grid_min(e_fn)
-        local = Local(core=np.ones((2, 2)), uhat=uhat, eta=eta)
-        u, _, it, gap = local_solve(model, local, np.zeros((2, 2)),
-                                    zero_duals(model, model.f), prm)
+        local = _local(model, np.ones((2, 2)), uhat, eta)
+        u, _, it, gap = local_solve(local, np.zeros((2, 2)),
+                                    zero_duals(local, model.f), prm)
         assert gap is not None and gap <= 1e-11
         got = np.array([u[0, 0], u[0, 1], u[1, 0], u[1, 1]])
         assert np.abs(got - u_star).max() <= 2e-3
@@ -342,7 +346,7 @@ def test_gap_certifies_suboptimality():
     model = ChanVese(f=f, alpha=2.0, c1=0.6, c2=0.1)
     eta = 1.0
     uhat = rng.uniform(-0.1, 1.1, size=(6, 6))
-    local = Local(core=np.ones((6, 6)), uhat=uhat, eta=eta)
+    local = _local(model, np.ones((6, 6)), uhat, eta)
 
     def local_energy_at(u):
         from ddimaging.operators import grad_plus
@@ -351,14 +355,14 @@ def test_gap_certifies_suboptimality():
                 + 0.5 * eta * norm2(u - uhat) ** 2)
 
     prm_exact = default_inner(model, eta, gap_tol=1e-13)
-    u_star, _, _, _ = local_solve(model, local, np.zeros((6, 6)),
-                                  zero_duals(model, model.f), prm_exact)
+    u_star, _, _, _ = local_solve(local, np.zeros((6, 6)),
+                                  zero_duals(local, model.f), prm_exact)
     e_star = local_energy_at(u_star)
     for iters in (5, 20, 80):
         prm = default_inner(model, eta, iters=iters)
-        u, duals, _, _ = local_solve(model, local, np.zeros((6, 6)),
-                                     zero_duals(model, model.f), prm)
-        gap = duality_gap(model, local, u, duals)
+        u, duals, _, _ = local_solve(local, np.zeros((6, 6)),
+                                     zero_duals(local, model.f), prm)
+        gap = duality_gap(local, u, duals)
         assert gap >= -1e-10
         assert local_energy_at(u) - e_star <= gap + 1e-10
 
@@ -401,12 +405,12 @@ def test_cp_full_is_primal_dual_at_eta_zero():
     for model in (ChanVese(f=f, alpha=2.0, c1=0.6, c2=0.1),
                   TVL1Deblur(f=f, alpha=3.0, kernel=BlurKernel(1)),
                   HessianL1(f=f, alpha=1.0)):
-        sigma, tau = step_sizes(model, model.defaults.cp_tau)
+        sigma, tau = step_sizes(model.saddle, model.defaults.cp_tau)
         res = cp_full(model, 300)
-        local = Local(core=np.ones(f.shape), uhat=np.zeros(f.shape), eta=0.0)
+        local = _local(model, np.ones(f.shape), np.zeros(f.shape), 0.0)
         trace = []
-        steps = primal_dual(model, np.zeros(f.shape), zero_duals(model, model.f),
-                            sigma, tau, 0.0, local)
+        steps = primal_dual(local, np.zeros(f.shape), zero_duals(local, model.f),
+                            sigma, tau, 0.0)
         for it, (u, _) in enumerate(islice(steps, 300), 1):
             trace.append(energy(model, u))
         u_alg1, trace_alg1 = _cp_alg1(model, sigma, tau, 300)
@@ -461,11 +465,19 @@ def test_dual_variables_stay_feasible():
         (HessianL1(f=f, alpha=1.0), 20.0),
     ]
     for model, eta in cases:
+        # a model's saddle poses the whole image: no local problem's fields
+        assert model.saddle.core is None and model.saddle.prox is None
         layout = OverlapLayout.from_grid(shape, 2, 2, stencil_of(model))
         alm = DecoupledAlm(model, layout, eta,
                            default_inner(model, eta, iters=7))
+        cores = [sd.core for _, sd in alm.chunks]
         for _ in range(4):
             alm.step()
+        # each chunk's float core is built once; a step sets prox on a copy
+        for (run, sd), core in zip(alm.chunks, cores):
+            assert sd.core is core and sd.core.dtype == np.float64
+            assert np.array_equal(sd.core, layout.core[run])
+            assert sd.prox is None
         assert len(alm.duals) == len(model.saddle.blocks)
         for blk, y in zip(model.saddle.blocks, alm.duals):
             assert y.shape == layout.core.shape + blk.forward(np.zeros(shape)).shape[2:]
@@ -677,9 +689,9 @@ def _window_step(alm):
     for s, win in enumerate(lay.windows):
         core = lay.core[s]
         uhat = alm.avg[win] * lay.tilde[s] - alm.lam[s] / eta
-        local = Local(core=core.astype(np.float64), uhat=uhat, eta=eta)
-        u, duals, it, gap = local_solve(replace(model, f=model.f[win]), local,
-                                        alm.u[s], [y[s] for y in alm.duals], alm.inner)
+        local = _local(replace(model, f=model.f[win]), core.astype(np.float64), uhat, eta)
+        u, duals, it, gap = local_solve(local, alm.u[s], [y[s] for y in alm.duals],
+                                        alm.inner)
         alm.u[s] = u
         for y, d in zip(alm.duals, duals):
             y[s] = d
@@ -767,9 +779,9 @@ def _whole_grid_solves(alm, state):
     for s in range(lay.count):
         core = on_grid(lay, s, lay.core[s])
         uhat = avg * on_grid(lay, s, lay.tilde[s]) - on_grid(lay, s, lam[s]) / eta
-        local = Local(core=core.astype(np.float64), uhat=uhat, eta=eta)
+        local = _local(alm.model, core.astype(np.float64), uhat, eta)
         d = [on_grid(lay, s, y[s]) for y in duals]
-        u_s, d, _, _ = local_solve(alm.model, local, on_grid(lay, s, u[s]), d, alm.inner)
+        u_s, d, _, _ = local_solve(local, on_grid(lay, s, u[s]), d, alm.inner)
         solves.append((core, u_s, d))
     return solves
 
@@ -831,10 +843,9 @@ def test_tile_terms_are_the_global_integrand_on_the_tile(m, n, kind, halfwidth, 
     model = _drawn_model(kind, rng.random((m, n)), halfwidth)
     layout = OverlapLayout.from_grid((m, n), p, q, stencil_of(model))
     u = rng.random((m, n))
-    chunk = solvers._Chunk(slice(0, layout.count),
-                           solvers._cut_saddle(model.saddle, layout.windows))
-    tiles = objective_terms(chunk, cut(u, layout.windows), layout.core.astype(np.float64))
-    whole = objective_terms(model, u)
+    sd = solvers._local_saddle(model.saddle, layout, slice(0, layout.count))
+    tiles = objective_terms(sd, cut(u, layout.windows))
+    whole = objective_terms(model.saddle, u)
     assert [w for w, _ in tiles] == [w for w, _ in whole]
     for (_, d_tiles), (_, d) in zip(tiles, whole):
         for s, (win, core) in enumerate(zip(layout.windows, layout.core)):
