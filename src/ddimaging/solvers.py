@@ -44,9 +44,11 @@ primal_dual() yields its iterates and never stops by itself; its callers own
 the loop.  local_solve() runs a fixed iteration budget by default; its
 gap-targeted mode instead runs until the local duality gap (an exact
 suboptimality certificate, computed from the running dual variables) falls
-below a tolerance, which the Lyapunov monotonicity tests rely on.  cp_full()
-records the energy trace and, given a tolerance, applies the same joint stop
-rule as solve_dd() between consecutive iterates.
+below a tolerance, which the Lyapunov monotonicity tests rely on.  Every
+solve, decomposed (solve_dd) or whole-image (solve_single, and cp_full, its
+untimed form), runs one loop, _run(): it steps, takes the energy, records
+one MetricsRow per iterate and, given a tolerance, applies the joint stop
+rule (StopRule) between consecutive iterates.
 """
 
 import math
@@ -411,13 +413,16 @@ class StopRule:
 
     Fires between consecutive iterates of a solve started at u = 0 when
     max(|e_prev - e|/|E(f)|, ||u_prev - u||/||f||) < tol, with f the data
-    image; either scale falls back to 1 below 1e-12, so a black image solves.
+    image, clipped to [0, 1] in E(f) when the model has the box constraint
+    (E is +inf off the box); either scale falls back to 1 below 1e-12, so a
+    black image solves.
     """
 
     def __init__(self, model, tol):
         check_positive("tol", tol)
         self.tol = tol
-        scales = abs(energy(model, model.f)), norm2(model.f)
+        f_in_box = np.clip(model.f, 0.0, 1.0) if model.saddle.box else model.f
+        scales = abs(energy(model, f_in_box)), norm2(model.f)
         self.e_scale, self.u_scale = (1.0 if x < 1e-12 else x for x in scales)
         u0 = np.zeros(model.f.shape)
         self.prev = energy(model, u0), u0
@@ -431,76 +436,24 @@ class StopRule:
 
 
 # ---------------------------------------------------------------------------
-# full-domain baseline
+# solves
 # ---------------------------------------------------------------------------
 
 
 class NonFiniteEnergyError(ArithmeticError):
     """A solve's energy or local duality gap became inf or NaN.
 
-    The message names the step.  Overflow or NaN in the iterates, or an
-    energy too large for a float, leaves neither the image nor the stop
-    rules meaningful, so cp_full, solve_dd and a gap-mode local_solve raise
-    this instead of running on to their budget.
+    The message names the step: the outer step of solve_dd, the iteration
+    of solve_single and cp_full, or the inner iteration of a gap-mode
+    local_solve.  Overflow or NaN in the iterates, or an energy too large
+    for a float, leaves neither the image nor the stop rules meaningful, so
+    the solve raises this instead of running on to its budget.
     """
 
 
 def _check_finite(what, value, step, n):
     if not math.isfinite(value):
         raise NonFiniteEnergyError(f"the {what} at {step} {n} is {value!r}, not finite")
-
-
-@dataclass
-class CpResult:
-    u: np.ndarray
-    energies: np.ndarray
-    converged: bool
-    iters: int
-
-
-def cp_full(model, iters, tol=None, on_iter=None):
-    """Non-accelerated primal-dual baseline on the whole image.
-
-    primal_dual() at gamma = 0 without masks.  Runs `iters` iterations (or
-    stops earlier when tol is given and the joint stop rule fires between
-    consecutive iterates).  Records the energy after every iteration; the
-    best value over the trace is an upper bound on the minimum and serves as
-    the reference energy.  on_iter(n, u, e) is called after each iteration
-    when provided.  The steps are step_sizes(model.saddle, model.defaults.cp_tau).
-    Raises NonFiniteEnergyError at the first iteration whose energy is not
-    finite.
-    """
-    check_count("iters", iters)
-    stop = None if tol is None else StopRule(model, tol)
-    sd = model.saddle
-    sigma, tau = step_sizes(sd, model.defaults.cp_tau)
-    u = np.zeros_like(model.f, dtype=np.float64)
-    steps = primal_dual(sd, u, zero_duals(sd, u), sigma, tau, 0.0)
-    energies = []
-    converged = False
-    n = 0
-    for n, (u, _) in enumerate(islice(steps, iters), 1):
-        e = energy(model, u)
-        _check_finite("energy", e, "iteration", n)
-        energies.append(e)
-        if on_iter is not None:
-            on_iter(n, u, e)
-        if stop is not None and stop(e, u):
-            converged = True
-            break
-    return CpResult(u=u, energies=np.array(energies), converged=converged,
-                    iters=n)
-
-
-def reference_energy(model, iters):
-    """Best energy over a long baseline run (upper bound on the minimum)."""
-    res = cp_full(model, iters)
-    return float(res.energies.min())
-
-
-# ---------------------------------------------------------------------------
-# end-to-end drivers
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -528,31 +481,37 @@ class SolveResult:
     mult_ortho_max: float = 0.0
 
 
-class _Rows:
-    """The MetricsRows of one solve, timed from construction.
+def _run(model, step, budget, stop, e_star, ground_truth, timing, on_row, unit):
+    """The loop of every solve: at most `budget` calls of step().
 
+    step() advances the solve and returns (u, consensus residual, d_n).
+    Each iterate's energy is checked finite (the error names the `unit` and
+    its number) and recorded in a MetricsRow, which on_row receives when
+    given; the loop ends early when `stop`, a StopRule or None, fires.
     rel_gap is (e - e_star)/|e_star|, with the denominator 1 when
-    |e_star| < 1e-12.
+    |e_star| < 1e-12, and elapsed_s counts from this call.
     """
-
-    def __init__(self, e_star, ground_truth, timing, on_row):
-        self.e_star, self.ground_truth = e_star, ground_truth
-        self.timing, self.on_row = timing, on_row
-        self.gap_denom = 1.0 if e_star is None or abs(e_star) < 1e-12 else abs(e_star)
-        self.rows = []
-        self.start = time.perf_counter()
-
-    def add(self, n, u, e, residual=0.0, d_n=None):
-        """Record iterate n; the defaults are the whole-image solve's."""
+    gap_denom = 1.0 if e_star is None or abs(e_star) < 1e-12 else abs(e_star)
+    start = time.perf_counter()
+    rows = []
+    converged = False
+    for n in range(1, budget + 1):
+        u, residual, d_n = step()
+        e = energy(model, u)
+        _check_finite("energy", e, unit, n)
         row = MetricsRow(
             n=n, energy=e,
-            rel_gap=None if self.e_star is None else (e - self.e_star) / self.gap_denom,
+            rel_gap=None if e_star is None else (e - e_star) / gap_denom,
             consensus_residual=residual, d_n=d_n,
-            psnr=None if self.ground_truth is None else psnr(u, self.ground_truth),
-            elapsed_s=(time.perf_counter() - self.start) if self.timing else None)
-        self.rows.append(row)
-        if self.on_row is not None:
-            self.on_row(row)
+            psnr=None if ground_truth is None else psnr(u, ground_truth),
+            elapsed_s=(time.perf_counter() - start) if timing else None)
+        rows.append(row)
+        if on_row is not None:
+            on_row(row)
+        if stop is not None and stop(e, u):
+            converged = True
+            break
+    return SolveResult(u=u, rows=rows, converged=converged, iters=n)
 
 
 def solve_dd(model, layout, eta, inner_prm, tol, max_outer, workers=1,
@@ -567,33 +526,49 @@ def solve_dd(model, layout, eta, inner_prm, tol, max_outer, workers=1,
     check_count("max_outer", max_outer)
     stop = StopRule(model, tol)
     alm = DecoupledAlm(model, layout, eta, inner_prm, workers=workers)
-    rows = _Rows(e_star, ground_truth, timing, on_row)
-    converged = False
-    mult_ortho = 0.0
-    for n in range(1, max_outer + 1):
+    ortho = [0.0]
+
+    def step():
         info = alm.step()
-        e = energy(model, alm.avg)
-        _check_finite("energy", e, "outer step", n)
-        mult_ortho = max(mult_ortho, alm.multiplier_consensus_norm()
-                         / max(1.0, norm2(alm.lam)))
-        rows.add(n, alm.avg, e, info.residual, info.d_n)
-        if stop(e, alm.avg):
-            converged = True
-            break
-    return SolveResult(u=alm.avg, rows=rows.rows, converged=converged,
-                       iters=alm.n, mult_ortho_max=mult_ortho)
+        ortho.append(alm.multiplier_consensus_norm() / max(1.0, norm2(alm.lam)))
+        return alm.avg, info.residual, info.d_n
+    res = _run(model, step, max_outer, stop, e_star, ground_truth, timing,
+               on_row, "outer step")
+    res.mult_ortho_max = max(ortho)
+    return res
 
 
 def solve_single(model, tol, max_iters, e_star=None, ground_truth=None,
                  timing=True, on_row=None):
-    """Whole-image solve (one subdomain) via the primal-dual baseline.
+    """Whole-image solve (one subdomain) via the non-accelerated baseline.
 
-    Reports the same row schema as solve_dd; the consensus residual is
-    identically zero and the consecutive-iterate metric is not defined
-    without a coupling weight, so it stays empty.
+    primal_dual() at gamma = 0 on the model's own saddle from u = 0, at
+    step_sizes(model.saddle, model.defaults.cp_tau); tol=None runs the
+    whole budget.  Reports the same row schema as solve_dd; the consensus
+    residual is identically zero and the consecutive-iterate metric is not
+    defined without a coupling weight, so it stays empty.
     """
     check_count("max_iters", max_iters)
-    rows = _Rows(e_star, ground_truth, timing, on_row)
-    res = cp_full(model, max_iters, tol=tol, on_iter=rows.add)
-    return SolveResult(u=res.u, rows=rows.rows, converged=res.converged,
-                       iters=res.iters)
+    stop = None if tol is None else StopRule(model, tol)
+    sd = model.saddle
+    sigma, tau = step_sizes(sd, model.defaults.cp_tau)
+    u = np.zeros_like(model.f, dtype=np.float64)
+    steps = primal_dual(sd, u, zero_duals(sd, u), sigma, tau, 0.0)
+    return _run(model, lambda: (next(steps)[0], 0.0, None), max_iters, stop,
+                e_star, ground_truth, timing, on_row, "iteration")
+
+
+def cp_full(model, iters, tol=None, on_iter=None):
+    """The baseline for `iters` iterations, untimed: solve_single's SolveResult.
+
+    The energy of every iterate is in the rows; the best of them is an
+    upper bound on the minimum and serves as the reference energy.
+    on_iter(row) receives each MetricsRow when provided.
+    """
+    check_count("iters", iters)
+    return solve_single(model, tol, iters, timing=False, on_row=on_iter)
+
+
+def reference_energy(model, iters):
+    """Best energy over a long baseline run (upper bound on the minimum)."""
+    return min(r.energy for r in cp_full(model, iters).rows)

@@ -416,7 +416,8 @@ def test_cp_full_is_primal_dual_at_eta_zero():
         u_alg1, trace_alg1 = _cp_alg1(model, sigma, tau, 300)
         assert it == res.iters == 300
         assert u.tobytes() == res.u.tobytes() == u_alg1.tobytes()
-        assert (np.array(trace).tobytes() == res.energies.tobytes()
+        energies = np.array([r.energy for r in res.rows])
+        assert (np.array(trace).tobytes() == energies.tobytes()
                 == trace_alg1.tobytes())
 
 
@@ -613,9 +614,9 @@ def test_blocks_may_name_any_operator():
     want = (1.5 * float(np.sum(np.abs(u - f)))
             + float(np.sum(magnitude(grad_minus(u)))))
     assert abs(energy(model, u) - want) <= 1e-12 * abs(want)
-    res = cp_full(model, 50)
-    assert np.isfinite(res.energies).all()
-    assert res.energies[-1] < energy(model, np.zeros(f.shape))
+    energies = [r.energy for r in cp_full(model, 50).rows]
+    assert np.isfinite(energies).all()
+    assert energies[-1] < energy(model, np.zeros(f.shape))
     layout = OverlapLayout.from_grid(f.shape, 2, 2, stencil_of(model))
     alm = DecoupledAlm(model, layout, 10.0, default_inner(model, 10.0))
     info = alm.step()
@@ -994,6 +995,22 @@ def test_stop_check_denominator_fallback():
     assert _fires(black, (0.0, u), (5e-5, u))
 
 
+def test_stop_check_scales_box_models_at_the_clipped_data():
+    # E is +inf off the box, so a CCV image with a pixel above 1 has
+    # E(f) = inf; the energy scale is taken at f clipped to [0, 1], and an
+    # energy change of 2*tol at a repeated iterate does not fire the rule
+    f = np.random.default_rng(40).uniform(0, 1, size=(6, 6))
+    f[2, 3] = 1.2
+    model = ChanVese(f=f, alpha=2.0, c1=0.6, c2=0.1)
+    assert energy(model, f) == math.inf
+    tol = 1e-4
+    rule = StopRule(model, tol)
+    scale = abs(energy(model, np.clip(f, 0.0, 1.0)))
+    assert math.isfinite(rule.e_scale) and rule.e_scale == scale
+    e0, u0 = rule.prev
+    assert not rule(e0 + 2 * tol * scale, u0.copy())
+
+
 def test_stop_check_accepts_zero_data():
     # ||f|| below 1e-12 switches the iterate-change denominator to 1, so a
     # black image has a stop rule
@@ -1031,9 +1048,25 @@ def test_non_finite_energy_stops_the_solve():
 
 def test_reference_energy_is_trace_minimum():
     model = _small_ccv(seed=36)
-    res = cp_full(model, 50)
-    assert reference_energy(model, 50) == res.energies.min()
-    assert (res.energies >= res.energies.min()).all()
+    energies = np.array([r.energy for r in cp_full(model, 50).rows])
+    assert reference_energy(model, 50) == energies.min()
+    assert (energies >= energies.min()).all()
+
+
+def test_cp_full_is_solve_single_untimed():
+    # cp_full is the whole-image solve without timing: the same rows, field
+    # for field, and on_iter receives each of them as it is made
+    model = _small_ccv(seed=39)
+    seen = []
+    res = cp_full(model, 40, on_iter=seen.append)
+    assert len(seen) == res.iters == 40
+    assert all(a is b for a, b in zip(seen, res.rows))
+    single = solve_single(model, None, 40, timing=False)
+    assert res.rows == single.rows
+    assert res.u.tobytes() == single.u.tobytes()
+    assert not res.converged and not single.converged
+    assert all(r.elapsed_s is None and r.consensus_residual == 0.0
+               and r.d_n is None for r in res.rows)
 
 
 def test_solve_dd_budget_exhaustion():
