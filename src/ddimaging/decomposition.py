@@ -1,13 +1,15 @@
 """Rectangular partitions, enlarged subdomains, and the consensus projection.
 
 The image grid is split into a P x Q grid of disjoint rectangular tiles.
-Each tile is enlarged to the minimal pixel set whose values determine the
-model integrand on the tile; the enlargement rule is a Stencil, one of
-
-* forward1: the tile plus its one-pixel forward (down and right) shifts,
-* band(l):  all pixels within Chebyshev distance l of the tile,
-* backfwd:  the reads of second differences (backward of forward) at the
-  tile, a plus shape with the two anti-diagonal corners in the interior.
+Each tile is enlarged to its essential domain, the minimal pixel set whose
+values determine the model integrand on the tile, which the model's
+operators alone decide.  A Stencil holds them, one (op, adjoint, args) per
+dual block, and the enlargement of a mask is the mask plus every pixel that
+some block's adjoint reaches from a dual that is NaN on the mask and 0.0
+elsewhere.  NaN survives every sum and scaling, so these are exactly the
+pixels the operator couples to the mask, whatever the dual's values.  A
+block's operator must therefore be linear and built from sums and scalings
+of its input, as every one in ddimaging.operators is.
 
 Every subdomain lives on a window of one shape (H, W) for the whole layout,
 and so do its tile and enlarged masks.  A packed field is an (S, H, W)
@@ -21,11 +23,11 @@ subdomain index in a single pass, so results are reproducible bit for bit
 regardless of how local work is scheduled.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import operators
 from .fields import check_count
 
 
@@ -36,82 +38,54 @@ from .fields import check_count
 
 @dataclass(frozen=True)
 class Stencil:
-    """Enlargement rule for a subdomain: kind in {forward1, band, backfwd}."""
+    """The operators of a model's dual blocks: one (op, adjoint, args) each.
 
-    kind: str
-    halfwidth: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("forward1", "band", "backfwd"):
-            raise ValueError(f"unknown stencil kind {self.kind!r}")
-        h = self.halfwidth
-        if self.kind == "band":
-            check_count("band stencil halfwidth", h)
-        elif not isinstance(h, numbers.Integral) or isinstance(h, bool) or h != 0:
-            # only a band has a width; another would name no model's layout
-            raise ValueError(f"{self.kind} stencil needs halfwidth 0, got {h!r}")
-        object.__setattr__(self, "halfwidth", int(h))
-
-    @property
-    def reach(self):
-        """No enlargement claims pixels farther than this from the mask."""
-        return self.halfwidth if self.kind == "band" else 1
-
-
-def _shifted(mask, di, dj):
-    """Shift a boolean mask by (di, dj), filling with False."""
-    out = np.zeros_like(mask)
-    r0, r1 = max(di, 0), mask.shape[0] + min(di, 0)
-    c0, c1 = max(dj, 0), mask.shape[1] + min(dj, 0)
-    if r0 < r1 and c0 < c1:
-        out[r0:r1, c0:c1] = mask[r0 - di:r1 - di, c0 - dj:c1 - dj]
-    return out
-
-
-def _forward_one(mask):
-    return mask | _shifted(mask, 1, 0) | _shifted(mask, 0, 1)
-
-
-def _backfwd(mask):
-    """Reads of the second-difference stencil at the masked pixels.
-
-    In the interior this is the plus shape with the two anti-diagonal
-    corners, i.e. the forward-one enlargement of the backward-one
-    enlargement.  Backward differences are zero on the first row / column,
-    which annihilates the channels read through them, so contributions are
-    only collected where the corresponding channel survives; without this
-    pruning a tile pinned to the top-left corner would claim neighbors that
-    can never reach it.
+    op and adjoint name functions of ddimaging.operators, applied as
+    op(u, *args), and None is the identity (see models.Block); two stencils
+    are equal when they name the same operators with equal arguments.
     """
-    below_top = mask.copy()
-    below_top[0, :] = False
-    right_of_edge = mask.copy()
-    right_of_edge[:, 0] = False
-    out = mask.copy()
-    for di, dj in ((-1, 0), (1, 0), (-1, 1), (0, 1)):
-        out |= _shifted(below_top, di, dj)
-    for di, dj in ((0, -1), (1, -1), (1, 0), (0, 1)):
-        out |= _shifted(right_of_edge, di, dj)
-    return out
+
+    blocks: tuple
+
+
+def _apply(name, x, args):
+    return x if name is None else getattr(operators, name)(x, *args)
 
 
 def essential_domain(mask, stencil):
-    """Enlarge a subdomain mask by the given stencil, clipped to the grid."""
+    """The mask plus every pixel that some block's adjoint reaches from it.
+
+    Each block's dual, the mask's shape plus the channel axes that K gives
+    a one-pixel image, is NaN on the mask, in every channel, and 0.0
+    elsewhere; the pixels where its adjoint is NaN are the block's
+    footprint (see the module docstring).
+    """
     mask = np.asarray(mask, dtype=bool)
-    if stencil.kind == "forward1":
-        return _forward_one(mask)
-    if stencil.kind == "backfwd":
-        return _backfwd(mask)
-    # separable, like the blur: the column shifts, then the row shifts of
-    # those; shifts past the grid's size would claim nothing
-    m, n = mask.shape
-    rows = mask.copy()
-    for d in range(1, min(stencil.halfwidth, n - 1) + 1):
-        rows |= _shifted(mask, 0, d) | _shifted(mask, 0, -d)
-    out = rows.copy()
-    for d in range(1, min(stencil.halfwidth, m - 1) + 1):
-        out |= _shifted(rows, d, 0) | _shifted(rows, -d, 0)
+    out = mask.copy()
+    for op, adjoint, args in stencil.blocks:
+        y = np.zeros(mask.shape + _apply(op, np.zeros((1, 1)), args).shape[2:])
+        y[mask] = np.nan
+        out |= np.isnan(_apply(adjoint, y, args))
     return out
+
+
+def _reach(stencil, side):
+    """How far the enlargement of a pixel reaches, in Chebyshev distance.
+
+    Probes the centre pixel of a grid c pixels wider on every side, with c
+    from 8 doubling while the enlargement touches the grid's edge, up to
+    `side`, the image's larger side: a reach that long takes in the whole
+    image whatever the operator's width.
+    """
+    c = 8
+    while True:
+        centre = np.zeros((2 * c + 1, 2 * c + 1), dtype=bool)
+        centre[c, c] = True
+        i, j = np.nonzero(essential_domain(centre, stencil))
+        r = int(max(np.abs(i - c).max(), np.abs(j - c).max()))
+        if r < c or c >= side:
+            return r
+        c = min(2 * c, side)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +126,13 @@ def partition_rect(shape, p, q):
 class OverlapLayout:
     """Masks, windows and counts for one overlapping decomposition.
 
+    Each tile is enlarged (see essential_domain) on its box, the tile grown
+    by the stencil's reach (see _reach) and clipped to the grid: the
+    enlargement stops short of the box's edges inside the grid and meets
+    the image's edges where the box does.  So it depends only on the box's
+    shape and the tile's place in it, and is computed once for each
+    distinct pair.
+
     Every window has the shape (H, W) of the largest bounding box of an
     enlarged mask.  Window s is the bounding box of subdomain s's enlarged
     mask grown or shifted inward to that shape inside the grid: it starts
@@ -187,25 +168,31 @@ class OverlapLayout:
     def __init__(self, shape, tiles, stencil):
         m, n = shape
         cover = np.zeros((m, n), dtype=np.intp)
-        patches = []
-        r = stencil.reach
-        for s, (i0, i1, j0, j1) in enumerate(tiles):
+        for tile in tiles:
+            i0, i1, j0, j1 = tile
             if not (0 <= i0 < i1 <= m and 0 <= j0 < j1 <= n):
-                raise ValueError(f"tile {tiles[s]} is empty or leaves the {m}x{n} grid")
+                raise ValueError(f"tile {tile} is empty or leaves the {m}x{n} grid")
             cover[i0:i1, j0:j1] += 1
-            a0, b0 = max(i0 - r, 0), max(j0 - r, 0)
-            core = np.zeros((min(i1 + r, m) - a0, min(j1 + r, n) - b0), dtype=bool)
-            core[i0 - a0:i1 - a0, j0 - b0:j1 - b0] = True
-            grown = essential_domain(core, stencil)
-            if not (core <= grown).all():
-                raise RuntimeError("enlargement lost core pixels")
-            i, j = np.nonzero(grown)
-            trim = np.s_[i.min():i.max() + 1, j.min():j.max() + 1]
-            patches.append((a0 + i.min(), b0 + j.min(), core[trim], grown[trim]))
         if cover.min() < 1:
             raise ValueError("tiles do not cover the grid")
         if cover.max() > 1:
             raise ValueError("tiles overlap")
+        r = _reach(stencil, max(m, n))
+        by_box = {}
+        patches = []
+        for i0, i1, j0, j1 in tiles:
+            a0, b0 = max(i0 - r, 0), max(j0 - r, 0)
+            box = (min(i1 + r, m) - a0, min(j1 + r, n) - b0,
+                   i0 - a0, i1 - a0, j0 - b0, j1 - b0)
+            if box not in by_box:
+                core = np.zeros(box[:2], dtype=bool)
+                core[box[2]:box[3], box[4]:box[5]] = True
+                tilde = essential_domain(core, stencil)
+                i, j = np.nonzero(tilde)
+                trim = np.s_[i.min():i.max() + 1, j.min():j.max() + 1]
+                by_box[box] = i.min(), j.min(), core[trim], tilde[trim]
+            di, dj, core, tilde = by_box[box]
+            patches.append((a0 + di, b0 + dj, core, tilde))
         h, w = map(max, zip(*(grown.shape for *_, grown in patches)))
         self.core = np.zeros((len(patches), h, w), dtype=bool)
         self.tilde = np.zeros_like(self.core)

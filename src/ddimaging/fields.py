@@ -24,8 +24,9 @@ def check_count(name, value):
 
 
 def check_positive(name, value):
-    """Raise unless value, the argument `name`, is finite and positive."""
-    if not (math.isfinite(value) and value > 0):
+    """Raise unless value, the argument `name`, is a finite positive real number."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not (math.isfinite(value) and value > 0)):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 

@@ -8,11 +8,12 @@ with K_b linear and ||.||_1 summing pointwise magnitudes.  Each model class
 declares this structure once as a Saddle: its dual blocks (K_b, its adjoint,
 the radius r_b that bounds the block's dual variable, an optional data shift
 f_b), the optional linear term (w, c), whether u is confined to the unit box,
-the bound on the squared norm of the stacked operator (K_b)_b, which limits
-the primal-dual step sizes, and the enlargement stencil matching the
-integrand's footprint.  Each parameter's default is its field's default, and
-the class-level Defaults give the solver settings: the coupling weight eta,
-the stop tolerance, the inner iteration budget and the baseline's primal step.
+and the bound on the squared norm of the stacked operator (K_b)_b, which
+limits the primal-dual step sizes; the blocks' operators alone decide each
+subdomain's enlargement (see stencil_of).  Each parameter's default is its
+field's default, and the class-level Defaults give the solver settings: the
+coupling weight eta, the stop tolerance, the inner iteration budget and the
+baseline's primal step.
 
 * ChanVese:   alpha*<u, g> + box + ||grad u||_1 with g = (f - c1)^2 - (f - c2)^2
               (two-phase segmentation with fixed region values, minimized by
@@ -50,7 +51,10 @@ class Block:
     module.  The solvers pass their own module namespace, so a wrapper
     installed on one of its attributes (a profiler, a tracer) sees every
     application.  args follow the field in each call; the block's dual
-    variable has the shape of K u, which the operator alone decides.
+    variable has the shape of K u, which the operator alone decides.  K
+    must be linear and built from sums and scalings of its input, as every
+    operator in the operators module is: a subdomain's enlargement is read
+    off the adjoint applied to NaN (see decomposition.essential_domain).
     """
 
     op: Optional[str]
@@ -81,7 +85,6 @@ class Saddle:
 
     blocks: tuple
     bound: float
-    stencil: Stencil
     linear: Optional[tuple] = None  # (w, c)
     box: bool = False
     core: Optional[np.ndarray] = None
@@ -121,8 +124,7 @@ class ChanVese:
 
     @cached_property
     def saddle(self):
-        return Saddle(blocks=(TV,), bound=8.0, stencil=Stencil("forward1"),
-                      linear=(self.alpha, self.g), box=True)
+        return Saddle(blocks=(TV,), bound=8.0, linear=(self.alpha, self.g), box=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +141,7 @@ class TVL1Deblur:
     @cached_property
     def saddle(self):
         data = Block("blur", "blur", self.alpha, shift=self.f, args=(self.kernel,))
-        return Saddle(blocks=(data, TV), bound=9.0,
-                      stencil=Stencil("band", self.kernel.halfwidth))
+        return Saddle(blocks=(data, TV), bound=9.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +157,7 @@ class HessianL1:
     @cached_property
     def saddle(self):
         data = Block(None, None, self.alpha, shift=self.f)
-        return Saddle(blocks=(data, HESSIAN), bound=65.0, stencil=Stencil("backfwd"))
+        return Saddle(blocks=(data, HESSIAN), bound=65.0)
 
 
 def _check_params(model, **values):
@@ -236,8 +237,8 @@ def integrand(model, u):
 
 
 def stencil_of(model):
-    """The enlargement rule matching the model's integrand footprint."""
-    return model.saddle.stencil
+    """The operators of the model's blocks, which decide its enlargements."""
+    return Stencil(tuple((b.op, b.adjoint, b.args) for b in model.saddle.blocks))
 
 
 def salt_pepper(u, p, seed):

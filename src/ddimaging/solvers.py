@@ -62,7 +62,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decomposition import consensus_norm_sq, cut, essential_domain, restrict_global, stack_sum
+from .decomposition import consensus_norm_sq, cut, restrict_global, stack_sum
 from .fields import check_count, check_positive, inner, norm2, project_ball, psnr
 from .models import energy, objective_terms, stencil_of, weighted_sum
 # the blocks name their operators; primal_dual() and duality_gap()'s K* look
@@ -262,8 +262,8 @@ class DecoupledAlm:
     its local problems, built once (see _local_saddle), and each step
     solves it on its slice of the stacks with prox set to (eta, uhat) on a
     copy.  Gap mode solves one window per chunk, so each gap sums its own
-    window.  The model's stencil must cover its operators' footprint, which
-    the constructor checks.  All iterates start at zero, which makes the
+    window.  The layout must be built for the model's grid and stencil,
+    which the constructor checks.  All iterates start at zero, which makes the
     multiplier orthogonal to the consensus subspace and keeps it so by
     induction.
     """
@@ -277,7 +277,6 @@ class DecoupledAlm:
             raise ValueError(
                 f"layout stencil {layout.stencil} does not match the model's "
                 f"{stencil_of(model)}")
-        _check_footprint(model)
         check_positive("eta", eta)
         if inner_prm.gamma > eta * _BOUND_TOL:
             raise ValueError(f"gamma = {inner_prm.gamma!r} must not exceed eta = {eta!r}")
@@ -294,7 +293,6 @@ class DecoupledAlm:
         limit = 0 if inner_prm.gap_tol is not None else _CHUNK_PX
         self.chunks = [(run, _local_saddle(model.saddle, layout, run))
                        for run in _runs(layout, limit)]
-        self.n = 0
 
     def _solve_chunk(self, chunk):
         (run, sd), lay = chunk, self.layout
@@ -320,7 +318,6 @@ class DecoupledAlm:
         d_n = (eta * consensus_norm_sq(self.avg - avg_new, lay)
                + eta * residual ** 2)
         self.avg = avg_new
-        self.n += 1
         return StepInfo(residual=residual, d_n=d_n,
                         inner_iters=[i for its, _ in results for i in its],
                         gaps=[g for _, gaps in results for g in gaps])
@@ -364,32 +361,6 @@ def _local_saddle(sd, layout, run):
     return replace(sd, blocks=tuple(replace(blk, shift=data(blk.shift)) for blk in sd.blocks),
                    linear=None if sd.linear is None else (sd.linear[0], data(sd.linear[1])),
                    core=layout.core[run].astype(np.float64))
-
-
-def _check_footprint(model):
-    """Raise unless the model's stencil covers each block's footprint.
-
-    Each block's adjoint is applied to random duals at the centre pixel of a
-    grid one pixel wider on every side than the stencil's reach; K* of a
-    dual on a tile must land inside the tile's enlargement (see
-    _local_saddle), so any nonzero outside the centre's enlargement means
-    the declared stencil is too small and the local problems would not be
-    the model's.  The probe stops at the image's larger side, past which a
-    stencil covers every pixel whatever the operator's width.
-    """
-    stencil = stencil_of(model)
-    c = min(stencil.reach, max(model.f.shape)) + 1
-    centre = np.zeros((2 * c + 1, 2 * c + 1), dtype=bool)
-    centre[c, c] = True
-    outside = ~essential_domain(centre, stencil)
-    rng = np.random.default_rng(0)
-    for blk in model.saddle.blocks:
-        y = np.zeros_like(blk.forward(np.zeros(centre.shape)))
-        y[c, c] = rng.uniform(1.0, 2.0, y.shape[2:])
-        if (blk.transpose(y)[outside] != 0).any():
-            raise ValueError(
-                f"{type(model).__name__} declares {stencil}, which does not "
-                f"cover the footprint of its block {blk.op!r}")
 
 
 def lyapunov_metric(layout, eta, avg_a, lam_a, avg_b, lam_b):
@@ -520,11 +491,12 @@ def solve_dd(model, layout, eta, inner_prm, tol, max_outer, workers=1,
 
     Emits one MetricsRow per outer iteration with the energy, consensus
     residual, consecutive-iterate metric, optional relative energy gap and
-    PSNR, and cumulative wall time (None when timing is False).  Raises
-    NonFiniteEnergyError at the first outer step whose energy is not finite.
+    PSNR, and cumulative wall time (None when timing is False); tol=None
+    runs the whole budget.  Raises NonFiniteEnergyError at the first outer
+    step whose energy is not finite.
     """
     check_count("max_outer", max_outer)
-    stop = StopRule(model, tol)
+    stop = None if tol is None else StopRule(model, tol)
     alm = DecoupledAlm(model, layout, eta, inner_prm, workers=workers)
     ortho = [0.0]
 

@@ -1,8 +1,12 @@
 import tempfile
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
+
+from ddimaging.models import Block, Defaults, Saddle
 
 
 def pytest_configure(config):
@@ -65,6 +69,23 @@ def signed_zeros(rng, shape, zeros):
     at = rng.random(shape) < zeros
     x[at] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[at]
     return x
+
+
+@dataclass(frozen=True, eq=False)
+class BackwardTVDenoise:
+    """alpha*||u - f||_1 + ||grad_minus u||_1: its TV block names operators
+    that neither the models nor the solvers module imports."""
+
+    f: np.ndarray
+    alpha: float = 1.0
+
+    defaults = Defaults(eta=10.0, tol=1e-3, inner_iters=5)
+
+    @cached_property
+    def saddle(self):
+        data = Block(None, None, self.alpha, shift=self.f)
+        tv = Block("grad_minus", "adjoint_grad_minus", 1.0)
+        return Saddle(blocks=(data, tv), bound=9.0)
 
 
 def on_grid(layout, s, a):

@@ -8,7 +8,6 @@ import numpy as np
 
 from ddimaging import cli
 from ddimaging.cli import CSV_HEADER, main, write_metrics
-from ddimaging.decomposition import Stencil
 from ddimaging.models import (TV, Block, ChanVese, Defaults, Saddle, salt_pepper,
                               threshold_half)
 from ddimaging.operators import BlurKernel, blur
@@ -318,7 +317,7 @@ class _TVL1Denoise:
     @cached_property
     def saddle(self):
         data = Block(None, None, self.alpha, shift=self.f - self.c1)
-        return Saddle(blocks=(data, TV), bound=9.0, stencil=Stencil("forward1"))
+        return Saddle(blocks=(data, TV), bound=9.0)
 
 
 def test_energy_builds_the_named_model(tmp_path, capsys, monkeypatch):

@@ -16,7 +16,18 @@ from ddimaging.models import ChanVese, HessianL1, TVL1Deblur, integrand, stencil
 from ddimaging.operators import BlurKernel
 from ddimaging.solvers import DecoupledAlm, default_inner
 
-from conftest import on_grid
+from conftest import BackwardTVDenoise, on_grid
+
+
+# the stencils of the three shipped models; the stencil does not depend on
+# the data or the weights, only on the operators (and the blur's width)
+_F = np.full((2, 2), 0.5)
+CCV = stencil_of(ChanVese(f=_F, alpha=1.0, c1=0.6, c2=0.1))
+HESSL1 = stencil_of(HessianL1(f=_F, alpha=1.0))
+
+
+def tvl1(halfwidth):
+    return stencil_of(TVL1Deblur(f=_F, alpha=1.0, kernel=BlurKernel(halfwidth)))
 
 
 # ---------------------------------------------------------------------------
@@ -59,12 +70,11 @@ def test_partition_rejects_too_many_tiles():
     else:
         raise AssertionError("empty tiles accepted")
     # tile counts are integers >= 1, and the message names them
-    stencil = Stencil("forward1")
     for bad in (0, -1, 2.0, 2.5, True, None):
         for name, call in (
                 ("p", lambda: partition_rect((8, 8), bad, 2)),
                 ("q", lambda: partition_rect((8, 8), 2, bad)),
-                ("p", lambda: OverlapLayout.from_grid((8, 8), bad, 2, stencil))):
+                ("p", lambda: OverlapLayout.from_grid((8, 8), bad, 2, CCV))):
             try:
                 call()
             except ValueError as exc:
@@ -89,7 +99,7 @@ def _mask(shape, pixels):
 def test_forward_one_of_top_left_tile():
     core = np.zeros((4, 4), dtype=bool)
     core[0:2, 0:2] = True
-    got = essential_domain(core, Stencil("forward1"))
+    got = essential_domain(core, CCV)
     want = _mask((4, 4), [(0, 0), (0, 1), (1, 0), (1, 1),
                           (2, 0), (2, 1), (0, 2), (1, 2)])
     assert np.array_equal(got, want)
@@ -97,7 +107,7 @@ def test_forward_one_of_top_left_tile():
 
 def test_band_one_of_center_pixel():
     core = _mask((5, 5), [(2, 2)])
-    got = essential_domain(core, Stencil("band", 1))
+    got = essential_domain(core, tvl1(1))
     want = np.zeros((5, 5), dtype=bool)
     want[1:4, 1:4] = True
     assert np.array_equal(got, want)
@@ -105,7 +115,7 @@ def test_band_one_of_center_pixel():
 
 def test_backfwd_of_single_pixel():
     core = _mask((4, 4), [(1, 1)])
-    got = essential_domain(core, Stencil("backfwd"))
+    got = essential_domain(core, HESSL1)
     # plus shape with the two anti-diagonal corners, no main-diagonal ones
     want = _mask((4, 4), [(1, 1), (0, 1), (2, 1), (1, 0), (1, 2),
                           (0, 2), (2, 0)])
@@ -118,42 +128,35 @@ def test_band_subsumes_forward_one():
         core = np.zeros((7, 8), dtype=bool)
         i0, j0 = int(rng.integers(0, 5)), int(rng.integers(0, 6))
         core[i0:i0 + int(rng.integers(1, 3)), j0:j0 + int(rng.integers(1, 3))] = True
-        fwd = essential_domain(core, Stencil("forward1"))
-        band = essential_domain(core, Stencil("band", 1))
+        fwd = essential_domain(core, CCV)
+        band = essential_domain(core, tvl1(1))
         assert (fwd <= band).all()
 
 
 def test_enlargements_clip_to_grid():
     core = np.ones((3, 3), dtype=bool)
-    for st in (Stencil("forward1"), Stencil("band", 2), Stencil("backfwd")):
+    for st in (CCV, tvl1(2), HESSL1):
         got = essential_domain(core, st)
         assert got.shape == (3, 3)
         assert got.all()
     # a band wider than the grid claims all of it
     core = np.zeros((5, 4), dtype=bool)
     core[3, 1] = True
-    assert essential_domain(core, Stencil("band", 10**6)).all()
+    assert essential_domain(core, tvl1(10**6)).all()
 
 
-def test_stencil_rejects_non_integer_halfwidth():
-    assert type(Stencil("band", np.int64(2)).halfwidth) is int
-    for bad in (2.0, 1.5, 0, -1, True):
-        try:
-            Stencil("band", bad)
-        except ValueError as exc:
-            assert f"halfwidth must be an integer >= 1, got {bad!r}" in str(exc)
-        else:
-            raise AssertionError(f"halfwidth {bad!r} accepted")
-    # only a band has a width
-    assert Stencil("backfwd", np.int64(0)) == Stencil("backfwd")
-    for kind, bad in (("forward1", 5), ("backfwd", -2), ("forward1", 1.0),
-                      ("backfwd", False), ("forward1", 0.0)):
-        try:
-            Stencil(kind, bad)
-        except ValueError as exc:
-            assert f"{kind} stencil needs halfwidth 0, got {bad!r}" in str(exc)
-        else:
-            raise AssertionError(f"Stencil({kind!r}, {bad!r}) accepted")
+def test_backward_gradient_enlarges_up_and_left():
+    # the tile plus its one-pixel up and left shifts: no enlargement rule
+    # written by hand matched this operator exactly
+    f = np.full((7, 8), 0.5)
+    layout = OverlapLayout.from_grid(f.shape, 3, 2, stencil_of(BackwardTVDenoise(f=f)))
+    for s, (i0, i1, j0, j1) in enumerate(layout.tiles):
+        tile = np.zeros(f.shape, dtype=bool)
+        tile[i0:i1, j0:j1] = True
+        want = tile.copy()
+        want[:-1] |= tile[1:]
+        want[:, :-1] |= tile[:, 1:]
+        assert np.array_equal(on_grid(layout, s, layout.tilde[s]), want), s
 
 
 def _band_2d_loop(mask, l):
@@ -172,7 +175,8 @@ def _band_2d_loop(mask, l):
        density=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
 def test_band_matches_2d_loop(m, n, l, density, seed):
     mask = np.random.default_rng(seed).random((m, n)) < density
-    got = essential_domain(mask, Stencil("band", l))
+    # the blur's footprint takes in the gradient's
+    got = essential_domain(mask, tvl1(l))
     assert np.array_equal(got, _band_2d_loop(mask, l))
 
 
@@ -243,11 +247,13 @@ def test_perturbation_oracle_wider_band_4x4():
        seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_perturbation_oracle_random_grids(m, n, halfwidth, seed, data):
     # any grid up to 7x7, square or not, any tile counts (one-pixel tiles
-    # included) and blur kernels up to 7 pixels wide, wider than most tiles
+    # included) and blur kernels up to 7 pixels wide, wider than most tiles;
+    # and a backward gradient, whose footprint no shipped model has
     p = data.draw(st.integers(1, m), label="p")
     q = data.draw(st.integers(1, n), label="q")
     rng = np.random.default_rng(seed)
-    for model in _models_for((m, n), rng, halfwidth):
+    backward = BackwardTVDenoise(f=rng.uniform(0.1, 0.9, size=(m, n)), alpha=1.5)
+    for model in _models_for((m, n), rng, halfwidth) + [backward]:
         layout = OverlapLayout.from_grid((m, n), p, q, stencil_of(model))
         perturbation_check(model, layout, rng)
 
@@ -269,7 +275,7 @@ def random_packed(rng, layout):
 
 
 def test_layout_masks_cover_and_contain():
-    layout = OverlapLayout.from_grid((6, 7), 2, 3, Stencil("forward1"))
+    layout = OverlapLayout.from_grid((6, 7), 2, 3, CCV)
     assert layout.count == 6
     core = np.stack([on_grid(layout, s, c) for s, c in enumerate(layout.core)])
     tilde = np.stack([on_grid(layout, s, t) for s, t in enumerate(layout.tilde)])
@@ -284,32 +290,28 @@ def test_layout_is_linear_in_the_grid():
     # every mask lives on its window, so the layout holds O(M*N) bytes
     # whatever the subdomain count; (S, M, N) masks would take 2*S bytes a pixel
     for tiles in (8, 32):
-        layout = OverlapLayout.from_grid((256, 256), tiles, tiles, Stencil("forward1"))
+        layout = OverlapLayout.from_grid((256, 256), tiles, tiles, CCV)
         arrays = [layout.counts, layout.interface, *layout.core, *layout.tilde]
         assert sum(a.nbytes for a in arrays) <= 16 * 256 * 256, tiles
 
 
-def _model_with(stencil, f):
-    if stencil.kind == "forward1":
-        return ChanVese(f=f, alpha=1.0, c1=0.6, c2=0.1)
-    if stencil.kind == "band":
-        return TVL1Deblur(f=f, alpha=1.0, kernel=BlurKernel(stencil.halfwidth))
-    return HessianL1(f=f, alpha=1.0)
-
-
-STENCILS = [Stencil("forward1"), Stencil("backfwd")] + [
-    Stencil("band", l) for l in range(1, 5)]
+def _shipped_models(f):
+    """The three shipped models, TV-L1 at blur halfwidths 1 to 4."""
+    return [ChanVese(f=f, alpha=1.0, c1=0.6, c2=0.1), HessianL1(f=f, alpha=1.0)] + [
+        TVL1Deblur(f=f, alpha=1.0, kernel=BlurKernel(l)) for l in range(1, 5)]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=125)
 @given(m=st.integers(1, 12), n=st.integers(1, 12), data=st.data())
 def test_windows_share_one_shape_and_hold_their_patches(m, n, data):
-    # every stencil on random grids and tile counts; every partition has
-    # tiles on all four image edges, and one-pixel tiles are included
+    # every shipped model's stencil on random grids and tile counts; every
+    # partition has tiles on all four image edges, and one-pixel tiles are
+    # included
     p = data.draw(st.integers(1, m), label="p")
     q = data.draw(st.integers(1, n), label="q")
     f = np.full((m, n), 0.5)
-    for stencil in STENCILS:
+    for model in _shipped_models(f):
+        stencil = stencil_of(model)
         layout = OverlapLayout.from_grid((m, n), p, q, stencil)
         shape = layout.tilde.shape[1:]
         assert layout.core.shape == layout.tilde.shape == (layout.count, *shape)
@@ -333,20 +335,19 @@ def test_windows_share_one_shape_and_hold_their_patches(m, n, data):
             assert np.array_equal(tilde, grown)
         # the shape is the largest bounding box of any enlarged mask
         assert shape == (max(heights), max(widths))
-        model = _model_with(stencil, f)
         alm = DecoupledAlm(model, layout, 1.0, default_inner(model, 1.0))
         assert alm.u.shape == alm.lam.shape == layout.tilde.shape
 
 
 def test_layout_counts_forward_one_cross():
-    layout = OverlapLayout.from_grid((4, 4), 2, 2, Stencil("forward1"))
+    layout = OverlapLayout.from_grid((4, 4), 2, 2, CCV)
     # the pixel just below-right of the cross point is claimed three times
     assert layout.counts.max() == 3.0
     assert layout.counts[2, 2] == 3.0
 
 
 def test_single_subdomain_is_whole_grid():
-    layout = OverlapLayout.from_grid((5, 6), 1, 1, Stencil("band", 2))
+    layout = OverlapLayout.from_grid((5, 6), 1, 1, tvl1(2))
     assert layout.tilde[0].shape == (5, 6) and layout.tilde[0].all()
     assert (layout.counts == 1.0).all()
     packed = restrict_global(np.arange(30.0).reshape(5, 6), layout)
@@ -354,7 +355,7 @@ def test_single_subdomain_is_whole_grid():
 
 
 def test_consensus_average_example():
-    layout = OverlapLayout.from_grid((4, 4), 2, 1, Stencil("forward1"))
+    layout = OverlapLayout.from_grid((4, 4), 2, 1, CCV)
     packed = restrict_global(np.ones((4, 4)), layout)
     packed[1:] *= 3.0
     out = project(packed, layout)
@@ -369,7 +370,7 @@ def test_consensus_average_example():
 
 def test_consensus_idempotent_bitwise():
     rng = np.random.default_rng(2)
-    layout = OverlapLayout.from_grid((8, 9), 2, 3, Stencil("band", 1))
+    layout = OverlapLayout.from_grid((8, 9), 2, 3, tvl1(1))
     once = project(random_packed(rng, layout), layout)
     twice = project(once, layout)
     assert np.array_equal(once, twice)
@@ -377,7 +378,7 @@ def test_consensus_idempotent_bitwise():
 
 def test_consensus_self_adjoint_and_nonexpansive():
     rng = np.random.default_rng(3)
-    for st in (Stencil("forward1"), Stencil("band", 2), Stencil("backfwd")):
+    for st in (CCV, tvl1(2), HESSL1):
         layout = OverlapLayout.from_grid((7, 7), 2, 2, st)
         for _ in range(20):
             a = random_packed(rng, layout)
@@ -390,7 +391,7 @@ def test_consensus_self_adjoint_and_nonexpansive():
 
 def test_jump_vanishes_after_projection():
     rng = np.random.default_rng(4)
-    layout = OverlapLayout.from_grid((6, 6), 3, 2, Stencil("backfwd"))
+    layout = OverlapLayout.from_grid((6, 6), 3, 2, HESSL1)
     packed = random_packed(rng, layout)
     proj = project(packed, layout)
     tilde = [on_grid(layout, s, t) for s, t in enumerate(layout.tilde)]
@@ -409,7 +410,7 @@ def test_jump_vanishes_after_projection():
 
 def test_restrict_then_assemble_roundtrip():
     rng = np.random.default_rng(5)
-    layout = OverlapLayout.from_grid((9, 5), 3, 2, Stencil("forward1"))
+    layout = OverlapLayout.from_grid((9, 5), 3, 2, CCV)
     u = rng.standard_normal((9, 5))
     packed = restrict_global(u, layout)
     assert np.allclose(stack_sum(packed, layout) / layout.counts, u,
@@ -418,7 +419,7 @@ def test_restrict_then_assemble_roundtrip():
 
 def test_assemble_ignores_inconsistency_direction():
     rng = np.random.default_rng(6)
-    layout = OverlapLayout.from_grid((6, 8), 2, 2, Stencil("band", 1))
+    layout = OverlapLayout.from_grid((6, 8), 2, 2, tvl1(1))
     packed = random_packed(rng, layout)
     a = stack_sum(packed, layout) / layout.counts
     b = stack_sum(project(packed, layout), layout) / layout.counts
@@ -427,7 +428,7 @@ def test_assemble_ignores_inconsistency_direction():
 
 def test_stack_sum_keeps_channels_and_checks_shapes():
     rng = np.random.default_rng(7)
-    layout = OverlapLayout.from_grid((16, 16), 2, 2, Stencil("forward1"))
+    layout = OverlapLayout.from_grid((16, 16), 2, 2, CCV)
     s, h, w = layout.core.shape
     packed = rng.standard_normal((s, h, w, 2))
     total = stack_sum(packed, layout)
@@ -448,7 +449,7 @@ def test_stack_sum_keeps_channels_and_checks_shapes():
 
 def test_consensus_norm_sq_matches_stacked_norm():
     rng = np.random.default_rng(8)
-    layout = OverlapLayout.from_grid((7, 6), 2, 2, Stencil("forward1"))
+    layout = OverlapLayout.from_grid((7, 6), 2, 2, CCV)
     packed = random_packed(rng, layout)
     proj = project(packed, layout)
     avg = stack_sum(packed, layout) / layout.counts
@@ -457,7 +458,7 @@ def test_consensus_norm_sq_matches_stacked_norm():
 
 def test_pythagoras_for_projection():
     rng = np.random.default_rng(9)
-    layout = OverlapLayout.from_grid((6, 6), 2, 3, Stencil("backfwd"))
+    layout = OverlapLayout.from_grid((6, 6), 2, 3, HESSL1)
     packed = random_packed(rng, layout)
     proj = project(packed, layout)
     res = norm2(packed - proj)

@@ -1,7 +1,9 @@
 import math
 
 import numpy as np
+import pytest
 
+from ddimaging.decomposition import OverlapLayout
 from ddimaging.fields import magnitude
 from ddimaging.models import (
     ChanVese,
@@ -14,6 +16,7 @@ from ddimaging.models import (
     threshold_half,
 )
 from ddimaging.operators import BlurKernel, blur, grad_plus, hessian
+from ddimaging.solvers import DecoupledAlm, default_inner
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +221,23 @@ def test_integrand_constant_ccv():
 
 
 def test_stencil_of_mapping():
+    # a stencil is the blocks' operators: the weights leave it alone, the
+    # blur's width does not, and a layout built for one model's operators
+    # is rejected for another's
     f = np.zeros((4, 4))
-    assert stencil_of(ChanVese(f=f, alpha=1, c1=0.6, c2=0.1)).kind == "forward1"
-    st = stencil_of(TVL1Deblur(f=f, alpha=1, kernel=BlurKernel(3)))
-    assert st.kind == "band" and st.halfwidth == 3
-    assert stencil_of(HessianL1(f=f, alpha=1)).kind == "backfwd"
+    for make in (lambda a: ChanVese(f=f, alpha=a, c1=0.6, c2=0.1),
+                 lambda a: TVL1Deblur(f=f, alpha=a, kernel=BlurKernel(2)),
+                 lambda a: HessianL1(f=f, alpha=a)):
+        assert stencil_of(make(1.0)) == stencil_of(make(10.0))
+    tvl1 = TVL1Deblur(f=f, alpha=1, kernel=BlurKernel(2))
+    assert stencil_of(tvl1) != stencil_of(TVL1Deblur(f=f, alpha=1, kernel=BlurKernel(3)))
+    layout = OverlapLayout.from_grid(f.shape, 2, 2, stencil_of(tvl1))
+    DecoupledAlm(TVL1Deblur(f=f, alpha=10, kernel=BlurKernel(2)), layout, 1.0,
+                 default_inner(tvl1, 1.0))
+    for other in (TVL1Deblur(f=f, alpha=1, kernel=BlurKernel(3)),
+                  ChanVese(f=f, alpha=1, c1=0.6, c2=0.1), HessianL1(f=f, alpha=1)):
+        with pytest.raises(ValueError, match="does not match the model's"):
+            DecoupledAlm(other, layout, 1.0, default_inner(other, 1.0))
 
 
 def test_salt_pepper_zero_probability():

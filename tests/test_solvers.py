@@ -14,12 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddimaging import models, operators, solvers
-from ddimaging.decomposition import OverlapLayout, Stencil, cut, restrict_global, stack_sum
+from ddimaging.decomposition import OverlapLayout, cut, restrict_global, stack_sum
 from ddimaging.fields import magnitude, norm2, project_ball
 from ddimaging.models import (
     Block,
     ChanVese,
-    Defaults,
     HessianL1,
     Saddle,
     TVL1Deblur,
@@ -59,7 +58,7 @@ from ddimaging.solvers import (
     zero_duals,
 )
 
-from conftest import blob_scene, on_grid
+from conftest import BackwardTVDenoise, blob_scene, on_grid
 
 
 def _local(model, core, uhat, eta):
@@ -99,7 +98,7 @@ def test_inner_params_validation():
     for bad in (dict(gamma=-0.1), dict(iters=0), dict(gap_tol=0.0),
                 dict(gamma=math.inf), dict(gap_tol=math.nan),
                 dict(gap_tol=math.inf), dict(gap_tol=-1e-9), dict(iters=2.5),
-                dict(iters=True)):
+                dict(iters=True), dict(gap_tol=True), dict(gap_tol="x")):
         kw = dict(gamma=0.1, iters=5)
         kw.update(bad)
         try:
@@ -141,14 +140,14 @@ def test_step_bounds_and_defaults():
 def test_alm_rejects_bad_configs():
     f = np.zeros((6, 6))
     model = ChanVese(f=f, alpha=1, c1=0.6, c2=0.1)
-    layout = OverlapLayout.from_grid((6, 6), 2, 2, Stencil("forward1"))
+    layout = OverlapLayout.from_grid((6, 6), 2, 2, stencil_of(model))
     good = default_inner(model, eta=1.0)
     DecoupledAlm(model, layout, 1.0, good)
-    for eta in (-1.0, math.inf, math.nan):
+    for eta in (-1.0, math.inf, math.nan, True, "x", None):
         try:
             DecoupledAlm(model, layout, eta, good)
         except ValueError as exc:
-            assert repr(eta) in str(exc)
+            assert f"eta must be finite and positive, got {eta!r}" in str(exc)
         else:
             raise AssertionError(f"eta {eta!r} accepted")
     try:
@@ -157,27 +156,28 @@ def test_alm_rejects_bad_configs():
         assert "2.0" in str(exc) and "1.0" in str(exc)
     else:
         raise AssertionError("gamma > eta accepted")
-    wrong = OverlapLayout.from_grid((6, 6), 2, 2, Stencil("band", 1))
+    tvl1 = TVL1Deblur(f=f, alpha=1, kernel=BlurKernel(1))
+    wrong = OverlapLayout.from_grid((6, 6), 2, 2, stencil_of(tvl1))
     try:
         DecoupledAlm(model, wrong, 1.0, good)
     except ValueError:
         pass
     else:
         raise AssertionError("stencil mismatch accepted")
-    for tol in (math.nan, math.inf, 0.0, -1.0):
+    for tol in (math.nan, math.inf, 0.0, -1.0, True, "x"):
         for call in (lambda: solve_dd(model, layout, 1.0, good, tol, 3),
                      lambda: solve_single(model, tol, 3),
                      lambda: cp_full(model, 3, tol=tol)):
             try:
                 call()
             except ValueError as exc:
-                assert repr(tol) in str(exc)
+                assert f"tol must be finite and positive, got {tol!r}" in str(exc)
             else:
                 raise AssertionError(f"tol {tol!r} accepted")
     # a layout built for another grid: smaller, larger, or narrower
     square = ChanVese(f=np.zeros((16, 16)), alpha=1, c1=0.6, c2=0.1)
     for shape in ((8, 8), (20, 20), (16, 12)):
-        other = OverlapLayout.from_grid(shape, 2, 2, Stencil("forward1"))
+        other = OverlapLayout.from_grid(shape, 2, 2, stencil_of(square))
         try:
             DecoupledAlm(square, other, 1.0, good)
         except ValueError as exc:
@@ -587,29 +587,12 @@ def test_frozen_gap_trajectory():
         assert (iters, sha[0], sha[1], tuple(sha[2:])) == FROZEN_GAP_TRAJECTORY[name], name
 
 
-@dataclass(frozen=True, eq=False)
-class _BackwardTVDenoise:
-    """alpha*||u - f||_1 + ||grad_minus u||_1: its TV block names operators
-    that neither the models nor the solvers module imports."""
-
-    f: np.ndarray
-    alpha: float = 1.0
-
-    defaults = Defaults(eta=10.0, tol=1e-3, inner_iters=5)
-
-    @cached_property
-    def saddle(self):
-        data = Block(None, None, self.alpha, shift=self.f)
-        tv = Block("grad_minus", "adjoint_grad_minus", 1.0)
-        return Saddle(blocks=(data, tv), bound=9.0, stencil=Stencil("band", 1))
-
-
 def test_blocks_may_name_any_operator():
     for module in (models, solvers):
         assert "grad_minus" not in vars(module)
     rng = np.random.default_rng(35)
     f = rng.uniform(0, 1, size=(10, 9))
-    model = _BackwardTVDenoise(f=f, alpha=1.5)
+    model = BackwardTVDenoise(f=f, alpha=1.5)
     u = rng.uniform(0, 1, size=f.shape)
     want = (1.5 * float(np.sum(np.abs(u - f)))
             + float(np.sum(magnitude(grad_minus(u)))))
@@ -625,15 +608,15 @@ def test_blocks_may_name_any_operator():
 
 
 @dataclass(frozen=True, eq=False)
-class _StackedTVDenoise(_BackwardTVDenoise):
-    """_BackwardTVDenoise with its TV block naming operators that are built
+class _StackedTVDenoise(BackwardTVDenoise):
+    """BackwardTVDenoise with its TV block naming operators that are built
     from the 1-D differences with np.stack and a sum."""
 
     @cached_property
     def saddle(self):
         data = Block(None, None, self.alpha, shift=self.f)
         tv = Block("stacked_grad_minus", "stacked_adjoint_grad_minus", 1.0)
-        return Saddle(blocks=(data, tv), bound=9.0, stencil=Stencil("band", 1))
+        return Saddle(blocks=(data, tv), bound=9.0)
 
 
 def test_a_block_may_name_an_operator_built_by_stacking(monkeypatch):
@@ -645,7 +628,7 @@ def test_a_block_may_name_an_operator_built_by_stacking(monkeypatch):
                         value=lambda p: adjoint_dxm(p[..., 0]) + adjoint_dym(p[..., 1]))
     f = np.random.default_rng(37).uniform(0, 1, size=(10, 9))
     runs = []
-    for model in (_BackwardTVDenoise(f=f, alpha=1.5), _StackedTVDenoise(f=f, alpha=1.5)):
+    for model in (BackwardTVDenoise(f=f, alpha=1.5), _StackedTVDenoise(f=f, alpha=1.5)):
         layout = OverlapLayout.from_grid(f.shape, 2, 2, stencil_of(model))
         alm = DecoupledAlm(model, layout, 10.0, default_inner(model, 10.0))
         for _ in range(3):
@@ -664,7 +647,7 @@ def test_iterates_stay_on_their_patches():
                   # shifted data drives the iterates negative
                   TVL1Deblur(f=f - 0.3, alpha=10.0, kernel=BlurKernel(2)),
                   HessianL1(f=f - 0.3, alpha=1.0),
-                  _BackwardTVDenoise(f=f, alpha=1.5)):
+                  BackwardTVDenoise(f=f, alpha=1.5)):
         eta = model.defaults.eta
         layout = OverlapLayout.from_grid(f.shape, 3, 2, stencil_of(model))
         alm = DecoupledAlm(model, layout, eta, default_inner(model, eta, iters=7))
@@ -706,10 +689,12 @@ def _window_step(alm):
 
 def test_chunk_runs_fit_their_limit():
     lim = solvers._CHUNK_PX
+    f = np.zeros((2, 2))
+    ccv, hessl1, tvl1, tvl1_4 = (stencil_of(m) for m in (
+        ChanVese(f=f, c1=0.6, c2=0.1), HessianL1(f=f),
+        TVL1Deblur(f=f, kernel=BlurKernel(1)), TVL1Deblur(f=f, kernel=BlurKernel(4))))
     for side, p, stencil in itertools.product(
-            (16, 40, 128, 256), (2, 3, 4, 8),
-            (Stencil("forward1"), Stencil("backfwd"), Stencil("band", 1),
-             Stencil("band", 4))):
+            (16, 40, 128, 256), (2, 3, 4, 8), (ccv, hessl1, tvl1, tvl1_4)):
         layout = OverlapLayout.from_grid((side, side), p, p, stencil)
         subdomains = range(layout.count)
         for limit in (0, 1, 100, 1_000, 4_000, lim, 3 * lim):
@@ -725,8 +710,7 @@ def test_chunk_runs_fit_their_limit():
                 assert sizes == [1] * layout.count
     # the benchmark's layouts: CCV at 256^2 over 8x8 and TV-L1 at 128^2 over
     # 4x4 with a halfwidth-4 blur
-    for side, p, stencil, count in ((256, 8, Stencil("forward1"), 10),
-                                    (128, 4, Stencil("band", 4), 4)):
+    for side, p, stencil, count in ((256, 8, ccv, 10), (128, 4, tvl1_4, 4)):
         layout = OverlapLayout.from_grid((side, side), p, p, stencil)
         assert len(solvers._runs(layout, lim)) == count
 
@@ -749,7 +733,7 @@ def test_chunked_step_equals_the_window_loop(monkeypatch):
         for model in (ChanVese(f=g, alpha=10.0, c1=0.6, c2=0.1),
                       TVL1Deblur(f=g - 0.3, alpha=10.0, kernel=BlurKernel(2)),
                       HessianL1(f=g - 0.3, alpha=1.0),
-                      _BackwardTVDenoise(f=g, alpha=1.5)):
+                      BackwardTVDenoise(f=g, alpha=1.5)):
             eta = model.defaults.eta
             layout = OverlapLayout.from_grid(shape, p, q, stencil_of(model))
             areas = sum(t.size for t in layout.tilde)
@@ -792,7 +776,7 @@ def _drawn_model(kind, f, halfwidth):
     return {"ccv": lambda: ChanVese(f=f, alpha=10.0, c1=0.6, c2=0.1),
             "tvl1": lambda: TVL1Deblur(f=f - 0.3, alpha=10.0, kernel=BlurKernel(halfwidth)),
             "hessl1": lambda: HessianL1(f=f - 0.3, alpha=1.0),
-            "backward_tv": lambda: _BackwardTVDenoise(f=f, alpha=1.5)}[kind]()
+            "backward_tv": lambda: BackwardTVDenoise(f=f, alpha=1.5)}[kind]()
 
 
 _KINDS = st.sampled_from(["ccv", "tvl1", "hessl1", "backward_tv"])
@@ -853,36 +837,10 @@ def test_tile_terms_are_the_global_integrand_on_the_tile(m, n, kind, halfwidth, 
             assert d_tiles[s][core].tobytes() == d[win][core].tobytes(), s
 
 
-@dataclass(frozen=True, eq=False)
-class _NarrowStencilDeblur(TVL1Deblur):
-    """TV-L1 that declares band(1) whatever its kernel's halfwidth."""
-
-    @cached_property
-    def saddle(self):
-        return replace(super().saddle, stencil=Stencil("band", 1))
-
-
-def test_alm_rejects_stencil_that_misses_the_footprint():
-    f = np.random.default_rng(37).random((13, 11)) - 0.3
-    narrow = _NarrowStencilDeblur(f=f, alpha=10.0, kernel=BlurKernel(2))
-    layout = OverlapLayout.from_grid(f.shape, 3, 2, stencil_of(narrow))
-    try:
-        DecoupledAlm(narrow, layout, 10.0, default_inner(narrow, 10.0))
-    except ValueError as exc:
-        assert "Stencil(kind='band', halfwidth=1)" in str(exc)
-        assert "'blur'" in str(exc)
-    else:
-        raise AssertionError("a band(1) stencil accepted for a 5x5 blur")
-    # band(1) does cover a 3x3 kernel
-    fits = _NarrowStencilDeblur(f=f, alpha=10.0, kernel=BlurKernel(1))
-    DecoupledAlm(fits, layout, 10.0, default_inner(fits, 10.0))
-
-
 def test_footprint_probe_is_capped_at_the_image():
-    # a stencil reaching past the image's larger side covers every pixel, so
-    # the probe stops at the image: a kernel wider than the image builds and
-    # steps as fast as one as wide as it, and band(20) on 16x16 admits a
-    # 201-wide blur
+    # an enlargement reaching past the image's larger side covers every
+    # pixel, so the reach probe stops at the image: a kernel wider than the
+    # image builds and steps as fast as one as wide as it
     f = np.random.default_rng(40).random((16, 16))
     start = time.perf_counter()
     wide = TVL1Deblur(f=f, alpha=10.0, kernel=BlurKernel(10**6))
@@ -891,16 +849,6 @@ def test_footprint_probe_is_capped_at_the_image():
     alm.step()
     assert time.perf_counter() - start < 1.0
     assert np.isfinite(alm.avg).all()
-
-    @dataclass(frozen=True, eq=False)
-    class Band20Deblur(TVL1Deblur):
-        @cached_property
-        def saddle(self):
-            return replace(super().saddle, stencil=Stencil("band", 20))
-
-    covers = Band20Deblur(f=f, alpha=10.0, kernel=BlurKernel(100))
-    layout = OverlapLayout.from_grid(f.shape, 2, 2, stencil_of(covers))
-    DecoupledAlm(covers, layout, 10.0, default_inner(covers, 10.0))
 
 
 def test_step_metric_matches_lyapunov_helper():
@@ -1079,6 +1027,18 @@ def test_solve_dd_budget_exhaustion():
     assert [r.n for r in res.rows] == [1, 2, 3]
     assert all(r.elapsed_s is None for r in res.rows)
     assert all(r.d_n is not None and r.d_n >= 0.0 for r in res.rows)
+
+
+def test_solve_dd_without_tol_runs_its_budget():
+    # like solve_single, tol=None means no stop rule: every outer step of the
+    # budget runs, the same steps as under a rule that never fires
+    model = _small_ccv(seed=38)
+    layout = OverlapLayout.from_grid((16, 16), 2, 2, stencil_of(model))
+    prm = default_inner(model, 1.0, iters=2)
+    res = solve_dd(model, layout, 1.0, prm, None, 4, timing=False)
+    assert not res.converged and res.iters == 4
+    ruled = solve_dd(model, layout, 1.0, prm, 1e-30, 4, timing=False)
+    assert res.rows == ruled.rows and res.u.tobytes() == ruled.u.tobytes()
 
 
 def test_solve_dd_reaches_baseline_energy(blob32):
