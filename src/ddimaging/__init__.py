@@ -9,7 +9,6 @@ uniform kernel, and second-order (Hessian) L1 denoising.
 
 from .decomposition import (
     OverlapLayout,
-    Stencil,
     essential_domain,
     partition_rect,
     restrict_global,

@@ -3,10 +3,10 @@
 The image grid is split into a P x Q grid of disjoint rectangular tiles.
 Each tile is enlarged to its essential domain, the minimal pixel set whose
 values determine the model integrand on the tile, which the model's
-operators alone decide.  A Stencil holds them, one (op, adjoint, args) per
-dual block, and the enlargement of a mask is the mask plus every pixel that
-some block's adjoint reaches from a dual that is NaN on the mask and 0.0
-elsewhere.  NaN survives every sum and scaling, so these are exactly the
+operators alone decide: a stencil, the model's blocks (see
+models.stencil_of).  The enlargement of a mask is the mask plus every pixel
+that some block's adjoint reaches from a dual that is NaN on the mask and
+0.0 elsewhere.  NaN survives every sum and scaling, so these are exactly the
 pixels the operator couples to the mask, whatever the dual's values.  A
 block's operator must therefore be linear and built from sums and scalings
 of its input, as every one in ddimaging.operators is.
@@ -23,49 +23,30 @@ subdomain index in a single pass, so results are reproducible bit for bit
 regardless of how local work is scheduled.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import operators
 from .fields import check_count
 
 
 # ---------------------------------------------------------------------------
-# stencils
+# essential domains
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Stencil:
-    """The operators of a model's dual blocks: one (op, adjoint, args) each.
-
-    op and adjoint name functions of ddimaging.operators, applied as
-    op(u, *args), and None is the identity (see models.Block); two stencils
-    are equal when they name the same operators with equal arguments.
-    """
-
-    blocks: tuple
-
-
-def _apply(name, x, args):
-    return x if name is None else getattr(operators, name)(x, *args)
 
 
 def essential_domain(mask, stencil):
     """The mask plus every pixel that some block's adjoint reaches from it.
 
-    Each block's dual, the mask's shape plus the channel axes that K gives
-    a one-pixel image, is NaN on the mask, in every channel, and 0.0
-    elsewhere; the pixels where its adjoint is NaN are the block's
+    Each stencil block's dual (see models.Block.zero_dual) is NaN on the
+    mask, in every channel, and 0.0 elsewhere; the pixels where its
+    adjoint, resolved in ddimaging.operators, is NaN are the block's
     footprint (see the module docstring).
     """
     mask = np.asarray(mask, dtype=bool)
     out = mask.copy()
-    for op, adjoint, args in stencil.blocks:
-        y = np.zeros(mask.shape + _apply(op, np.zeros((1, 1)), args).shape[2:])
+    for blk in stencil:
+        y = blk.zero_dual(mask.shape)
         y[mask] = np.nan
-        out |= np.isnan(_apply(adjoint, y, args))
+        out |= np.isnan(blk.transpose(y))
     return out
 
 
@@ -155,6 +136,8 @@ class OverlapLayout:
     Attributes
     ----------
     shape : (M, N)
+    stencil : tuple of models.Block
+        The blocks the layout was built for (see models.stencil_of).
     tiles : list of half-open boxes, row-major
     windows : list of S (row slice, column slice), each H by W
     core, tilde : (S, H, W) bool
@@ -206,7 +189,7 @@ class OverlapLayout:
             self.core[s][place], self.tilde[s][place] = core, grown
             self.counts[self.windows[s]] += self.tilde[s]
         self.shape = (m, n)
-        self.stencil = stencil
+        self.stencil = tuple(stencil)
         self.tiles = list(tiles)
         self.interface = self.counts >= 2.0
 

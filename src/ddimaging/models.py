@@ -27,8 +27,9 @@ solvers.  integrand() returns the pointwise energy density whose sum equals
 energy(u), with +inf marking box violations.
 """
 
+import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from operator import add
 from typing import Optional
@@ -36,38 +37,54 @@ from typing import Optional
 import numpy as np
 
 from . import operators
-from .decomposition import Stencil
 from .fields import magnitude
 # blur, grad_plus and hessian are applied through the blocks' operator names
 from .operators import BlurKernel, blur, grad_plus, hessian  # noqa: F401
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Block:
     """One dual block: the term radius * ||K u - shift||_1.
 
-    K and its adjoint are named, not held (None is the identity), and are
-    resolved at call time in a namespace ns, falling back to the operators
-    module.  The solvers pass their own module namespace, so a wrapper
+    K and its adjoint are named, not held (None is the identity), and each
+    name must be a function of ddimaging.operators, applied as K(u, *args)
+    with hashable args, or the block raises a ValueError naming itself.
+    Blocks compare by (op, adjoint, args) alone (see stencil_of).  Names
+    resolve at call time in a namespace ns, falling back to the operators
+    module; the solvers pass their own module namespace, so a wrapper
     installed on one of its attributes (a profiler, a tracer) sees every
-    application.  args follow the field in each call; the block's dual
-    variable has the shape of K u, which the operator alone decides.  K
-    must be linear and built from sums and scalings of its input, as every
-    operator in the operators module is: a subdomain's enlargement is read
-    off the adjoint applied to NaN (see decomposition.essential_domain).
+    application.  The block's dual has the shape of K u (see zero_dual).
+    K must be linear and built from sums and scalings of its input, as
+    every operator in the operators module is: a subdomain's enlargement is
+    read off the adjoint applied to NaN (see decomposition.essential_domain).
     """
 
     op: Optional[str]
     adjoint: Optional[str]
-    radius: float
-    shift: Optional[np.ndarray] = None
+    radius: float = field(compare=False)
+    shift: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
     args: tuple = ()
+
+    def __post_init__(self):
+        block = f"Block({self.op!r}, {self.adjoint!r})"
+        for name in (self.op, self.adjoint):
+            if name is not None and not (isinstance(name, str) and inspect.isfunction(
+                    getattr(operators, name, None))):
+                raise ValueError(f"{block}: {name!r} is not a function of ddimaging.operators")
+        try:
+            hash(self.args)
+        except TypeError as exc:
+            raise ValueError(f"{block}: args must be hashable ({exc})") from None
 
     def forward(self, u, ns=vars(operators)):
         return u if self.op is None else _operator(self.op, ns)(u, *self.args)
 
     def transpose(self, y, ns=vars(operators)):
         return y if self.adjoint is None else _operator(self.adjoint, ns)(y, *self.args)
+
+    def zero_dual(self, shape):
+        """Zeros shaped like K u for an image or stack u of the given shape."""
+        return np.zeros(shape + self.forward(np.zeros((1, 1))).shape[2:])
 
 
 def _operator(name, ns):
@@ -237,8 +254,9 @@ def integrand(model, u):
 
 
 def stencil_of(model):
-    """The operators of the model's blocks, which decide its enlargements."""
-    return Stencil(tuple((b.op, b.adjoint, b.args) for b in model.saddle.blocks))
+    """The model's blocks without their data: the operators that decide its
+    enlargements, equal for two models whose blocks name the same ones."""
+    return tuple(replace(b, shift=None) for b in model.saddle.blocks)
 
 
 def salt_pepper(u, p, seed):

@@ -26,10 +26,10 @@ primal-dual algorithm for convex problems with applications to imaging"
 
     theta = 1/sqrt(1 + 2*gamma*tau),  tau <- theta*tau,  sigma <- sigma/theta
 
-with 0 <= gamma <= eta (Alg. 2), warm-started primal and dual variables, and
-steps reset to step_sizes(sd) at every outer iteration.  The baseline is the
-case eta = 0, gamma = 0 (so theta = 1, Alg. 1) on the model's own saddle,
-which has neither core nor prox.
+with gamma = eta/8 (Alg. 2, which admits any 0 <= gamma <= eta),
+warm-started primal and dual variables, and steps reset to step_sizes(sd)
+at every outer iteration.  The baseline is the model's own saddle, which
+has neither core nor prox, so gamma = 0 and theta = 1 (Alg. 1).
 
 A local problem is a Saddle too (see _local_saddle): the model's, cut to
 the subdomain's window, with its core masking every block to the tile,
@@ -75,7 +75,6 @@ from .operators import (  # noqa: F401
     hessian,
 )
 
-_BOUND_TOL = 1.0 + 1e-9
 # gap mode: the local duality gap is checked every GAP_CHECK iterations, and
 # a local solve stops after GAP_MAX_ITERS iterations whatever the gap
 GAP_CHECK = 25
@@ -92,28 +91,23 @@ class InnerParams:
 
     gap_tol=None runs exactly `iters` iterations; otherwise iterations
     continue (up to GAP_MAX_ITERS) until the local duality gap is <= gap_tol,
-    checked every GAP_CHECK iterations.  The steps are step_sizes(sd).
+    checked every GAP_CHECK iterations.  The steps are step_sizes(sd), and
+    eta sets the acceleration (see primal_dual).
     """
 
-    gamma: float
     iters: int
     gap_tol: Optional[float] = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma!r}")
         check_count("iters", self.iters)
         if self.gap_tol is not None:
             check_positive("gap_tol", self.gap_tol)
 
 
 def default_inner(model, eta, **overrides):
-    """Default inner parameters for a model at coupling weight eta.
-
-    gamma = eta/8 accelerates within the local strong convexity.
-    """
+    """The model's inner budget at coupling weight eta; overrides set iters or gap_tol."""
     check_positive("eta", eta)
-    base = dict(gamma=0.125 * eta, iters=model.defaults.inner_iters)
+    base = dict(iters=model.defaults.inner_iters)
     base.update(overrides)
     return InnerParams(**base)
 
@@ -142,7 +136,7 @@ def acceleration_schedule(sigma, tau, gamma):
 
 def zero_duals(sd, u):
     """One zero dual field per block, shaped like K u on the image or stack u."""
-    return [np.zeros_like(b.forward(u)) for b in sd.blocks]
+    return [b.zero_dual(u.shape) for b in sd.blocks]
 
 
 def _transpose_sum(sd, duals):
@@ -151,12 +145,13 @@ def _transpose_sum(sd, duals):
                         for blk, y in zip(sd.blocks, duals)))
 
 
-def primal_dual(sd, u, duals, sigma, tau, gamma):
+def primal_dual(sd, u, duals, sigma, tau):
     """Primal-dual iteration on the saddle problem sd.
 
     Each step: dual ascent and ball projection per block, the primal
     resolvent (clamped to [0, 1] when sd.box) with the proximal term when
-    sd.prox is set, the acceleration schedule and the overrelaxation.  When
+    sd.prox = (eta, uhat) is set, the acceleration schedule at gamma =
+    eta/8 (0 without a prox, so theta = 1) and the overrelaxation.  When
     sd.core is set every block's K u - f_b and the linear term are masked to
     it.  Yields (u, duals) after every step and never ends: the caller owns
     the loop and stops it (islice for a fixed budget).  The arguments are
@@ -165,6 +160,7 @@ def primal_dual(sd, u, duals, sigma, tau, gamma):
     duals = list(duals)
     masks = [None] * len(duals)
     lin = None if sd.linear is None else sd.linear[0] * sd.linear[1]
+    gamma = 0.0 if sd.prox is None else 0.125 * sd.prox[0]
     if sd.core is not None:
         masks = [sd.core[..., None] if y.ndim > u.ndim else sd.core
                  for y in duals]
@@ -226,7 +222,7 @@ def local_solve(sd, u, duals, prm):
     gap = None
     limit = prm.iters if prm.gap_tol is None else GAP_MAX_ITERS
     sigma, tau = step_sizes(sd)
-    steps = primal_dual(sd, u, duals, sigma, tau, prm.gamma)
+    steps = primal_dual(sd, u, duals, sigma, tau)
     for it, (u, duals) in enumerate(islice(steps, limit), 1):
         if prm.gap_tol is not None and it % GAP_CHECK == 0:
             gap = duality_gap(sd, u, duals)
@@ -278,8 +274,6 @@ class DecoupledAlm:
                 f"layout stencil {layout.stencil} does not match the model's "
                 f"{stencil_of(model)}")
         check_positive("eta", eta)
-        if inner_prm.gamma > eta * _BOUND_TOL:
-            raise ValueError(f"gamma = {inner_prm.gamma!r} must not exceed eta = {eta!r}")
         check_count("workers", workers)
         self.model = model
         self.layout = layout
@@ -514,7 +508,7 @@ def solve_single(model, tol, max_iters, e_star=None, ground_truth=None,
                  timing=True, on_row=None):
     """Whole-image solve (one subdomain) via the non-accelerated baseline.
 
-    primal_dual() at gamma = 0 on the model's own saddle from u = 0, at
+    primal_dual() on the model's own saddle (no prox: gamma = 0) from u = 0, at
     step_sizes(model.saddle, model.defaults.cp_tau); tol=None runs the
     whole budget.  Reports the same row schema as solve_dd; the consensus
     residual is identically zero and the consecutive-iterate metric is not
@@ -525,12 +519,12 @@ def solve_single(model, tol, max_iters, e_star=None, ground_truth=None,
     sd = model.saddle
     sigma, tau = step_sizes(sd, model.defaults.cp_tau)
     u = np.zeros_like(model.f, dtype=np.float64)
-    steps = primal_dual(sd, u, zero_duals(sd, u), sigma, tau, 0.0)
+    steps = primal_dual(sd, u, zero_duals(sd, u), sigma, tau)
     return _run(model, lambda: (next(steps)[0], 0.0, None), max_iters, stop,
                 e_star, ground_truth, timing, on_row, "iteration")
 
 
-def cp_full(model, iters, tol=None, on_iter=None):
+def cp_full(model, iters, on_iter=None):
     """The baseline for `iters` iterations, untimed: solve_single's SolveResult.
 
     The energy of every iterate is in the rows; the best of them is an
@@ -538,7 +532,7 @@ def cp_full(model, iters, tol=None, on_iter=None):
     on_iter(row) receives each MetricsRow when provided.
     """
     check_count("iters", iters)
-    return solve_single(model, tol, iters, timing=False, on_row=on_iter)
+    return solve_single(model, None, iters, timing=False, on_row=on_iter)
 
 
 def reference_energy(model, iters):

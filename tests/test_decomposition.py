@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from ddimaging.decomposition import (
     OverlapLayout,
-    Stencil,
     consensus_norm_sq,
     essential_domain,
     partition_rect,
@@ -469,7 +468,7 @@ def test_pythagoras_for_projection():
 
 def test_layout_rejects_overlapping_tiles():
     try:
-        OverlapLayout((4, 4), [(0, 3, 0, 4), (2, 4, 0, 4)], Stencil("forward1"))
+        OverlapLayout((4, 4), [(0, 3, 0, 4), (2, 4, 0, 4)], CCV)
     except ValueError:
         pass
     else:
@@ -478,7 +477,7 @@ def test_layout_rejects_overlapping_tiles():
 
 def test_layout_rejects_gap():
     try:
-        OverlapLayout((4, 4), [(0, 2, 0, 4)], Stencil("forward1"))
+        OverlapLayout((4, 4), [(0, 2, 0, 4)], CCV)
     except ValueError:
         pass
     else:
@@ -489,7 +488,7 @@ def test_layout_rejects_empty_and_outside_tiles():
     for tiles in ([(0, 4, 0, 4), (2, 2, 0, 4)], [(0, 4, 0, 5)],
                   [(-1, 4, 0, 4)]):
         try:
-            OverlapLayout((4, 4), tiles, Stencil("forward1"))
+            OverlapLayout((4, 4), tiles, CCV)
         except ValueError as exc:
             assert "empty or leaves" in str(exc)
         else:

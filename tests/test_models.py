@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ddimaging.decomposition import OverlapLayout
 from ddimaging.fields import magnitude
 from ddimaging.models import (
+    Block,
     ChanVese,
     HessianL1,
     TVL1Deblur,
@@ -17,6 +19,8 @@ from ddimaging.models import (
 )
 from ddimaging.operators import BlurKernel, blur, grad_plus, hessian
 from ddimaging.solvers import DecoupledAlm, default_inner
+
+from conftest import BackwardTVDenoise
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +242,43 @@ def test_stencil_of_mapping():
                   ChanVese(f=f, alpha=1, c1=0.6, c2=0.1), HessianL1(f=f, alpha=1)):
         with pytest.raises(ValueError, match="does not match the model's"):
             DecoupledAlm(other, layout, 1.0, default_inner(other, 1.0))
+    # the data leave it alone too, so a stencil holds no image
+    g = np.random.default_rng(3).random((4, 4))
+    a, b = stencil_of(BackwardTVDenoise(f=f)), stencil_of(BackwardTVDenoise(f=g, alpha=3.0))
+    assert a == b and hash(a) == hash(b)
+    for model in (tvl1, ChanVese(f=g, alpha=1, c1=0.6, c2=0.1), HessianL1(f=g, alpha=1),
+                  BackwardTVDenoise(f=g)):
+        assert all(blk.shift is None for blk in stencil_of(model))
+
+
+def test_a_block_is_checked_where_it_is_declared():
+    # an operator that ddimaging.operators does not define as a function,
+    # and an argument that cannot be compared by hash (a mask or a weight
+    # field), each raise a ValueError that names the block
+    for op, adjoint, bad in (("forward1", None, "forward1"),
+                             ("grad_plus", "adjoint_grad_pluss", "adjoint_grad_pluss"),
+                             ("BlurKernel", "blur", "BlurKernel"), (3, None, 3)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"Block({op!r}, {adjoint!r}): {bad!r} is not a function")):
+            Block(op, adjoint, 1.0)
+    for args in ((np.ones((2, 2)),), [BlurKernel(1)]):
+        with pytest.raises(ValueError, match=re.escape(
+                "Block('blur', 'blur'): args must be hashable")):
+            Block("blur", "blur", 1.0, args=args)
+
+
+def test_zero_dual_is_shaped_like_k_u():
+    # on an image and on a stack of windows, for every shipped block
+    f = np.random.default_rng(4).random((5, 6))
+    stack = np.stack((f, f[::-1], f[:, ::-1]))
+    for model in (ChanVese(f=f, alpha=1, c1=0.6, c2=0.1),
+                  TVL1Deblur(f=f, alpha=1, kernel=BlurKernel(2)),
+                  HessianL1(f=f, alpha=1), BackwardTVDenoise(f=f)):
+        for blk in model.saddle.blocks:
+            for x in (f, stack):
+                want, got = np.zeros_like(blk.forward(x)), blk.zero_dual(x.shape)
+                assert (got.shape, got.dtype) == (want.shape, want.dtype), (blk, x.shape)
+                assert got.tobytes() == want.tobytes(), (blk, x.shape)
 
 
 def test_salt_pepper_zero_probability():

@@ -95,11 +95,10 @@ def test_schedule_identity_without_strong_convexity():
 
 
 def test_inner_params_validation():
-    for bad in (dict(gamma=-0.1), dict(iters=0), dict(gap_tol=0.0),
-                dict(gamma=math.inf), dict(gap_tol=math.nan),
+    for bad in (dict(iters=0), dict(gap_tol=0.0), dict(gap_tol=math.nan),
                 dict(gap_tol=math.inf), dict(gap_tol=-1e-9), dict(iters=2.5),
                 dict(iters=True), dict(gap_tol=True), dict(gap_tol="x")):
-        kw = dict(gamma=0.1, iters=5)
+        kw = dict(iters=5)
         kw.update(bad)
         try:
             InnerParams(**kw)
@@ -109,11 +108,9 @@ def test_inner_params_validation():
                     assert f"{name} must be an integer >= 1, got {value!r}" in str(exc)
                 if name == "gap_tol":
                     assert f"gap_tol must be finite and positive, got {value!r}" in str(exc)
-                if name == "gamma":
-                    assert f"gamma must be finite and nonnegative, got {value!r}" in str(exc)
         else:
             raise AssertionError(f"accepted {bad}")
-    assert InnerParams(gamma=0.1, iters=np.int64(3)).iters == 3
+    assert InnerParams(iters=np.int64(3)).iters == 3
 
 
 def test_step_bounds_and_defaults():
@@ -133,7 +130,6 @@ def test_step_bounds_and_defaults():
         assert tau == (sigma if cp_tau is None else cp_tau)
         assert sigma * tau <= bound * (1.0 + 1e-9)
         prm = default_inner(model, eta=2.0)
-        assert prm.gamma == 0.125 * 2.0
         assert prm.iters == model.defaults.inner_iters
 
 
@@ -150,12 +146,6 @@ def test_alm_rejects_bad_configs():
             assert f"eta must be finite and positive, got {eta!r}" in str(exc)
         else:
             raise AssertionError(f"eta {eta!r} accepted")
-    try:
-        DecoupledAlm(model, layout, 1.0, default_inner(model, 1.0, gamma=2.0))
-    except ValueError as exc:
-        assert "2.0" in str(exc) and "1.0" in str(exc)
-    else:
-        raise AssertionError("gamma > eta accepted")
     tvl1 = TVL1Deblur(f=f, alpha=1, kernel=BlurKernel(1))
     wrong = OverlapLayout.from_grid((6, 6), 2, 2, stencil_of(tvl1))
     try:
@@ -166,8 +156,7 @@ def test_alm_rejects_bad_configs():
         raise AssertionError("stencil mismatch accepted")
     for tol in (math.nan, math.inf, 0.0, -1.0, True, "x"):
         for call in (lambda: solve_dd(model, layout, 1.0, good, tol, 3),
-                     lambda: solve_single(model, tol, 3),
-                     lambda: cp_full(model, 3, tol=tol)):
+                     lambda: solve_single(model, tol, 3)):
             try:
                 call()
             except ValueError as exc:
@@ -396,8 +385,8 @@ def _cp_alg1(model, sigma, tau, iters):
 
 
 def test_cp_full_is_primal_dual_at_eta_zero():
-    # the baseline is the accelerated routine at eta = 0 and gamma = 0 (so
-    # theta = 1) on a single subdomain with unit masks, and both are the
+    # the baseline is the accelerated routine at eta = 0, so gamma = 0 and
+    # theta = 1, on a single subdomain with unit masks, and both are the
     # plain Alg. 1 iteration, bit for bit, at the baseline's own steps (for
     # TV-L1 and Hessian-L1 tau = cp_tau, not 1/sqrt(bound))
     rng = np.random.default_rng(25)
@@ -410,7 +399,7 @@ def test_cp_full_is_primal_dual_at_eta_zero():
         local = _local(model, np.ones(f.shape), np.zeros(f.shape), 0.0)
         trace = []
         steps = primal_dual(local, np.zeros(f.shape), zero_duals(local, model.f),
-                            sigma, tau, 0.0)
+                            sigma, tau)
         for it, (u, _) in enumerate(islice(steps, 300), 1):
             trace.append(energy(model, u))
         u_alg1, trace_alg1 = _cp_alg1(model, sigma, tau, 300)
