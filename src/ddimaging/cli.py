@@ -228,9 +228,10 @@ def build_parser():
                     help="inner iterations per outer step (default set by --model)")
     sp.add_argument("--workers", type=positive_int, default=None,
                     help="thread count for local solves (default 1; not for 1x1); "
-                         "results are identical for any count; on 2 vCPUs, 2 "
-                         "threads measured faster than 1 on a 256x256 CCV solve "
-                         "over 8x8 tiles (see README)")
+                         "results are identical for any count; the local solves "
+                         "run as chunks of at most 65,536 window pixels, so a "
+                         "second thread helps only when there are two or more, "
+                         "as for 256x256 over 8x8 tiles (see README)")
     sp.add_argument("--reference-energy", type=float, default=None,
                     help="known minimum energy for the rel_gap column")
     sp.add_argument("--compute-reference-iters", type=positive_int, default=None,

@@ -7,7 +7,8 @@ their shapes are (M, N, 2) and (M, N, 4).  A stack of n equal-shape images
 adds a leading axis, (n, M, N), and so does a stack of their fields, so a
 field has a channel axis exactly when it has one more axis than the image
 (or the stack) it lives on; magnitude() and project_ball() take that image's
-ndim.  All functions here are pure: they never modify their arguments.
+ndim.  All functions here are pure: they never modify their arguments,
+except the array a caller hands project_ball() as its `out`.
 """
 
 import math
@@ -69,20 +70,21 @@ def norm2(x):
     return float(np.sqrt(np.sum(x * x)))
 
 
-def project_ball(x, r, ndim=2):
+def project_ball(x, r, ndim=2, out=None):
     """Pointwise Euclidean projection onto the ball of radius r.
 
     Each pixel's channel vector (or scalar value) is rescaled onto the
     radius-r ball; pixels already inside are returned unchanged, bit for
     bit, since their scale factor is exactly 1.  x is a field on an
-    ndim-axis image or stack, as in magnitude().
+    ndim-axis image or stack, as in magnitude().  The result is written
+    into `out` when given, an array of x's shape that may be x itself.
     """
     if not r > 0:
         raise ValueError(f"ball radius must be positive, got {r!r}")
     x = np.asarray(x, dtype=np.float64)
     scale = magnitude(x, ndim)
     np.maximum(1.0, np.divide(scale, r, out=scale), out=scale)
-    return x / (scale[..., None] if x.ndim > ndim else scale)
+    return np.divide(x, scale[..., None] if x.ndim > ndim else scale, out=out)
 
 
 def psnr(u, ref):

@@ -29,6 +29,7 @@ energy(u), with +inf marking box violations.
 
 import inspect
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from operator import add
@@ -186,8 +187,11 @@ def _check_params(model, **values):
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    if not model.alpha > 0:
-        raise ValueError(f"alpha must be positive, got {model.alpha!r}")
+    # a subnormal alpha, a block's radius, overflows the ball projection's
+    # magnitude / radius
+    if not model.alpha >= sys.float_info.min:
+        raise ValueError(f"alpha must be positive and at least {sys.float_info.min!r} "
+                         f"(the smallest normal float), got {model.alpha!r}")
 
 
 def objective_terms(sd, u):

@@ -80,9 +80,10 @@ from .operators import (  # noqa: F401
 GAP_CHECK = 25
 GAP_MAX_ITERS = 500_000
 # an outer step runs its local solves as equal runs of consecutive
-# subdomains whose stacked windows hold at most this many pixels (see _runs);
-# a worker's working set grows with it (about 1 MB per chunk at this size)
-_CHUNK_PX = 8_192
+# subdomains whose stacked windows hold at most this many pixels (see _runs),
+# whatever the worker count; a chunk's solve peaks at about 10 image-sized
+# float arrays, some 5 MB at this size
+_CHUNK_PX = 65_536
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,13 @@ def primal_dual(sd, u, duals, sigma, tau):
     it.  Yields (u, duals) after every step and never ends: the caller owns
     the loop and stops it (islice for a fixed budget).  The arguments are
     not modified.
+
+    A step works in place on the arrays it allocates: each block's dual is
+    computed in the array its K returns and the new u in the one K*
+    returns, but an array K or K* returns that shares memory with its
+    input (an identity block's) is never written.  Every operation keeps
+    its operands, so the iterates are those of the out-of-place formulas
+    bit for bit.  Each yielded array is new.
     """
     duals = list(duals)
     masks = [None] * len(duals)
@@ -169,24 +177,30 @@ def primal_dual(sd, u, duals, sigma, tau):
     while True:
         for b, blk in enumerate(sd.blocks):
             ku = blk.forward(ubar, globals())
+            out = None if np.may_share_memory(ku, ubar) else ku
             if blk.shift is not None:
-                ku = ku - blk.shift
+                ku = out = np.subtract(ku, blk.shift, out=out)
             if masks[b] is not None:
-                ku = ku * masks[b]
-            duals[b] = project_ball(duals[b] + sigma * ku, blk.radius, u.ndim)
+                ku = out = np.multiply(ku, masks[b], out=out)
+            ku = np.multiply(ku, sigma, out=out)
+            ku += duals[b]
+            duals[b] = project_ball(ku, blk.radius, u.ndim, out=ku)
         v = _transpose_sum(sd, duals)
+        out = None if any(np.may_share_memory(v, y) for y in duals) else v
         if lin is not None:
-            v = v + lin
-        if sd.prox is None:
-            unew = u - tau * v
-        else:
+            v = out = np.add(v, lin, out=out)
+        v = np.multiply(v, tau, out=out)
+        np.subtract(u, v, out=v)
+        if sd.prox is not None:
             eta, uhat = sd.prox
-            unew = (u - tau * v + (tau * eta) * uhat) / (1.0 + tau * eta)
+            v += (tau * eta) * uhat
+            v /= 1.0 + tau * eta
         if sd.box:
-            np.clip(unew, 0.0, 1.0, out=unew)
+            np.clip(v, 0.0, 1.0, out=v)
         theta, sigma, tau = acceleration_schedule(sigma, tau, gamma)
-        ubar = (1.0 + theta) * unew - theta * u
-        u = unew
+        ubar = (1.0 + theta) * v
+        ubar -= theta * u
+        u = v
         yield u, duals
 
 

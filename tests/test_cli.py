@@ -249,6 +249,26 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_subnormal_alpha_is_a_usage_error(tmp_path, capsys):
+    # a subnormal alpha, a ball radius, overflowed the projection's
+    # magnitude / radius in the worker threads; it is refused up front
+    src = tmp_path / "in.pgm"
+    save_pgm(np.linspace(0, 1, 120).reshape(12, 10), src)
+    for alpha in ("1e-320", "5e-324"):
+        capsys.readouterr()
+        code = main(["solve", "--model", "hessl1", "--subdomains", "2x2",
+                     "--alpha", alpha, "--input", str(src),
+                     "--output", str(tmp_path / "out.pgm")])
+        assert code == 1, alpha
+        err = capsys.readouterr().err
+        assert "alpha" in err and alpha in err, err
+    assert not (tmp_path / "out.pgm").exists()
+    # a tiny normal alpha solves
+    code = main(["solve", "--model", "hessl1", "--subdomains", "2x2", "--alpha", "1e-300",
+                 "--max-outer", "2", "--input", str(src), "--output", str(tmp_path / "ok.pgm")])
+    assert code in (0, 2)
+
+
 def test_unreadable_pgm_is_an_error_not_a_traceback(tmp_path, capsys):
     # a P2 sample beyond the int64 range used to escape as OverflowError
     src = tmp_path / "huge.pgm"

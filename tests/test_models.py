@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -118,6 +119,10 @@ def test_model_constructors_reject_bad_parameters():
         (lambda: TVL1Deblur(f=f, alpha=math.nan, kernel=kernel), "nan"),
         (lambda: HessianL1(f=f, alpha=math.inf), "inf"),
         (lambda: HessianL1(f=f, alpha=-1.0), "-1.0"),
+        # a subnormal alpha overflows the ball projection's |x| / alpha
+        (lambda: HessianL1(f=f, alpha=1e-320), "alpha"),
+        (lambda: TVL1Deblur(f=f, alpha=sys.float_info.min / 2, kernel=kernel), "alpha"),
+        (lambda: ChanVese(f=f, alpha=5e-324, c1=0.6, c2=0.1), "alpha"),
         (lambda: HessianL1(f=np.full((2, 2), math.nan), alpha=1.0), "finite"),
     ]
     for make, named in cases:
@@ -127,6 +132,8 @@ def test_model_constructors_reject_bad_parameters():
             assert named in str(exc), str(exc)
         else:
             raise AssertionError(f"accepted ({named})")
+    # the smallest normal float is a valid weight
+    HessianL1(f=f, alpha=sys.float_info.min)
 
 
 # ---------------------------------------------------------------------------

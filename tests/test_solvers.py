@@ -5,8 +5,9 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import islice
+from operator import add
 from unittest import mock
 
 import numpy as np
@@ -58,7 +59,7 @@ from ddimaging.solvers import (
     zero_duals,
 )
 
-from conftest import BackwardTVDenoise, blob_scene, on_grid
+from conftest import BackwardTVDenoise, blob_scene, camera_scene, on_grid
 
 
 def _local(model, core, uhat, eta):
@@ -410,6 +411,85 @@ def test_cp_full_is_primal_dual_at_eta_zero():
                 == trace_alg1.tobytes())
 
 
+def _out_of_place_primal_dual(sd, u, duals, sigma, tau):
+    """primal_dual's recurrence written as its formulas, every operation
+    into a new array: the reference for its in-place steps."""
+    duals = list(duals)
+    masks = [None] * len(duals)
+    lin = None if sd.linear is None else sd.linear[0] * sd.linear[1]
+    gamma = 0.0 if sd.prox is None else 0.125 * sd.prox[0]
+    if sd.core is not None:
+        masks = [sd.core[..., None] if y.ndim > u.ndim else sd.core for y in duals]
+        lin = None if lin is None else lin * sd.core
+    ubar = u
+    while True:
+        for b, blk in enumerate(sd.blocks):
+            ku = blk.forward(ubar)
+            if blk.shift is not None:
+                ku = ku - blk.shift
+            if masks[b] is not None:
+                ku = ku * masks[b]
+            duals[b] = project_ball(duals[b] + sigma * ku, blk.radius, u.ndim)
+        v = reduce(add, (blk.transpose(y) for blk, y in zip(sd.blocks, duals)))
+        if lin is not None:
+            v = v + lin
+        if sd.prox is None:
+            unew = u - tau * v
+        else:
+            eta, uhat = sd.prox
+            unew = (u - tau * v + (tau * eta) * uhat) / (1.0 + tau * eta)
+        if sd.box:
+            np.clip(unew, 0.0, 1.0, out=unew)
+        theta, sigma, tau = acceleration_schedule(sigma, tau, gamma)
+        ubar = (1.0 + theta) * unew - theta * u
+        u = unew
+        yield u, duals
+
+
+def test_primal_dual_is_its_out_of_place_recurrence():
+    # primal_dual works in place on the arrays it allocates; its iterates are
+    # the formulas' bit for bit, on an image and on a stack of windows, every
+    # yielded u stays as it was yielded, and it writes into none of its
+    # inputs: not u (a view into a larger stack, as alm.u[run] is), the
+    # duals, the shifts, the linear term, uhat or the core.  An identity
+    # block's K u is ubar itself and its K* y the dual itself.
+    rng = np.random.default_rng(41)
+    shape = (11, 9)
+    f = rng.uniform(0, 1, size=shape) - 0.2
+    identity = Saddle(blocks=(Block(None, None, 0.3),), bound=1.0)
+    for sd in [m.saddle for m in (ChanVese(f=f + 0.2, alpha=2.0, c1=0.6, c2=0.1),
+                                  TVL1Deblur(f=f, alpha=3.0, kernel=BlurKernel(1)),
+                                  HessianL1(f=f, alpha=1.0))] + [identity]:
+        stencil = tuple(replace(blk, shift=None) for blk in sd.blocks)
+        layout = OverlapLayout.from_grid(shape, 2, 2, stencil)
+        chunk = solvers._local_saddle(sd, layout, slice(1, layout.count))
+        core = (rng.random(shape) < 0.6).astype(np.float64)
+        cases = [sd, replace(sd, core=core, prox=(5.0, rng.normal(size=shape))),
+                 replace(chunk, prox=(5.0, rng.normal(size=chunk.core.shape)))]
+        for local in cases:
+            stacked = local.core is not None and local.core.ndim == 3
+            base = rng.normal(size=(len(layout.tilde) + 1,) + layout.tilde.shape[1:]
+                              if stacked else (3,) + shape)
+            u = base[2:] if stacked else base[1]
+            assert u.base is base
+            duals = [rng.normal(size=blk.zero_dual(u.shape).shape) for blk in local.blocks]
+            inputs = [base, *duals, *(blk.shift for blk in local.blocks),
+                      local.core, local.prox and local.prox[1],
+                      local.linear and local.linear[1]]
+            before = [None if a is None else a.tobytes() for a in inputs]
+            sigma, tau = step_sizes(local)
+            got = primal_dual(local, u, duals, sigma, tau)
+            want = _out_of_place_primal_dual(local, u, duals, sigma, tau)
+            yielded = []
+            for (u1, d1), (u2, d2) in islice(zip(got, want), 20):
+                assert u1.tobytes() == u2.tobytes()
+                assert [y.tobytes() for y in d1] == [y.tobytes() for y in d2]
+                yielded.append((u1, u1.tobytes()))
+            assert len(yielded) == 20
+            assert all(a.tobytes() == b for a, b in yielded)
+            assert [None if a is None else a.tobytes() for a in inputs] == before
+
+
 # ---------------------------------------------------------------------------
 # outer loop mechanics
 # ---------------------------------------------------------------------------
@@ -497,6 +577,29 @@ def test_bitwise_determinism_across_worker_counts():
         sys.setswitchinterval(interval)
     for a, b in zip(*runs):
         assert np.array_equal(a, b)
+
+
+def test_concurrent_chunks_at_the_benchmark_layout():
+    # CCV at 256^2 over 8x8, the benchmark's ccv-8x8 layout, runs as several
+    # chunks at the default chunk size, so two workers solve chunks at once
+    # and write their slices of the shared stacks concurrently
+    model = ChanVese(f=camera_scene(256, 256), alpha=10.0, c1=0.6, c2=0.1)
+    eta = model.defaults.eta
+    layout = OverlapLayout.from_grid(model.f.shape, 8, 8, stencil_of(model))
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2):
+            alm = DecoupledAlm(model, layout, eta, default_inner(model, eta),
+                               workers=workers)
+            assert len(alm.chunks) >= 2
+            for _ in range(2):
+                alm.step()
+            runs.append(_alm_state(alm))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1]
 
 
 # SHA-256 of alm.u and alm.lam, spread to (S, M, N) stacks by _stack_sha256,
@@ -697,9 +800,10 @@ def test_chunk_runs_fit_their_limit():
                 assert len(layout.tilde[r]) == 1 or layout.tilde[r].size <= limit
             if limit == 0:
                 assert sizes == [1] * layout.count
-    # the benchmark's layouts: CCV at 256^2 over 8x8 and TV-L1 at 128^2 over
-    # 4x4 with a halfwidth-4 blur
-    for side, p, stencil, count in ((256, 8, ccv, 10), (128, 4, tvl1_4, 4)):
+    # the benchmark's layouts, CCV at 256^2 over 8x8 and TV-L1 at 128^2 over
+    # 4x4 with a halfwidth-4 blur, and both models at 512^2 over 8x8
+    for side, p, stencil, count in ((256, 8, ccv, 2), (128, 4, tvl1_4, 1),
+                                    (512, 8, ccv, 5), (512, 8, tvl1_4, 6)):
         layout = OverlapLayout.from_grid((side, side), p, p, stencil)
         assert len(solvers._runs(layout, lim)) == count
 
