@@ -137,6 +137,8 @@ def cmd_solve(args):
                          f"{ground_truth.shape[0]}x{ground_truth.shape[1]}, "
                          f"the input {f.shape[0]}x{f.shape[1]}")
     model = _build_model(args, f)
+    # building the saddle checks alpha against the data (see models._checked)
+    box = model.saddle.box
     p, q = _parse_subdomains(args.subdomains)
     tol = args.tol if args.tol is not None else model.defaults.tol
     check_positive("tol", tol)
@@ -172,7 +174,7 @@ def cmd_solve(args):
 
     if args.output:
         save_pgm(result.u, args.output)
-        if model.saddle.box:
+        if box:
             save_pgm(threshold_half(result.u), _mask_path(args.output))
     if args.metrics:
         write_metrics(result.rows, args.metrics)

@@ -2,13 +2,14 @@
 
 An image on an M x N pixel grid is a float64 array of shape (M, N), indexed
 u[i, j] with i the row and j the column.  Vector fields (two channels) and
-tensor fields (four channels) carry their channels along the last axis, so
-their shapes are (M, N, 2) and (M, N, 4).  A stack of n equal-shape images
-adds a leading axis, (n, M, N), and so does a stack of their fields, so a
-field has a channel axis exactly when it has one more axis than the image
-(or the stack) it lives on; magnitude() and project_ball() take that image's
-ndim.  All functions here are pure: they never modify their arguments,
-except the array a caller hands project_ball() as its `out`.
+tensor fields (four channels) are planar: each channel is a contiguous (M, N)
+plane on axis -3, just before the pixel axes, so their shapes are (2, M, N)
+and (4, M, N).  A stack of n equal-shape images adds a leading axis, (n, M,
+N), and so does a stack of their fields, (n, c, M, N), so a field has a
+channel axis exactly when it has one more axis than the image (or the stack)
+it lives on; magnitude() and project_ball() take that image's ndim.  All
+functions here are pure: they never modify their arguments, except the array
+a caller hands project_ball() as its `out`.
 """
 
 import math
@@ -35,17 +36,17 @@ def magnitude(x, ndim=2):
     """Pointwise magnitude of a field on an ndim-axis image or stack.
 
     Scalars (x.ndim == ndim) give |x|; multi-channel fields (one more axis)
-    give the root-sum-square over the trailing channel axis, the squares
-    summed left to right into one array.  Returns an array of the image's
+    give the root-sum-square over the channel axis (axis -3), the squares
+    summed in channel order into one array.  Returns an array of the image's
     shape.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == ndim:
         return np.abs(x)
     if x.ndim == ndim + 1:
-        acc = x[..., 0] * x[..., 0]
-        for k in range(1, x.shape[-1]):
-            acc += x[..., k] * x[..., k]
+        acc = x[..., 0, :, :] * x[..., 0, :, :]
+        for k in range(1, x.shape[-3]):
+            acc += x[..., k, :, :] * x[..., k, :, :]
         return np.sqrt(acc, out=acc)
     raise ValueError(f"expected a {ndim}-D or {ndim + 1}-D field, got shape {x.shape}")
 
@@ -84,7 +85,7 @@ def project_ball(x, r, ndim=2, out=None):
     x = np.asarray(x, dtype=np.float64)
     scale = magnitude(x, ndim)
     np.maximum(1.0, np.divide(scale, r, out=scale), out=scale)
-    return np.divide(x, scale[..., None] if x.ndim > ndim else scale, out=out)
+    return np.divide(x, scale[..., None, :, :] if x.ndim > ndim else scale, out=out)
 
 
 def psnr(u, ref):

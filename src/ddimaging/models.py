@@ -84,8 +84,9 @@ class Block:
         return y if self.adjoint is None else _operator(self.adjoint, ns)(y, *self.args)
 
     def zero_dual(self, shape):
-        """Zeros shaped like K u for an image or stack u of the given shape."""
-        return np.zeros(shape + self.forward(np.zeros((1, 1))).shape[2:])
+        """Zeros shaped like K u for an image or stack u of the given shape:
+        shape itself, or shape[:-2] + (c,) + shape[-2:] for a c-channel K."""
+        return np.zeros(shape[:-2] + self.forward(np.zeros((1, 1))).shape[:-2] + shape[-2:])
 
 
 def _operator(name, ns):
@@ -142,7 +143,8 @@ class ChanVese:
 
     @cached_property
     def saddle(self):
-        return Saddle(blocks=(TV,), bound=8.0, linear=(self.alpha, self.g), box=True)
+        return _checked(self, Saddle(blocks=(TV,), bound=8.0, linear=(self.alpha, self.g),
+                                     box=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +161,7 @@ class TVL1Deblur:
     @cached_property
     def saddle(self):
         data = Block("blur", "blur", self.alpha, shift=self.f, args=(self.kernel,))
-        return Saddle(blocks=(data, TV), bound=9.0)
+        return _checked(self, Saddle(blocks=(data, TV), bound=9.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +177,7 @@ class HessianL1:
     @cached_property
     def saddle(self):
         data = Block(None, None, self.alpha, shift=self.f)
-        return Saddle(blocks=(data, HESSIAN), bound=65.0)
+        return _checked(self, Saddle(blocks=(data, HESSIAN), bound=65.0))
 
 
 def _check_params(model, **values):
@@ -192,6 +194,27 @@ def _check_params(model, **values):
     if not model.alpha >= sys.float_info.min:
         raise ValueError(f"alpha must be positive and at least {sys.float_info.min!r} "
                          f"(the smallest normal float), got {model.alpha!r}")
+
+
+def _checked(model, sd):
+    """sd, the model's saddle, once alpha is checked against the data.
+
+    Each data term's weight times its summed magnitude (r_b * sum|f_b| for a
+    block with a shift, w * sum|c| for the linear term) must be a finite
+    float, or the energy is not finite at u = 0 or somewhere on the box; a
+    sum that overflows by itself is the data's, left to the solve to report.
+    This runs where the saddle is first built rather than in the
+    constructor, which so stays one pass over the data.
+    """
+    terms = [(blk.radius, blk.shift) for blk in sd.blocks if blk.shift is not None]
+    for weight, a in terms + ([] if sd.linear is None else [sd.linear]):
+        with np.errstate(over="ignore"):
+            total = float(np.sum(np.abs(a)))
+        if math.isfinite(total) and not math.isfinite(weight * total):
+            raise ValueError(f"alpha = {model.alpha!r} is too large: a data term's weight "
+                             f"times its summed magnitude, {weight!r} * {total!r}, "
+                             "is not a finite float")
+    return sd
 
 
 def objective_terms(sd, u):
@@ -213,7 +236,7 @@ def objective_terms(sd, u):
         if blk.shift is not None:
             r = r - blk.shift
         if sd.core is not None:
-            r = r * (sd.core[..., None] if r.ndim > u.ndim else sd.core)
+            r = r * (sd.core[..., None, :, :] if r.ndim > u.ndim else sd.core)
         out.append((blk.radius, magnitude(r, u.ndim)))
     return out
 

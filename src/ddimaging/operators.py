@@ -8,18 +8,20 @@ the identity <K u, w> == <u, K* w> then holds to round-off with no
 boundary-case exceptions.
 
 The gradients, the Hessian and their adjoints allocate their output once and
-write each channel's differences straight into its slot, with no stacked or
+write each channel's differences straight into its plane, with no stacked or
 zero-filled temporaries.  An adjoint's edge rows are 0.0 - p and 0.0 + p, and
 its interior (0.0 + p[i-1]) - p[i], which is exactly what adding the stencil
 into zeros gave, signed zeros included: no adjoint entry is ever -0.0.
 
-Vector fields stack (row-difference, column-difference) along the last axis.
-The composed second-order operator hessian() stacks its four channels in the
-order (xx, xy, yx, yy) where "x" means the row direction.
+Fields are planar: each channel is its own contiguous (M, N) plane, on an
+axis just before the two pixel axes.  Vector fields stack (row-difference,
+column-difference) planes, shape (2, M, N).  The composed second-order
+operator hessian() stacks its four planes in the order (xx, xy, yx, yy)
+where "x" means the row direction, shape (4, M, N).
 
 Every operator acts on the two pixel axes of an image and passes leading
 axes through: applied to a stack of equal-shape images (n, M, N), or to a
-stack of their fields (n, M, N, c), it gives each image's result, bit for
+stack of their fields (n, c, M, N), it gives each image's result, bit for
 bit, since each output is the same elementwise arithmetic on the same
 inputs.
 """
@@ -119,54 +121,56 @@ def _adjoint_sum(p, q, forward, out, scratch):
 
 
 def _gradient(u, forward):
-    out = np.empty(u.shape + (2,))
-    _diff(u, -2, forward, out[..., 0])
-    _diff(u, -1, forward, out[..., 1])
+    out = np.empty(u.shape[:-2] + (2,) + u.shape[-2:])
+    _diff(u, -2, forward, out[..., 0, :, :])
+    _diff(u, -1, forward, out[..., 1, :, :])
     return out
 
 
 def grad_plus(u):
-    """Forward gradient: (..., M, N) -> (..., M, N, 2)."""
+    """Forward gradient: (..., M, N) -> (..., 2, M, N)."""
     return _gradient(u, True)
 
 
 def grad_minus(u):
-    """Backward gradient: (..., M, N) -> (..., M, N, 2)."""
+    """Backward gradient: (..., M, N) -> (..., 2, M, N)."""
     return _gradient(u, False)
 
 
 def adjoint_grad_plus(p):
-    """Adjoint of grad_plus: (..., M, N, 2) -> (..., M, N)."""
-    shape = p.shape[:-1]
-    return _adjoint_sum(p[..., 0], p[..., 1], True, np.empty(shape), np.empty(shape))
+    """Adjoint of grad_plus: (..., 2, M, N) -> (..., M, N)."""
+    shape = p.shape[:-3] + p.shape[-2:]
+    return _adjoint_sum(p[..., 0, :, :], p[..., 1, :, :], True, np.empty(shape),
+                        np.empty(shape))
 
 
 def adjoint_grad_minus(p):
-    """Adjoint of grad_minus: (..., M, N, 2) -> (..., M, N)."""
-    shape = p.shape[:-1]
-    return _adjoint_sum(p[..., 0], p[..., 1], False, np.empty(shape), np.empty(shape))
+    """Adjoint of grad_minus: (..., 2, M, N) -> (..., M, N)."""
+    shape = p.shape[:-3] + p.shape[-2:]
+    return _adjoint_sum(p[..., 0, :, :], p[..., 1, :, :], False, np.empty(shape),
+                        np.empty(shape))
 
 
 def hessian(u):
-    """Backward-of-forward second differences: (..., M, N) -> (..., M, N, 4).
+    """Backward-of-forward second differences: (..., M, N) -> (..., 4, M, N).
 
     Channel order (xx, xy, yx, yy): the backward x/y differences of the
     forward x derivative, then of the forward y derivative.
     """
     w = np.empty((2,) + u.shape)
     wx, wy = _diff(u, -2, True, w[0]), _diff(u, -1, True, w[1])
-    out = np.empty(u.shape + (4,))
+    out = np.empty(u.shape[:-2] + (4,) + u.shape[-2:])
     for k, (v, axis) in enumerate(((wx, -2), (wx, -1), (wy, -2), (wy, -1))):
-        _diff(v, axis, False, out[..., k])
+        _diff(v, axis, False, out[..., k, :, :])
     return out
 
 
 def adjoint_hessian(t):
-    """Adjoint of hessian: (..., M, N, 4) -> (..., M, N)."""
-    shape = t.shape[:-1]
+    """Adjoint of hessian: (..., 4, M, N) -> (..., M, N)."""
+    shape = t.shape[:-3] + t.shape[-2:]
     w = np.empty((3,) + shape)
-    wx = _adjoint_sum(t[..., 0], t[..., 1], False, w[0], w[2])
-    wy = _adjoint_sum(t[..., 2], t[..., 3], False, w[1], w[2])
+    wx = _adjoint_sum(t[..., 0, :, :], t[..., 1, :, :], False, w[0], w[2])
+    wy = _adjoint_sum(t[..., 2, :, :], t[..., 3, :, :], False, w[1], w[2])
     return _adjoint_sum(wx, wy, True, np.empty(shape), w[2])
 
 

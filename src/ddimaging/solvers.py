@@ -170,7 +170,7 @@ def primal_dual(sd, u, duals, sigma, tau):
     lin = None if sd.linear is None else sd.linear[0] * sd.linear[1]
     gamma = 0.0 if sd.prox is None else 0.125 * sd.prox[0]
     if sd.core is not None:
-        masks = [sd.core[..., None] if y.ndim > u.ndim else sd.core
+        masks = [sd.core[..., None, :, :] if y.ndim > u.ndim else sd.core
                  for y in duals]
         lin = None if lin is None else lin * sd.core
     ubar = u
@@ -263,9 +263,9 @@ class DecoupledAlm:
     """State and one-step driver of the decoupled augmented Lagrangian loop.
 
     Holds the primal copies `u`, the multiplier `lam` and each block's dual
-    (warm-started across outer steps) as (S, H, W[, c]) packed stacks whose
-    alm.u[s] and alm.duals[b][s] are subdomain s's, and the consensus
-    average `avg`, the global image.  A dual is +0.0 off its tile, so
+    (warm-started across outer steps) as (S, H, W) or (S, c, H, W) packed
+    stacks whose alm.u[s] and alm.duals[b][s] are subdomain s's, and the
+    consensus average `avg`, the global image.  A dual is +0.0 off its tile, so
     stack_sum(alm.duals[b], layout) is block b's global dual field.  The
     local solves run in chunks, slices of consecutive subdomains (see
     _runs): alm.chunks holds one (run, saddle) pair per chunk, the saddle

@@ -92,10 +92,10 @@ def on_grid(layout, s, a):
     """Window array a of subdomain s placed on an all-zero (M, N) grid.
 
     a is a mask (layout.core[s], layout.tilde[s]) or a field on the window
-    (x[s] of a packed field x); trailing channel axes are kept.
+    (x[s] of a packed field x); leading channel axes are kept.
     """
-    out = np.zeros(layout.shape + a.shape[2:], dtype=a.dtype)
-    out[layout.windows[s]] = a
+    out = np.zeros(a.shape[:-2] + layout.shape, dtype=a.dtype)
+    out[(...,) + layout.windows[s]] = a
     return out
 
 

@@ -6,7 +6,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ddimaging import cli
+from ddimaging import cli, solvers
 from ddimaging.cli import CSV_HEADER, main, write_metrics
 from ddimaging.models import (TV, Block, ChanVese, Defaults, Saddle, salt_pepper,
                               threshold_half)
@@ -204,6 +204,11 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
                          (["--tol", "0"], "tol"),
                          (["--tol", "-1", "--subdomains", "2x2"], "tol"),
                          (["--alpha", "inf"], "alpha"),
+                         # alpha times the summed |linear term| overflows:
+                         # the energy is not finite on the box
+                         (["--alpha", "1e308"], "alpha = 1e+308"),
+                         (["--alpha", "1.7e308", "--subdomains", "2x2"],
+                          "alpha = 1.7e+308"),
                          (["--c1", "nan"], "c1"),
                          # (f - c1)^2 overflows: the linear term is not finite
                          (["--c1", "1e200", "--c2", "1e199", "--subdomains", "2x2"],
@@ -251,22 +256,29 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_subnormal_alpha_is_a_usage_error(tmp_path, capsys):
     # a subnormal alpha, a ball radius, overflowed the projection's
-    # magnitude / radius in the worker threads; it is refused up front
+    # magnitude / radius in the worker threads; it is refused up front, and
+    # so is an alpha whose product with the data's summed magnitude
+    # overflows (the energy at u = 0 is not finite)
     src = tmp_path / "in.pgm"
     save_pgm(np.linspace(0, 1, 120).reshape(12, 10), src)
-    for alpha in ("1e-320", "5e-324"):
-        capsys.readouterr()
-        code = main(["solve", "--model", "hessl1", "--subdomains", "2x2",
-                     "--alpha", alpha, "--input", str(src),
-                     "--output", str(tmp_path / "out.pgm")])
-        assert code == 1, alpha
-        err = capsys.readouterr().err
-        assert "alpha" in err and alpha in err, err
+    for model, flags in (("hessl1", []), ("tvl1", ["--kernel-halfwidth", "1"])):
+        for alpha in ("1e-320", "5e-324", "1e307", "1.7e308"):
+            for grid in ("2x2", "1x1"):
+                capsys.readouterr()
+                code = main(["solve", "--model", model, "--subdomains", grid,
+                             "--alpha", alpha, "--input", str(src),
+                             "--output", str(tmp_path / "out.pgm")] + flags)
+                assert code == 1, (model, alpha, grid)
+                err = capsys.readouterr().err
+                assert "alpha" in err and repr(float(alpha)) in err, err
     assert not (tmp_path / "out.pgm").exists()
-    # a tiny normal alpha solves
-    code = main(["solve", "--model", "hessl1", "--subdomains", "2x2", "--alpha", "1e-300",
-                 "--max-outer", "2", "--input", str(src), "--output", str(tmp_path / "ok.pgm")])
-    assert code in (0, 2)
+    # a tiny normal alpha solves, and so does a huge one whose energy at
+    # u = 0 is finite (alpha * sum|f| = 1e306 * 60)
+    for alpha in ("1e-300", "1e306"):
+        code = main(["solve", "--model", "hessl1", "--subdomains", "2x2", "--alpha", alpha,
+                     "--max-outer", "2", "--input", str(src),
+                     "--output", str(tmp_path / "ok.pgm")])
+        assert code in (0, 2), alpha
 
 
 def test_unreadable_pgm_is_an_error_not_a_traceback(tmp_path, capsys):
@@ -280,16 +292,19 @@ def test_unreadable_pgm_is_an_error_not_a_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_non_finite_energy_exit_code(tmp_path, capsys):
-    # alpha = 1e308 keeps the iterates finite but overflows the energy
+def test_non_finite_energy_exit_code(tmp_path, capsys, monkeypatch):
+    # a solve whose energy is not finite exits 3 naming the step.  An alpha
+    # that overflows the energy is refused before the solve (exit 1, see
+    # test_usage_error_exit_code), and the CLI's data lie in [0, 1], so the
+    # overflow is put into the energy the solves take
+    monkeypatch.setattr(solvers, "energy", lambda model, u: math.inf)
     src, _ = _write_scene(tmp_path, shape=(16, 16))
     for model, flags in (("tvl1", ["--kernel-halfwidth", "1"]), ("hessl1", [])):
         for grid, step in (("2x2", "outer step 1"), ("1x1", "iteration 1")):
             out = tmp_path / f"{model}-{grid}.pgm"
             capsys.readouterr()
-            code = main(["solve", "--model", model, "--alpha", "1e308",
-                         "--input", str(src), "--subdomains", grid,
-                         "--output", str(out)] + flags)
+            code = main(["solve", "--model", model, "--input", str(src),
+                         "--subdomains", grid, "--output", str(out)] + flags)
             assert code == 3, (model, grid)
             err = capsys.readouterr().err
             assert err.startswith("ddimaging: error: the energy at " + step), err

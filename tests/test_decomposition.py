@@ -429,18 +429,18 @@ def test_stack_sum_keeps_channels_and_checks_shapes():
     rng = np.random.default_rng(7)
     layout = OverlapLayout.from_grid((16, 16), 2, 2, CCV)
     s, h, w = layout.core.shape
-    packed = rng.standard_normal((s, h, w, 2))
+    packed = rng.standard_normal((s, 2, h, w))
     total = stack_sum(packed, layout)
-    assert total.shape == (16, 16, 2)
+    assert total.shape == (2, 16, 16)
     for k in range(2):
-        assert np.array_equal(total[..., k], stack_sum(packed[..., k], layout))
+        assert np.array_equal(total[k], stack_sum(packed[:, k], layout))
     # one copy too few or too many, a window of another shape, no stack
     for bad in ((s - 1, h, w), (s + 1, h, w), (s, h + 1, w), (h, w)):
         with pytest.raises(ValueError) as exc:
             stack_sum(np.zeros(bad), layout)
         assert str(bad) in str(exc.value) and str((s, h, w)) in str(exc.value)
     # an image larger, smaller or with channels
-    for bad in ((20, 20), (10, 10), (16, 16, 2)):
+    for bad in ((20, 20), (10, 10), (2, 16, 16)):
         with pytest.raises(ValueError) as exc:
             restrict_global(np.zeros(bad), layout)
         assert str(bad) in str(exc.value) and str(layout.shape) in str(exc.value)

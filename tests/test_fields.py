@@ -20,7 +20,7 @@ def test_magnitude_scalar_field():
 
 
 def test_magnitude_vector_field():
-    p = np.array([[[3.0, 4.0], [0.0, 0.0]]])
+    p = np.array([[[3.0, 0.0]], [[4.0, 0.0]]])
     out = magnitude(p)
     assert out.shape == (1, 2)
     assert out[0, 0] == 5.0
@@ -28,7 +28,7 @@ def test_magnitude_vector_field():
 
 
 def test_magnitude_four_channels():
-    p = np.array([1.0, 1.0, 1.0, 1.0]).reshape(1, 1, 4)
+    p = np.array([1.0, 1.0, 1.0, 1.0]).reshape(4, 1, 1)
     assert magnitude(p)[0, 0] == 2.0
 
 
@@ -60,14 +60,14 @@ def test_norms_against_direct_sums():
 
 
 def test_project_ball_example():
-    p = np.array([[[3.0, 4.0]]])
+    p = np.array([[[3.0]], [[4.0]]])
     out = project_ball(p, 1.0)
-    assert np.allclose(out[0, 0], [0.6, 0.8], rtol=0, atol=1e-15)
+    assert np.allclose(out[:, 0, 0], [0.6, 0.8], rtol=0, atol=1e-15)
 
 
 def test_project_ball_interior_untouched():
     rng = np.random.default_rng(5)
-    p = rng.uniform(-0.4, 0.4, size=(8, 8, 2))
+    p = rng.uniform(-0.4, 0.4, size=(2, 8, 8))
     out = project_ball(p, 1.0)
     assert np.array_equal(out, p)
 
@@ -75,14 +75,14 @@ def test_project_ball_interior_untouched():
 def test_project_ball_radius_and_direction():
     rng = np.random.default_rng(9)
     for _ in range(25):
-        p = rng.standard_normal((6, 6, 2)) * 3.0
+        p = rng.standard_normal((2, 6, 6)) * 3.0
         r = float(rng.uniform(0.2, 2.0))
         out = project_ball(p, r)
         assert magnitude(out).max() <= r * (1.0 + 1e-12)
         # projection keeps directions: out is a nonnegative multiple of p
-        cross = out[..., 0] * p[..., 1] - out[..., 1] * p[..., 0]
+        cross = out[0] * p[1] - out[1] * p[0]
         assert np.abs(cross).max() <= 1e-10
-        assert (out[..., 0] * p[..., 0] + out[..., 1] * p[..., 1]).min() >= -1e-15
+        assert (out[0] * p[0] + out[1] * p[1]).min() >= -1e-15
 
 
 def test_project_ball_scalar_field():
@@ -97,9 +97,9 @@ def test_project_ball_scalar_field():
        r=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
 def test_pointwise_maps_take_a_stack_image_by_image(n, m, w, channels, r, seed):
     # on a stack of n images (ndim 3) a field has a channel axis when it has
-    # a fourth axis; a scalar (1, m, w) stack is not a one-row channel field
+    # a fourth axis; a scalar (1, m, w) stack is not a one-plane channel field
     rng = np.random.default_rng(seed)
-    stack = rng.standard_normal((n, m, w) + channels) * 2.0
+    stack = rng.standard_normal((n,) + channels + (m, w)) * 2.0
     mag = magnitude(stack, 3)
     proj = project_ball(stack, r, 3)
     assert mag.shape == (n, m, w) and proj.shape == stack.shape
@@ -117,14 +117,14 @@ def test_pointwise_maps_take_a_stack_image_by_image(n, m, w, channels, r, seed):
 @example(lead=(13,), m=33, n=33, channels=2, zeros=0.1, r=1.0, seed=1)
 def test_pointwise_maps_match_the_channel_reduction_byte_for_byte(
         lead, m, n, channels, zeros, r, seed):
-    # the channel sum runs left to right, as numpy's reduction over a short
-    # last axis does: the same bytes as np.sum(x * x, axis=-1)
+    # the channel sum runs in channel order, as numpy's reduction over the
+    # planes does: the same bytes as np.sum(x * x, axis=-3)
     rng = np.random.default_rng(seed)
-    x = signed_zeros(rng, lead + (m, n, channels), zeros)
+    x = signed_zeros(rng, lead + (channels, m, n), zeros)
     ndim = len(lead) + 2
-    mag = np.sqrt(np.sum(x * x, axis=-1))
+    mag = np.sqrt(np.sum(x * x, axis=-3))
     assert magnitude(x, ndim).tobytes() == mag.tobytes()
-    want = x / np.maximum(1.0, mag / r)[..., None]
+    want = x / np.maximum(1.0, mag / r)[..., None, :, :]
     assert project_ball(x, r, ndim).tobytes() == want.tobytes()
 
 

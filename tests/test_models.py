@@ -124,6 +124,12 @@ def test_model_constructors_reject_bad_parameters():
         (lambda: TVL1Deblur(f=f, alpha=sys.float_info.min / 2, kernel=kernel), "alpha"),
         (lambda: ChanVese(f=f, alpha=5e-324, c1=0.6, c2=0.1), "alpha"),
         (lambda: HessianL1(f=np.full((2, 2), math.nan), alpha=1.0), "finite"),
+        # alpha times the data's summed magnitude overflows, so the energy is
+        # not finite at u = 0 or somewhere on the box: refused where the
+        # saddle is built
+        (lambda: ChanVese(f=f, alpha=1e308, c1=0.6, c2=0.1).saddle, "alpha = 1e+308"),
+        (lambda: TVL1Deblur(f=f, alpha=1.7e308, kernel=kernel).saddle, "alpha = 1.7e+308"),
+        (lambda: HessianL1(f=f, alpha=1e308).saddle, "alpha = 1e+308"),
     ]
     for make, named in cases:
         try:
@@ -132,8 +138,14 @@ def test_model_constructors_reject_bad_parameters():
             assert named in str(exc), str(exc)
         else:
             raise AssertionError(f"accepted ({named})")
-    # the smallest normal float is a valid weight
+    # the smallest normal float is a valid weight, and so is the largest
+    # alpha for which the energy stays finite: sum|f| = 8, sum|g| = 2.4
     HessianL1(f=f, alpha=sys.float_info.min)
+    assert energy(HessianL1(f=f, alpha=2e307), np.zeros(f.shape)) == 1.6e308
+    ccv = ChanVese(f=f, alpha=7e307, c1=0.6, c2=0.1)
+    assert math.isfinite(energy(ccv, np.ones(f.shape)))
+    # a sum that overflows by itself is the data's: a solve reports it
+    assert HessianL1(f=np.full((4, 4), 1.7e308), alpha=1e-300).saddle.bound == 65.0
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +165,7 @@ def direct_integrand(model, u):
                     out[i, j] = math.inf
                     continue
                 out[i, j] = (model.alpha * u[i, j] * model.g[i, j]
-                             + math.hypot(gp[i, j, 0], gp[i, j, 1]))
+                             + math.hypot(gp[0, i, j], gp[1, i, j]))
         return out
     if isinstance(model, TVL1Deblur):
         au = blur(u, model.kernel)
@@ -161,13 +173,13 @@ def direct_integrand(model, u):
         for i in range(m):
             for j in range(n):
                 out[i, j] = (model.alpha * abs(au[i, j] - model.f[i, j])
-                             + math.hypot(gp[i, j, 0], gp[i, j, 1]))
+                             + math.hypot(gp[0, i, j], gp[1, i, j]))
         return out
     h = hessian(u)
     for i in range(m):
         for j in range(n):
             out[i, j] = (model.alpha * abs(u[i, j] - model.f[i, j])
-                         + math.sqrt(float((h[i, j] ** 2).sum())))
+                         + math.sqrt(float((h[:, i, j] ** 2).sum())))
     return out
 
 

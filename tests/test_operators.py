@@ -65,12 +65,12 @@ def test_grad_plus_stacks_row_then_col():
     rng = np.random.default_rng(0)
     u = rng.standard_normal((6, 5))
     g = grad_plus(u)
-    assert g.shape == (6, 5, 2)
-    assert np.array_equal(g[..., 0], dxp(u))
-    assert np.array_equal(g[..., 1], dyp(u))
+    assert g.shape == (2, 6, 5)
+    assert np.array_equal(g[0], dxp(u))
+    assert np.array_equal(g[1], dyp(u))
     h = grad_minus(u)
-    assert np.array_equal(h[..., 0], dxm(u))
-    assert np.array_equal(h[..., 1], dym(u))
+    assert np.array_equal(h[0], dxm(u))
+    assert np.array_equal(h[1], dym(u))
 
 
 def test_difference_adjoints_are_dense_transposes():
@@ -93,7 +93,7 @@ def test_grad_and_hessian_adjoint_identity():
         m = int(rng.integers(2, 9))
         n = int(rng.integers(2, 9))
         u = rng.standard_normal((m, n))
-        p = rng.standard_normal((m, n, 2))
+        p = rng.standard_normal((2, m, n))
         lhs = inner(grad_plus(u), p)
         rhs = inner(u, adjoint_grad_plus(p))
         scale = max(1.0, abs(lhs))
@@ -101,7 +101,7 @@ def test_grad_and_hessian_adjoint_identity():
         lhs = inner(grad_minus(u), p)
         rhs = inner(u, adjoint_grad_minus(p))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-        q = rng.standard_normal((m, n, 4))
+        q = rng.standard_normal((4, m, n))
         lhs = inner(hessian(u), q)
         rhs = inner(u, adjoint_hessian(q))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
@@ -110,18 +110,18 @@ def test_grad_and_hessian_adjoint_identity():
 def test_hessian_frozen_column():
     u = np.arange(3, dtype=np.float64).reshape(3, 1)
     h = hessian(u)
-    assert np.array_equal(h[..., 0].ravel(), [0.0, 0.0, -1.0])
-    assert np.array_equal(h[..., 1], np.zeros((3, 1)))
+    assert np.array_equal(h[0].ravel(), [0.0, 0.0, -1.0])
+    assert np.array_equal(h[1], np.zeros((3, 1)))
 
 
 def test_hessian_channels_match_composed_differences():
     rng = np.random.default_rng(1)
     u = rng.standard_normal((7, 6))
     h = hessian(u)
-    assert np.array_equal(h[..., 0], dxm(dxp(u)))
-    assert np.array_equal(h[..., 1], dym(dxp(u)))
-    assert np.array_equal(h[..., 2], dxm(dyp(u)))
-    assert np.array_equal(h[..., 3], dym(dyp(u)))
+    assert np.array_equal(h[0], dxm(dxp(u)))
+    assert np.array_equal(h[1], dym(dxp(u)))
+    assert np.array_equal(h[2], dxm(dyp(u)))
+    assert np.array_equal(h[3], dym(dyp(u)))
 
 
 def test_hessian_annihilates_affine_interior():
@@ -131,7 +131,7 @@ def test_hessian_annihilates_affine_interior():
     h = hessian(u)
     # second differences of an affine field vanish away from the border rows;
     # integer values keep the cancellation exact
-    assert np.abs(h[1:-1, 1:-1]).max() == 0.0
+    assert np.abs(h[..., 1:-1, 1:-1]).max() == 0.0
 
 
 # The zeros_like/scatter-add/np.stack formulas the difference operators had
@@ -192,12 +192,12 @@ def _ref_adjoint_dym(p):
 
 def _ref_hessian(u):
     wx, wy = _ref_dxp(u), _ref_dyp(u)
-    return np.stack((_ref_dxm(wx), _ref_dym(wx), _ref_dxm(wy), _ref_dym(wy)), axis=-1)
+    return np.stack((_ref_dxm(wx), _ref_dym(wx), _ref_dxm(wy), _ref_dym(wy)), axis=-3)
 
 
 def _ref_adjoint_hessian(t):
-    wx = _ref_adjoint_dxm(t[..., 0]) + _ref_adjoint_dym(t[..., 1])
-    wy = _ref_adjoint_dxm(t[..., 2]) + _ref_adjoint_dym(t[..., 3])
+    wx = _ref_adjoint_dxm(t[..., 0, :, :]) + _ref_adjoint_dym(t[..., 1, :, :])
+    wy = _ref_adjoint_dxm(t[..., 2, :, :]) + _ref_adjoint_dym(t[..., 3, :, :])
     return _ref_adjoint_dxp(wx) + _ref_adjoint_dyp(wy)
 
 
@@ -206,12 +206,12 @@ _STACKED_ORACLES = (
     (dym, _ref_dym, ()), (adjoint_dxp, _ref_adjoint_dxp, ()),
     (adjoint_dxm, _ref_adjoint_dxm, ()), (adjoint_dyp, _ref_adjoint_dyp, ()),
     (adjoint_dym, _ref_adjoint_dym, ()),
-    (grad_plus, lambda u: np.stack((_ref_dxp(u), _ref_dyp(u)), axis=-1), ()),
-    (grad_minus, lambda u: np.stack((_ref_dxm(u), _ref_dym(u)), axis=-1), ()),
+    (grad_plus, lambda u: np.stack((_ref_dxp(u), _ref_dyp(u)), axis=-3), ()),
+    (grad_minus, lambda u: np.stack((_ref_dxm(u), _ref_dym(u)), axis=-3), ()),
     (adjoint_grad_plus,
-     lambda p: _ref_adjoint_dxp(p[..., 0]) + _ref_adjoint_dyp(p[..., 1]), (2,)),
+     lambda p: _ref_adjoint_dxp(p[..., 0, :, :]) + _ref_adjoint_dyp(p[..., 1, :, :]), (2,)),
     (adjoint_grad_minus,
-     lambda p: _ref_adjoint_dxm(p[..., 0]) + _ref_adjoint_dym(p[..., 1]), (2,)),
+     lambda p: _ref_adjoint_dxm(p[..., 0, :, :]) + _ref_adjoint_dym(p[..., 1, :, :]), (2,)),
     (hessian, _ref_hessian, ()),
     (adjoint_hessian, _ref_adjoint_hessian, (4,)),
 )
@@ -230,7 +230,7 @@ def test_operators_match_the_stacked_formulas_byte_for_byte(lead, m, n, zeros, s
     # solver digests hash raw bytes too
     rng = np.random.default_rng(seed)
     for op, ref, channels in _STACKED_ORACLES:
-        x = signed_zeros(rng, lead + (m, n) + channels, zeros)
+        x = signed_zeros(rng, lead + channels + (m, n), zeros)
         got, want = op(x), ref(x)
         assert got.shape == want.shape and got.dtype == want.dtype, op.__name__
         assert got.tobytes() == want.tobytes(), op.__name__
@@ -357,7 +357,7 @@ def test_operators_map_a_stack_image_by_image(n, m, w, l, seed):
                                (adjoint_grad_minus, (), (2,)),
                                (adjoint_hessian, (), (4,)), (blur, (k,), ()),
                                (adjoint_blur, (k,), ())):
-        stack = rng.standard_normal((n, m, w) + channels)
+        stack = rng.standard_normal((n,) + channels + (m, w))
         out = op(stack, *args)
         assert out.shape[0] == n, op.__name__
         for i in range(n):
@@ -434,7 +434,7 @@ def _blocks_with_layouts():
 def _core_mask(blk, layout, s):
     core = on_grid(layout, s, layout.core[s])
     channels = blk.forward(np.zeros(layout.shape)).ndim == 3
-    return core[..., None] if channels else core
+    return core[..., None, :, :] if channels else core
 
 
 def _restricted(blk, layout, s):

@@ -362,8 +362,8 @@ def _cp_alg1(model, sigma, tau, iters):
     f = model.f
     u = np.zeros_like(f)
     ubar = u.copy()
-    p = np.zeros(f.shape + (2,))
-    t = np.zeros(f.shape + (4,))
+    p = np.zeros((2,) + f.shape)
+    t = np.zeros((4,) + f.shape)
     q = np.zeros_like(f)
     energies = []
     for _ in range(iters):
@@ -419,7 +419,7 @@ def _out_of_place_primal_dual(sd, u, duals, sigma, tau):
     lin = None if sd.linear is None else sd.linear[0] * sd.linear[1]
     gamma = 0.0 if sd.prox is None else 0.125 * sd.prox[0]
     if sd.core is not None:
-        masks = [sd.core[..., None] if y.ndim > u.ndim else sd.core for y in duals]
+        masks = [sd.core[..., None, :, :] if y.ndim > u.ndim else sd.core for y in duals]
         lin = None if lin is None else lin * sd.core
     ubar = u
     while True:
@@ -550,7 +550,8 @@ def test_dual_variables_stay_feasible():
             assert sd.prox is None
         assert len(alm.duals) == len(model.saddle.blocks)
         for blk, y in zip(model.saddle.blocks, alm.duals):
-            assert y.shape == layout.core.shape + blk.forward(np.zeros(shape)).shape[2:]
+            channels = blk.forward(np.zeros(shape)).shape[:-2]
+            assert y.shape == layout.core.shape[:1] + channels + layout.core.shape[1:]
             assert magnitude(y, 3).max() <= blk.radius * (1.0 + 1e-12)
 
 
@@ -647,7 +648,9 @@ def test_frozen_trajectory():
 # After 2 outer steps of the same set-up in gap mode (gap_tol 1e-5, workers
 # 1): the per-step inner iteration counts, then the SHA-256 of alm.u and
 # alm.lam as _stack_sha256 stacks and of each block's global dual field,
-# stack_sum of its packed duals, plus 0.0 (which folds -0.0 into +0.0).
+# stack_sum of its packed duals, plus 0.0 (which folds -0.0 into +0.0), its
+# channel planes moved last (the duals were hashed channel-last when these
+# were derived; the planar layout holds the same values).
 FROZEN_GAP_TRAJECTORY = {
     "ccv": ([[125, 175, 100, 150, 75, 100], [150, 75, 100, 50, 50, 75]],
             "e9368611f9b95766e07c010954d5a8844730ed795c8f8b652b7fa49039910b28",
@@ -666,6 +669,11 @@ FROZEN_GAP_TRAJECTORY = {
 }
 
 
+def _channels_last(a):
+    """A global (c, M, N) dual field with its planes moved last; an image as is."""
+    return np.moveaxis(a, -3, -1) if a.ndim == 3 else a
+
+
 def test_frozen_gap_trajectory():
     for name, model in _frozen_cases().items():
         eta = model.defaults.eta
@@ -674,7 +682,7 @@ def test_frozen_gap_trajectory():
                            default_inner(model, eta, gap_tol=1e-5))
         iters = [alm.step().inner_iters for _ in range(2)]
         sha = [_stack_sha256(alm.u, layout), _stack_sha256(alm.lam, layout)]
-        sha += [hashlib.sha256((stack_sum(y, layout) + 0.0).tobytes()).hexdigest()
+        sha += [hashlib.sha256(_channels_last(stack_sum(y, layout) + 0.0).tobytes()).hexdigest()
                 for y in alm.duals]
         assert (iters, sha[0], sha[1], tuple(sha[2:])) == FROZEN_GAP_TRAJECTORY[name], name
 
@@ -715,9 +723,10 @@ def test_a_block_may_name_an_operator_built_by_stacking(monkeypatch):
     # the built-ins write into one output; an operator stacked the way they
     # used to be still runs, and its iterates are the built-in's bit for bit
     monkeypatch.setattr(operators, "stacked_grad_minus", raising=False,
-                        value=lambda u: np.stack((dxm(u), dym(u)), axis=-1))
+                        value=lambda u: np.stack((dxm(u), dym(u)), axis=-3))
     monkeypatch.setattr(operators, "stacked_adjoint_grad_minus", raising=False,
-                        value=lambda p: adjoint_dxm(p[..., 0]) + adjoint_dym(p[..., 1]))
+                        value=lambda p: adjoint_dxm(p[..., 0, :, :])
+                        + adjoint_dym(p[..., 1, :, :]))
     f = np.random.default_rng(37).uniform(0, 1, size=(10, 9))
     runs = []
     for model in (BackwardTVDenoise(f=f, alpha=1.5), _StackedTVDenoise(f=f, alpha=1.5)):
@@ -753,7 +762,7 @@ def test_iterates_stay_on_their_patches():
             assert not np.signbit(x[x == 0.0]).any(), type(model)
         for b, y in enumerate(alm.duals):
             for s, core in enumerate(layout.core):
-                off = y[s][~core]
+                off = y[s][..., ~core]
                 assert not off.any() and not np.signbit(off).any(), (type(model), b, s)
 
 
@@ -903,7 +912,7 @@ def test_local_solves_are_whole_grid_restrictions(m, n, kind, halfwidth, workers
         for s, (core, u_s, d) in enumerate(_whole_grid_solves(alm, state)):
             assert on_grid(layout, s, alm.u[s]).tobytes() == u_s.tobytes(), s
             for y, d_b in zip(alm.duals, d):
-                assert y[s][layout.core[s]].tobytes() == d_b[core].tobytes(), s
+                assert y[s][..., layout.core[s]].tobytes() == d_b[..., core].tobytes(), s
         lam_norm = norm2(alm.lam)
         assert alm.multiplier_consensus_norm() <= 1e-10 * max(1.0, lam_norm)
 
@@ -1169,3 +1178,35 @@ def test_solve_dd_converges_and_segments(blob32):
     a = threshold_half(res.u)
     b = threshold_half(single.u)
     assert (a != b).mean() <= 0.005
+
+
+def test_fields_are_planar(monkeypatch):
+    # each channel of a field is a contiguous (M, N) plane on axis -3, so no
+    # channel read or write in the operators, magnitude or the ball
+    # projection strides: for every field-valued operator on an image and a
+    # stack, for the zero duals of a stack and for every chunk's slice of
+    # the packed duals
+    rng = np.random.default_rng(44)
+    image = rng.random((7, 6))
+    for name, c in (("grad_plus", 2), ("grad_minus", 2), ("hessian", 4)):
+        for u in (image, np.stack((image, image[::-1], image[:, ::-1]))):
+            out = getattr(operators, name)(u)
+            assert out.shape == u.shape[:-2] + (c, 7, 6), (name, u.shape)
+            assert out.flags.c_contiguous, (name, u.shape)
+    f = rng.random((20, 18))
+    monkeypatch.setattr(solvers, "_CHUNK_PX", 200)
+    for model in (ChanVese(f=f, alpha=10.0, c1=0.6, c2=0.1),
+                  TVL1Deblur(f=f, alpha=10.0, kernel=BlurKernel(1)),
+                  HessianL1(f=f, alpha=1.0)):
+        eta = model.defaults.eta
+        layout = OverlapLayout.from_grid(f.shape, 3, 2, stencil_of(model))
+        s, h, w = layout.tilde.shape
+        channels = [blk.forward(f).shape[:-2] for blk in model.saddle.blocks]
+        duals = zero_duals(model.saddle, np.zeros((s, h, w)))
+        assert [y.shape for y in duals] == [(s,) + c + (h, w) for c in channels]
+        alm = DecoupledAlm(model, layout, eta, default_inner(model, eta, iters=3))
+        assert len(alm.chunks) > 1
+        alm.step()
+        for run, _ in alm.chunks:
+            for y, c in zip(alm.duals, channels):
+                assert y[run].shape[1:] == c + (h, w) and y[run].flags.c_contiguous
