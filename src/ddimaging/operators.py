@@ -24,6 +24,17 @@ axes through: applied to a stack of equal-shape images (n, M, N), or to a
 stack of their fields (n, c, M, N), it gives each image's result, bit for
 bit, since each output is the same elementwise arithmetic on the same
 inputs.
+
+Each shift-and-add is one contiguous 1-D numpy operation.  The differences
+merge an (M, N) plane's two pixel axes into one axis of M*N values, a view
+for every output here since each plane is contiguous, on which neighbours
+along a row are 1 apart and neighbours down a column N apart; a difference
+is then one subtract of that axis against itself shifted.  A column
+difference's shift crosses each row's end, and what it computes there
+lands on the boundary column, which is written afterwards.  The blur does
+the same on a zero-padded copy of its input (see blur).  Every output
+entry takes the same operands in the same order as the slice-by-slice
+formulas, so every bit is theirs.
 """
 
 from dataclasses import dataclass
@@ -38,22 +49,29 @@ from .fields import check_count, norm2
 # ---------------------------------------------------------------------------
 
 
-_HEAD, _TAIL = slice(None, -1), slice(1, None)
-
-
 def _cut(a, axis, index):
     """a indexed along its row (axis -2) or column (axis -1) pixel axis."""
     return a[(..., index) if axis == -1 else (..., index, slice(None))]
+
+
+def _flat(a):
+    """a with its two pixel axes merged into one, on which neighbours along
+    a row are 1 apart and down a column N apart: a view wherever each
+    (M, N) plane of a is contiguous, which every output here is."""
+    return a.reshape(a.shape[:-2] + (-1,))
 
 
 def _diff(u, axis, forward, out):
     """Write u's forward or backward difference along axis into out.
 
     u[i+1] - u[i] lands on i (forward) or on i+1 (backward); the last
-    (forward) or first (backward) row or column is zero.
+    (forward) or first (backward) row or column is zero.  One subtract over
+    the merged pixel axis, shifted by one row or one column; a column
+    difference also takes one across each row's end, which lands on the
+    zero column and is overwritten.
     """
-    np.subtract(_cut(u, axis, _TAIL), _cut(u, axis, _HEAD),
-                out=_cut(out, axis, _HEAD if forward else _TAIL))
+    s, f, flat = 1 if axis == -1 else u.shape[-1], _flat(u), _flat(out)
+    np.subtract(f[..., s:], f[..., :-s], out=flat[..., :-s] if forward else flat[..., s:])
     _cut(out, axis, -1 if forward else 0)[...] = 0.0
     return out
 
@@ -63,49 +81,59 @@ def _adjoint_diff(p, axis, forward, out):
 
     The two steps of scatter-adding the transposed stencil into zeros, the
     first one writing instead of adding: with q the entries of p that the
-    difference writes, out[i+1] = 0.0 + q[i], then out[i] -= q[i].
+    difference writes, out[i+1] = 0.0 + q[i], then out[i] -= q[i], each over
+    the merged pixel axis.  For a column difference the first step also runs
+    across each row's end into the first column, which is then zeroed, and
+    the second into the last column, which is then written again as
+    0.0 + q[-1].
     """
-    q, head = _cut(p, axis, _HEAD if forward else _TAIL), _cut(out, axis, _HEAD)
+    if out.shape[axis] == 1:
+        out[...] = 0.0  # no differences, so no stencil to scatter
+        return out
+    s, f, flat = 1 if axis == -1 else p.shape[-1], _flat(p), _flat(out)
+    q = f[..., :-s] if forward else f[..., s:]
+    np.add(0.0, q, out=flat[..., s:])
     _cut(out, axis, 0)[...] = 0.0
-    np.add(0.0, q, out=_cut(out, axis, _TAIL))
-    np.subtract(head, q, out=head)
+    np.subtract(flat[..., :-s], q, out=flat[..., :-s])
+    if axis == -1:
+        np.add(0.0, p[..., -2 if forward else -1], out=out[..., -1])
     return out
 
 
 def dxp(u):
     """Forward row difference, zero at the last row."""
-    return _diff(u, -2, True, np.empty_like(u, dtype=np.float64))
+    return _diff(u, -2, True, np.empty(u.shape))
 
 
 def dxm(u):
     """Backward row difference, zero at the first row."""
-    return _diff(u, -2, False, np.empty_like(u, dtype=np.float64))
+    return _diff(u, -2, False, np.empty(u.shape))
 
 
 def dyp(u):
     """Forward column difference, zero at the last column."""
-    return _diff(u, -1, True, np.empty_like(u, dtype=np.float64))
+    return _diff(u, -1, True, np.empty(u.shape))
 
 
 def dym(u):
     """Backward column difference, zero at the first column."""
-    return _diff(u, -1, False, np.empty_like(u, dtype=np.float64))
+    return _diff(u, -1, False, np.empty(u.shape))
 
 
 def adjoint_dxp(p):
-    return _adjoint_diff(p, -2, True, np.empty_like(p, dtype=np.float64))
+    return _adjoint_diff(p, -2, True, np.empty(p.shape))
 
 
 def adjoint_dxm(p):
-    return _adjoint_diff(p, -2, False, np.empty_like(p, dtype=np.float64))
+    return _adjoint_diff(p, -2, False, np.empty(p.shape))
 
 
 def adjoint_dyp(p):
-    return _adjoint_diff(p, -1, True, np.empty_like(p, dtype=np.float64))
+    return _adjoint_diff(p, -1, True, np.empty(p.shape))
 
 
 def adjoint_dym(p):
-    return _adjoint_diff(p, -1, False, np.empty_like(p, dtype=np.float64))
+    return _adjoint_diff(p, -1, False, np.empty(p.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +222,19 @@ class BlurKernel:
         return 2 * self.halfwidth + 1
 
 
+def _shift_sum(a, stride, taps, out):
+    """Write a[k] + a[k + stride] + ... + a[k + (taps-1)*stride], added in
+    that order, to out[k] for every k of the 1-D out."""
+    size = out.size
+    if taps == 1:
+        np.copyto(out, a[:size])
+    else:
+        np.add(a[:size], a[stride:stride + size], out=out)
+    for d in range(2, taps):
+        np.add(out, a[d * stride:d * stride + size], out=out)
+    return out
+
+
 def blur(u, kernel):
     """Mean over the (2l+1)^2 window, pixels outside the grid read as zero.
 
@@ -207,19 +248,40 @@ def blur(u, kernel):
     therefore reads exactly the pixels of its own window, however wide the
     image, which the subdomain enlargements and the window solves rely on; a
     running-sum or FFT filter would let roundoff from far-away pixels leak
-    into every output.  Offsets that miss the grid entirely are skipped, so
-    a kernel wider than the image costs no more than one as wide as it.
+    into every output.  The offsets stop at lc = min(l, n - 1) columns and
+    lr = min(l, m - 1) rows, past which they miss the grid entirely.
+
+    Every add is one contiguous 1-D numpy operation.  The input is copied
+    once, as u + 0.0, into a zero-padded buffer of shape (..., m + 2lr,
+    n + 2lc), read as one flat axis.  The row pass adds the 2lc + 1 slices
+    of that axis shifted by one, the column pass the 2lr + 1 slices of the
+    row sums shifted by one padded row, written back into the padded buffer,
+    and the sums are divided by k^2 once.  So each output adds the same
+    pixels in the same order as a sum that skips the offsets off the grid,
+    plus exact +0.0 pads: x + 0.0 == x for every x but -0.0, no partial sum
+    is -0.0, and the copy turns an input -0.0 into +0.0, as starting such a
+    sum from 0.0 does.  The passes also fill lanes that are no output: the
+    2lc past each row's end and the 2lr rows past each image's end.  They
+    are discarded, and they never mix two rows' values, since 2lc zeros
+    separate consecutive rows: a lane past a row's end reads the end of
+    that row or the start of the next, not both.  The row sums of the first
+    and the last lr padded rows, zero rows, are written as zeros instead of
+    summed.  A pass costs one add per padded pixel and offset, so a kernel
+    as wide as the image pays for about nine times its pixels.
     """
     u = np.asarray(u, dtype=np.float64)
     m, n = u.shape[-2:]
     l = kernel.halfwidth
-    rows = np.zeros_like(u)
-    for d in range(-min(l, n - 1), min(l, n - 1) + 1):
-        rows[..., max(-d, 0):n - max(d, 0)] += u[..., max(d, 0):n + min(d, 0)]
-    acc = np.zeros_like(u)
-    for d in range(-min(l, m - 1), min(l, m - 1) + 1):
-        acc[..., max(-d, 0):m - max(d, 0), :] += rows[..., max(d, 0):m + min(d, 0), :]
-    return acc / float(kernel.size ** 2)
+    lr, lc = min(l, m - 1), min(l, n - 1)
+    padded = np.zeros(u.shape[:-2] + (m + 2 * lr, n + 2 * lc))
+    np.add(u, 0.0, out=padded[..., lr:lr + m, lc:lc + n])
+    flat, width = padded.reshape(-1), n + 2 * lc
+    rows, edge = np.empty(flat.size - 2 * lc), lr * width
+    rows[:edge] = rows[rows.size - edge:] = 0.0
+    _shift_sum(flat[edge:], 1, 2 * lc + 1, rows[edge:rows.size - edge])
+    _shift_sum(rows, width, 2 * lr + 1, flat[:rows.size - 2 * lr * width])
+    del rows
+    return np.divide(padded[..., :m, :n], float(kernel.size ** 2))
 
 
 def adjoint_blur(u, kernel):

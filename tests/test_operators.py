@@ -1,3 +1,7 @@
+import contextlib
+import tracemalloc
+import warnings
+
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
@@ -6,6 +10,8 @@ from ddimaging.fields import inner
 from ddimaging.models import ChanVese, HessianL1, TVL1Deblur, stencil_of
 from ddimaging.operators import (
     BlurKernel,
+    _adjoint_diff,
+    _diff,
     adjoint_blur,
     adjoint_dxm,
     adjoint_dxp,
@@ -362,6 +368,151 @@ def test_operators_map_a_stack_image_by_image(n, m, w, l, seed):
         assert out.shape[0] == n, op.__name__
         for i in range(n):
             assert out[i].tobytes() == op(stack[i], *args).tobytes(), op.__name__
+
+
+def _non_contiguous(rng, x):
+    """x's values as a transposed image, a stride-2 slice and a channel
+    plane t[:, k] of a stack."""
+    swapped = np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2)
+    strided = np.zeros(x.shape[:-2] + (2 * x.shape[-2], 2 * x.shape[-1]))
+    strided[..., ::2, ::2] = x
+    stack = rng.standard_normal((x.shape[0], 3) + x.shape[1:])
+    stack[:, 1] = x
+    return swapped, strided[..., ::2, ::2], stack[:, 1]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(m=st.integers(2, 8), n=st.integers(2, 8), l=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_operators_take_non_contiguous_operands(m, n, l, seed):
+    # a transposed image, a stride-2 slice and a channel plane t[:, k] of a
+    # stack give, bit for bit, what a contiguous copy gives: an operator
+    # that merges the two pixel axes must never write into a copy
+    rng = np.random.default_rng(seed)
+    k = BlurKernel(l)
+    for op, args, channels in ((dxp, (), ()), (dxm, (), ()), (dyp, (), ()),
+                               (dym, (), ()), (adjoint_dxp, (), ()),
+                               (adjoint_dxm, (), ()), (adjoint_dyp, (), ()),
+                               (adjoint_dym, (), ()), (grad_plus, (), ()),
+                               (grad_minus, (), ()), (hessian, (), ()),
+                               (adjoint_grad_plus, (), (2,)),
+                               (adjoint_grad_minus, (), (2,)),
+                               (adjoint_hessian, (), (4,)), (blur, (k,), ()),
+                               (adjoint_blur, (k,), ())):
+        x = rng.standard_normal((2,) + channels + (m, n))
+        want = op(x, *args)
+        for y in _non_contiguous(rng, x):
+            assert not y.flags.c_contiguous and np.array_equal(y, x), op.__name__
+            got = op(y, *args)
+            assert got.shape == want.shape, op.__name__
+            assert got.tobytes() == want.tobytes(), op.__name__
+
+
+# ---------------------------------------------------------------------------
+# the shift kernels as they were before they ran over the merged pixel axis
+# ---------------------------------------------------------------------------
+
+# Verbatim copies of blur, _diff and _adjoint_diff as they were when every
+# shift-and-add sliced the two pixel axes in place, kept as the
+# byte-for-byte oracle of the flat kernels.
+
+_HEAD, _TAIL = slice(None, -1), slice(1, None)
+
+
+def _frozen_cut(a, axis, index):
+    """a indexed along its row (axis -2) or column (axis -1) pixel axis."""
+    return a[(..., index) if axis == -1 else (..., index, slice(None))]
+
+
+def _frozen_diff(u, axis, forward, out):
+    np.subtract(_frozen_cut(u, axis, _TAIL), _frozen_cut(u, axis, _HEAD),
+                out=_frozen_cut(out, axis, _HEAD if forward else _TAIL))
+    _frozen_cut(out, axis, -1 if forward else 0)[...] = 0.0
+    return out
+
+
+def _frozen_adjoint_diff(p, axis, forward, out):
+    q, head = _frozen_cut(p, axis, _HEAD if forward else _TAIL), _frozen_cut(out, axis, _HEAD)
+    _frozen_cut(out, axis, 0)[...] = 0.0
+    np.add(0.0, q, out=_frozen_cut(out, axis, _TAIL))
+    np.subtract(head, q, out=head)
+    return out
+
+
+def _frozen_blur(u, kernel):
+    u = np.asarray(u, dtype=np.float64)
+    m, n = u.shape[-2:]
+    l = kernel.halfwidth
+    rows = np.zeros_like(u)
+    for d in range(-min(l, n - 1), min(l, n - 1) + 1):
+        rows[..., max(-d, 0):n - max(d, 0)] += u[..., max(d, 0):n + min(d, 0)]
+    acc = np.zeros_like(u)
+    for d in range(-min(l, m - 1), min(l, m - 1) + 1):
+        acc[..., max(-d, 0):m - max(d, 0), :] += rows[..., max(d, 0):m + min(d, 0), :]
+    return acc / float(kernel.size ** 2)
+
+
+def _same_bits(got, want, any_nan=False):
+    """Equal shapes and bytes; with any_nan, every NaN counts as one value."""
+    if any_nan:
+        got, want = (np.where(np.isnan(a), np.nan, a) for a in (got, want))
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+_SPECIALS = ((), (np.nan,), (np.inf, -np.inf), (np.nan, np.inf, -np.inf))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(lead=st.sampled_from([(), (2,), (2, 3)]), channels=st.sampled_from([0, 2, 4]),
+       m=st.integers(1, 9), n=st.integers(1, 9), l=st.integers(1, 20),
+       specials=st.sampled_from(_SPECIALS), seed=st.integers(0, 2**32 - 1))
+@example(lead=(), channels=0, m=1, n=7, l=20, specials=_SPECIALS[3], seed=0)
+@example(lead=(), channels=0, m=7, n=1, l=20, specials=_SPECIALS[3], seed=1)
+@example(lead=(2,), channels=2, m=1, n=1, l=1, specials=_SPECIALS[1], seed=2)
+def test_shift_kernels_match_their_frozen_copies_byte_for_byte(
+        lead, channels, m, n, l, specials, seed):
+    # normals over 16 decades, +-0.0, NaN and +-inf; on an image, a stack
+    # or a channel plane x[..., k, :, :] of a field, into a fresh output or
+    # into a plane of one; 1xN, Nx1 and halfwidths past the image's size
+    rng = np.random.default_rng(seed)
+    shape = lead + ((channels,) if channels else ()) + (m, n)
+    x = signed_zeros(rng, shape, 0.3)
+    for v in specials:
+        x[rng.random(shape) < 0.1] = v
+    plane = (lambda a: a[..., 1, :, :]) if channels else (lambda a: a)
+    u = plane(x)
+    # NaN meets NaN only where an input NaN and inf + -inf both reach a sum:
+    # which of the two an add returns is numpy's choice, not the kernel's (a
+    # one-element in-place np.add returns its second operand's, a longer
+    # one its first), and the blur's adds have other lengths than before
+    any_nan = np.nan in specials and np.inf in specials
+    with warnings.catch_warnings():
+        # an input with NaN but no inf, like the layout's probe, raises no
+        # floating-point warning; inf - inf raises one in both versions
+        warnings.simplefilter("error")
+        quiet = np.errstate(invalid="ignore") if np.inf in specials else contextlib.nullcontext()
+        with quiet:
+            for axis in (-2, -1):
+                for forward in (True, False):
+                    for new, old in ((_diff, _frozen_diff), (_adjoint_diff, _frozen_adjoint_diff)):
+                        got = new(u, axis, forward, plane(np.empty(x.shape)))
+                        want = old(u, axis, forward, np.empty(u.shape))
+                        assert _same_bits(got, want), (new.__name__, axis, forward)
+            got, want = blur(u, BlurKernel(l)), _frozen_blur(u, BlurKernel(l))
+            assert _same_bits(got, want, any_nan), "blur"
+
+
+def test_blur_holds_at_most_three_stack_sized_arrays():
+    # the padded buffer, the row sums and the result
+    u = np.ones((4, 40, 40))
+    padded = u.nbytes * 48 * 48 // (40 * 40)
+    tracemalloc.start()
+    try:
+        blur(u, BlurKernel(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * padded + u.nbytes
 
 
 # ---------------------------------------------------------------------------
