@@ -452,9 +452,9 @@ def _frozen_blur(u, kernel):
     return acc / float(kernel.size ** 2)
 
 
-def _same_bits(got, want, any_nan=False):
-    """Equal shapes and bytes; with any_nan, every NaN counts as one value."""
-    if any_nan:
+def _same_bits(got, want, nan_as_one=False):
+    """Equal shapes and bytes; with nan_as_one, every NaN counts as one value."""
+    if nan_as_one:
         got, want = (np.where(np.isnan(a), np.nan, a) for a in (got, want))
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -485,10 +485,10 @@ def test_shift_kernels_match_their_frozen_copies_byte_for_byte(
     # which of the two an add returns is numpy's choice, not the kernel's (a
     # one-element in-place np.add returns its second operand's, a longer
     # one its first), and the blur's adds have other lengths than before
-    any_nan = np.nan in specials and np.inf in specials
+    nan_as_one = np.nan in specials and np.inf in specials
     with warnings.catch_warnings():
         # an input with NaN but no inf, like the layout's probe, raises no
-        # floating-point warning; inf - inf raises one in both versions
+        # floating-point warning; one with inf may (inf - inf)
         warnings.simplefilter("error")
         quiet = np.errstate(invalid="ignore") if np.inf in specials else contextlib.nullcontext()
         with quiet:
@@ -499,7 +499,7 @@ def test_shift_kernels_match_their_frozen_copies_byte_for_byte(
                         want = old(u, axis, forward, np.empty(u.shape))
                         assert _same_bits(got, want), (new.__name__, axis, forward)
             got, want = blur(u, BlurKernel(l)), _frozen_blur(u, BlurKernel(l))
-            assert _same_bits(got, want, any_nan), "blur"
+            assert _same_bits(got, want, nan_as_one), "blur"
 
 
 def test_blur_holds_at_most_three_stack_sized_arrays():
