@@ -92,13 +92,17 @@ def psnr(u, ref):
     """Peak signal-to-noise ratio in dB against a reference in [0, 1].
 
     Peak value is 1.0, so psnr = 10*log10(1/mse).  A zero mean squared
-    error returns math.inf.
+    error returns math.inf, and one that overflows to inf (a diverging
+    iterate, say) returns -math.inf, without an overflow warning.
     """
     u = np.asarray(u, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
     if u.shape != ref.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {ref.shape}")
-    mse = float(np.mean((u - ref) ** 2))
+    with np.errstate(over="ignore"):
+        mse = float(np.mean((u - ref) ** 2))
     if mse == 0.0:
         return math.inf
+    if mse == math.inf:
+        return -math.inf
     return 10.0 * math.log10(1.0 / mse)

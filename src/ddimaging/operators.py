@@ -1,4 +1,4 @@
-"""Discrete difference operators, uniform blur, and their exact adjoints.
+"""Gradients, the Hessian, uniform blur, and their exact adjoints.
 
 Forward differences use the homogeneous Neumann convention: the difference is
 zero at the last row/column.  Backward differences are zero at the first
@@ -7,17 +7,22 @@ exact matrix transpose of its forward operator including the boundary rows;
 the identity <K u, w> == <u, K* w> then holds to round-off with no
 boundary-case exceptions.
 
-The gradients, the Hessian and their adjoints allocate their output once and
-write each channel's differences straight into its plane, with no stacked or
-zero-filled temporaries.  An adjoint's edge rows are 0.0 - p and 0.0 + p, and
-its interior (0.0 + p[i-1]) - p[i], which is exactly what adding the stencil
-into zeros gave, signed zeros included: no adjoint entry is ever -0.0.
-
 Fields are planar: each channel is its own contiguous (M, N) plane, on an
-axis just before the two pixel axes.  Vector fields stack (row-difference,
-column-difference) planes, shape (2, M, N).  The composed second-order
-operator hessian() stacks its four planes in the order (xx, xy, yx, yy)
-where "x" means the row direction, shape (4, M, N).
+axis just before the two pixel axes.  The gradients grad_plus (forward) and
+grad_minus (backward) stack (row-difference, column-difference) planes,
+shape (2, M, N), where "x" means the row direction and "y" the column one;
+a single difference is one of their channels.  The second-order operator
+hessian() is grad_minus(grad_plus(u)) with its two channel axes merged,
+planes (xx, xy, yx, yy), shape (4, M, N), and adjoint_hessian() is
+adjoint_grad_plus of adjoint_grad_minus: both are composed from the
+gradients' kernels and add no arithmetic of their own.
+
+The gradients and their adjoints allocate their output once and write each
+channel's differences straight into its plane (_diff and _adjoint_diff),
+with no stacked or zero-filled temporaries.  An adjoint's edge rows are
+0.0 - p and 0.0 + p, and its interior (0.0 + p[i-1]) - p[i], which is
+exactly what adding the stencil into zeros gave, signed zeros included: no
+adjoint entry is ever -0.0.
 
 Every operator acts on the two pixel axes of an image and passes leading
 axes through: applied to a stack of equal-shape images (n, M, N), or to a
@@ -100,52 +105,9 @@ def _adjoint_diff(p, axis, forward, out):
     return out
 
 
-def dxp(u):
-    """Forward row difference, zero at the last row."""
-    return _diff(u, -2, True, np.empty(u.shape))
-
-
-def dxm(u):
-    """Backward row difference, zero at the first row."""
-    return _diff(u, -2, False, np.empty(u.shape))
-
-
-def dyp(u):
-    """Forward column difference, zero at the last column."""
-    return _diff(u, -1, True, np.empty(u.shape))
-
-
-def dym(u):
-    """Backward column difference, zero at the first column."""
-    return _diff(u, -1, False, np.empty(u.shape))
-
-
-def adjoint_dxp(p):
-    return _adjoint_diff(p, -2, True, np.empty(p.shape))
-
-
-def adjoint_dxm(p):
-    return _adjoint_diff(p, -2, False, np.empty(p.shape))
-
-
-def adjoint_dyp(p):
-    return _adjoint_diff(p, -1, True, np.empty(p.shape))
-
-
-def adjoint_dym(p):
-    return _adjoint_diff(p, -1, False, np.empty(p.shape))
-
-
 # ---------------------------------------------------------------------------
 # gradients and the second-order composition
 # ---------------------------------------------------------------------------
-
-
-def _adjoint_sum(p, q, forward, out, scratch):
-    """Write the row difference's adjoint of p plus the column one's of q
-    into out, overwriting scratch."""
-    _adjoint_diff(p, -2, forward, out)
-    return np.add(out, _adjoint_diff(q, -1, forward, scratch), out=out)
 
 
 def _gradient(u, forward):
@@ -153,6 +115,12 @@ def _gradient(u, forward):
     _diff(u, -2, forward, out[..., 0, :, :])
     _diff(u, -1, forward, out[..., 1, :, :])
     return out
+
+
+def _adjoint_gradient(p, q, forward):
+    """The row difference's adjoint of p plus the column one's of q."""
+    out = _adjoint_diff(p, -2, forward, np.empty(p.shape))
+    return np.add(out, _adjoint_diff(q, -1, forward, np.empty(p.shape)), out=out)
 
 
 def grad_plus(u):
@@ -167,39 +135,36 @@ def grad_minus(u):
 
 def adjoint_grad_plus(p):
     """Adjoint of grad_plus: (..., 2, M, N) -> (..., M, N)."""
-    shape = p.shape[:-3] + p.shape[-2:]
-    return _adjoint_sum(p[..., 0, :, :], p[..., 1, :, :], True, np.empty(shape),
-                        np.empty(shape))
+    return _adjoint_gradient(p[..., 0, :, :], p[..., 1, :, :], True)
 
 
 def adjoint_grad_minus(p):
     """Adjoint of grad_minus: (..., 2, M, N) -> (..., M, N)."""
-    shape = p.shape[:-3] + p.shape[-2:]
-    return _adjoint_sum(p[..., 0, :, :], p[..., 1, :, :], False, np.empty(shape),
-                        np.empty(shape))
+    return _adjoint_gradient(p[..., 0, :, :], p[..., 1, :, :], False)
 
 
 def hessian(u):
     """Backward-of-forward second differences: (..., M, N) -> (..., 4, M, N).
 
-    Channel order (xx, xy, yx, yy): the backward x/y differences of the
-    forward x derivative, then of the forward y derivative.
+    grad_minus(grad_plus(u)), whose (..., 2, 2, M, N) result holds the
+    backward x/y differences of the forward x derivative, then of the
+    forward y derivative; its two channel axes merge into the channel order
+    (xx, xy, yx, yy).
     """
-    w = np.empty((2,) + u.shape)
-    wx, wy = _diff(u, -2, True, w[0]), _diff(u, -1, True, w[1])
-    out = np.empty(u.shape[:-2] + (4,) + u.shape[-2:])
-    for k, (v, axis) in enumerate(((wx, -2), (wx, -1), (wy, -2), (wy, -1))):
-        _diff(v, axis, False, out[..., k, :, :])
-    return out
+    h = grad_minus(grad_plus(u))
+    return h.reshape(h.shape[:-4] + (4,) + h.shape[-2:])
 
 
 def adjoint_hessian(t):
-    """Adjoint of hessian: (..., 4, M, N) -> (..., M, N)."""
-    shape = t.shape[:-3] + t.shape[-2:]
-    w = np.empty((3,) + shape)
-    wx = _adjoint_sum(t[..., 0, :, :], t[..., 1, :, :], False, w[0], w[2])
-    wy = _adjoint_sum(t[..., 2, :, :], t[..., 3, :, :], False, w[1], w[2])
-    return _adjoint_sum(wx, wy, True, np.empty(shape), w[2])
+    """Adjoint of hessian: (..., 4, M, N) -> (..., M, N).
+
+    adjoint_grad_plus of adjoint_grad_minus applied to t as (..., 2, 2, M,
+    N): the (xx, yx) channels are the row-difference planes and (xy, yy)
+    the column-difference ones.  They are sliced, not reshaped, so t may be
+    any strided array.
+    """
+    return adjoint_grad_plus(
+        _adjoint_gradient(t[..., 0:4:2, :, :], t[..., 1:4:2, :, :], False))
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,9 @@ class InnerParams:
 
 
 def default_inner(model, eta, **overrides):
-    """The model's inner budget at coupling weight eta; overrides set iters or gap_tol."""
+    """The model's inner budget: its default iteration count, or the iters
+    or gap_tol that overrides set.  eta is only checked finite and positive;
+    the budget does not depend on it."""
     check_positive("eta", eta)
     base = dict(iters=model.defaults.inner_iters)
     base.update(overrides)

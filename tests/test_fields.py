@@ -151,6 +151,14 @@ def test_psnr_equal_is_infinite():
     assert psnr(a, a) == math.inf
 
 
+def test_psnr_of_an_overflowing_error_is_minus_infinite():
+    # finite images whose squared error overflows: no warning, no math
+    # domain error from log10(1/inf)
+    for big in (1e200, -1e200, 1e308):
+        assert psnr(np.full((2, 2), big), np.zeros((2, 2))) == -math.inf
+    assert psnr(np.array([[1e308, -1e308]]), np.array([[-1e308, 1e308]])) == -math.inf
+
+
 def test_psnr_matches_direct_formula():
     rng = np.random.default_rng(13)
     for _ in range(10):

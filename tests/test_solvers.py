@@ -29,13 +29,10 @@ from ddimaging.models import (
 )
 from ddimaging.operators import (
     BlurKernel,
-    adjoint_dxm,
-    adjoint_dym,
+    adjoint_grad_minus,
     adjoint_grad_plus,
     adjoint_hessian,
     blur,
-    dxm,
-    dym,
     grad_minus,
     grad_plus,
     hessian,
@@ -707,10 +704,23 @@ def test_blocks_may_name_any_operator():
     assert info.inner_iters == [5] * layout.count
 
 
+def test_a_diverging_iterate_with_a_finite_energy_reads_minus_infinite_psnr():
+    # a solve given a ground truth records each iterate's PSNR after checking
+    # its energy: an iterate whose error against the ground truth overflows
+    # reads -inf and the solve runs on, to its budget or to a non-finite
+    # energy, instead of failing in the PSNR
+    f = np.zeros((4, 4))
+    rows = []
+    res = solvers._run(HessianL1(f=f), lambda: (np.full(f.shape, 1e200), 0.0, None), 2,
+                       None, None, f, False, rows.append, "iteration")
+    assert res.iters == 2 and [r.psnr for r in rows] == [-math.inf] * 2
+    assert all(math.isfinite(r.energy) for r in rows)
+
+
 @dataclass(frozen=True, eq=False)
 class _StackedTVDenoise(BackwardTVDenoise):
     """BackwardTVDenoise with its TV block naming operators that are built
-    from the 1-D differences with np.stack and a sum."""
+    from the gradient's channels with np.stack and a sum."""
 
     @cached_property
     def saddle(self):
@@ -722,11 +732,19 @@ class _StackedTVDenoise(BackwardTVDenoise):
 def test_a_block_may_name_an_operator_built_by_stacking(monkeypatch):
     # the built-ins write into one output; an operator stacked the way they
     # used to be still runs, and its iterates are the built-in's bit for bit
-    monkeypatch.setattr(operators, "stacked_grad_minus", raising=False,
-                        value=lambda u: np.stack((dxm(u), dym(u)), axis=-3))
-    monkeypatch.setattr(operators, "stacked_adjoint_grad_minus", raising=False,
-                        value=lambda p: adjoint_dxm(p[..., 0, :, :])
-                        + adjoint_dym(p[..., 1, :, :]))
+    def stacked(u):
+        g = grad_minus(u)
+        return np.stack((g[..., 0, :, :], g[..., 1, :, :]), axis=-3)
+
+    def summed_adjoint(p):
+        # the adjoint of each channel alone, the other one zero
+        zero = np.zeros(p.shape[:-3] + p.shape[-2:])
+        return (adjoint_grad_minus(np.stack((p[..., 0, :, :], zero), axis=-3))
+                + adjoint_grad_minus(np.stack((zero, p[..., 1, :, :]), axis=-3)))
+
+    monkeypatch.setattr(operators, "stacked_grad_minus", stacked, raising=False)
+    monkeypatch.setattr(operators, "stacked_adjoint_grad_minus", summed_adjoint,
+                        raising=False)
     f = np.random.default_rng(37).uniform(0, 1, size=(10, 9))
     runs = []
     for model in (BackwardTVDenoise(f=f, alpha=1.5), _StackedTVDenoise(f=f, alpha=1.5)):
@@ -915,6 +933,30 @@ def test_local_solves_are_whole_grid_restrictions(m, n, kind, halfwidth, workers
                 assert y[s][..., layout.core[s]].tobytes() == d_b[..., core].tobytes(), s
         lam_norm = norm2(alm.lam)
         assert alm.multiplier_consensus_norm() <= 1e-10 * max(1.0, lam_norm)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(m=st.integers(1, 12), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_assembled_ccv_dual_bounds_the_energy_from_below(m, n, seed, data):
+    # the draws of test_local_solves_are_whole_grid_restrictions, for CCV:
+    # the tiles' duals assemble into one global dual y with |y| <= 1, so
+    # sum|grad u| >= <u, grad* y> and, for u in [0, 1], every energy is at
+    # least D(y) = sum min(0, alpha*g + grad* y): weak duality.  The ball
+    # projection's x / |x| may land an ulp outside the unit sphere
+    p = data.draw(st.integers(1, m), label="p")
+    q = data.draw(st.integers(1, n), label="q")
+    model = _drawn_model("ccv", np.random.default_rng(seed).random((m, n)), 1)
+    eta = model.defaults.eta
+    layout = OverlapLayout.from_grid((m, n), p, q, stencil_of(model))
+    alm = DecoupledAlm(model, layout, eta, default_inner(model, eta, iters=4))
+    for _ in range(4):
+        alm.step()
+        y = stack_sum(alm.duals[0], layout)
+        assert (magnitude(y) <= 1.0 + 4 * np.finfo(float).eps).all(), magnitude(y).max() - 1.0
+        e = energy(model, alm.avg)
+        d = float(np.minimum(0.0, model.alpha * model.g + adjoint_grad_plus(y)).sum())
+        assert e >= d - 1e-12 * max(1.0, abs(e)), (e, d)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
