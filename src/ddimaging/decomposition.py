@@ -15,13 +15,14 @@ Every subdomain lives on a window of one shape (H, W) for the whole layout,
 and so do its tile and enlarged masks.  A packed field is an (S, H, W)
 float64 array whose x[s] is subdomain s's copy on its window, and entries
 outside the enlarged mask are identically zero; a packed c-channel field is
-an (S, c, H, W) stack of planar fields (see fields).  The consensus
-projection replaces every copy of a shared pixel by the mean over the
-subdomains whose enlarged mask contains it, which is the orthogonal
-projection onto the subspace of copies that agree on overlaps:
-restrict_global(stack_sum(x, layout) / layout.counts, layout).  Per-pixel
-sums always run over ascending subdomain index in a single pass, so results
-are reproducible bit for bit regardless of how local work is scheduled.
+channel-first, (c, S, H, W), whose x[..., s, :, :] is subdomain s's field
+(see fields).  The consensus projection replaces every copy of a shared
+pixel by the mean over the subdomains whose enlarged mask contains it,
+which is the orthogonal projection onto the subspace of copies that agree
+on overlaps: restrict_global(stack_sum(x, layout) / layout.counts, layout).
+Per-pixel sums always run over ascending subdomain index in a single pass,
+so results are reproducible bit for bit regardless of how local work is
+scheduled.
 """
 
 import numpy as np
@@ -217,14 +218,14 @@ def restrict_global(u, layout):
 
 
 def stack_sum(packed, layout):
-    """Ascending-index single-pass sum of (S, H, W) or planar (S, c, H, W)
-    copies: an (M, N) or (c, M, N) field."""
-    if packed.ndim < 3 or packed.shape[:1] + packed.shape[-2:] != layout.core.shape:
+    """Ascending-index single-pass sum of (S, H, W) or channel-first
+    (c, S, H, W) copies: an (M, N) or (c, M, N) field."""
+    if packed.ndim < 3 or packed.shape[-3:] != layout.core.shape:
         raise ValueError(f"cannot sum shape {packed.shape} on a layout of "
                          f"(S, H, W) {layout.core.shape}")
-    total = np.zeros(packed.shape[1:-2] + layout.shape, dtype=np.float64)
-    for x, win in zip(packed, layout.windows):
-        total[(...,) + win] += x
+    total = np.zeros(packed.shape[:-3] + layout.shape, dtype=np.float64)
+    for s, win in enumerate(layout.windows):
+        total[(...,) + win] += packed[..., s, :, :]
     return total
 
 

@@ -1,15 +1,15 @@
 """Pixel fields, norms, pointwise projections, and the argument checks.
 
 An image on an M x N pixel grid is a float64 array of shape (M, N), indexed
-u[i, j] with i the row and j the column.  Vector fields (two channels) and
-tensor fields (four channels) are planar: each channel is a contiguous (M, N)
-plane on axis -3, just before the pixel axes, so their shapes are (2, M, N)
-and (4, M, N).  A stack of n equal-shape images adds a leading axis, (n, M,
-N), and so does a stack of their fields, (n, c, M, N), so a field has a
-channel axis exactly when it has one more axis than the image (or the stack)
-it lives on; magnitude() and project_ball() take that image's ndim.  All
-functions here are pure: they never modify their arguments, except the array
-a caller hands project_ball() as its `out`.
+u[i, j] with i the row and j the column.  A stack of n equal-shape images
+adds a leading axis, (n, M, N).  Vector fields (two channels) and tensor
+fields (four channels) are channel-first: a c-channel field on an image or
+stack of shape s has shape (c,) + s, (2, M, N) or (4, M, N) on an image and
+(c, n, M, N) on a stack, so each channel is one contiguous block.  A field
+has a channel axis exactly when it has one more axis than the image (or the
+stack) it lives on; magnitude() and project_ball() take that image's ndim.
+All functions here are pure: they never modify their arguments, except the
+array a caller hands project_ball() as its `out`.
 """
 
 import math
@@ -36,7 +36,7 @@ def magnitude(x, ndim=2):
     """Pointwise magnitude of a field on an ndim-axis image or stack.
 
     Scalars (x.ndim == ndim) give |x|; multi-channel fields (one more axis)
-    give the root-sum-square over the channel axis (axis -3), the squares
+    give the root-sum-square over the channel axis (axis 0), the squares
     summed in channel order into one array.  Returns an array of the image's
     shape.
     """
@@ -44,9 +44,9 @@ def magnitude(x, ndim=2):
     if x.ndim == ndim:
         return np.abs(x)
     if x.ndim == ndim + 1:
-        acc = x[..., 0, :, :] * x[..., 0, :, :]
-        for k in range(1, x.shape[-3]):
-            acc += x[..., k, :, :] * x[..., k, :, :]
+        acc = x[0] * x[0]
+        for k in range(1, len(x)):
+            acc += x[k] * x[k]
         return np.sqrt(acc, out=acc)
     raise ValueError(f"expected a {ndim}-D or {ndim + 1}-D field, got shape {x.shape}")
 
@@ -77,15 +77,19 @@ def project_ball(x, r, ndim=2, out=None):
     Each pixel's channel vector (or scalar value) is rescaled onto the
     radius-r ball; pixels already inside are returned unchanged, bit for
     bit, since their scale factor is exactly 1.  x is a field on an
-    ndim-axis image or stack, as in magnitude().  The result is written
-    into `out` when given, an array of x's shape that may be x itself.
+    ndim-axis image or stack, as in magnitude(), and the scale factors
+    broadcast over its leading channel axis.  The result is written into
+    `out` when given, an array of x's shape that may be x itself.  A radius
+    of 1 skips the division by it, which changes no bit.
     """
     if not r > 0:
         raise ValueError(f"ball radius must be positive, got {r!r}")
     x = np.asarray(x, dtype=np.float64)
     scale = magnitude(x, ndim)
-    np.maximum(1.0, np.divide(scale, r, out=scale), out=scale)
-    return np.divide(x, scale[..., None, :, :] if x.ndim > ndim else scale, out=out)
+    if r != 1.0:
+        np.divide(scale, r, out=scale)
+    np.maximum(1.0, scale, out=scale)
+    return np.divide(x, scale, out=out)
 
 
 def psnr(u, ref):

@@ -85,8 +85,8 @@ class Block:
 
     def zero_dual(self, shape):
         """Zeros shaped like K u for an image or stack u of the given shape:
-        shape itself, or shape[:-2] + (c,) + shape[-2:] for a c-channel K."""
-        return np.zeros(shape[:-2] + self.forward(np.zeros((1, 1))).shape[:-2] + shape[-2:])
+        shape itself, or the channel-first (c,) + shape for a c-channel K."""
+        return np.zeros(self.forward(np.zeros((1, 1))).shape[:-2] + shape)
 
 
 def _operator(name, ns):
@@ -236,7 +236,7 @@ def objective_terms(sd, u):
         if blk.shift is not None:
             r = r - blk.shift
         if sd.core is not None:
-            r = r * (sd.core[..., None, :, :] if r.ndim > u.ndim else sd.core)
+            r = r * sd.core
         out.append((blk.radius, magnitude(r, u.ndim)))
     return out
 

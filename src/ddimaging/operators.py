@@ -7,15 +7,17 @@ exact matrix transpose of its forward operator including the boundary rows;
 the identity <K u, w> == <u, K* w> then holds to round-off with no
 boundary-case exceptions.
 
-Fields are planar: each channel is its own contiguous (M, N) plane, on an
-axis just before the two pixel axes.  The gradients grad_plus (forward) and
-grad_minus (backward) stack (row-difference, column-difference) planes,
-shape (2, M, N), where "x" means the row direction and "y" the column one;
-a single difference is one of their channels.  The second-order operator
-hessian() is grad_minus(grad_plus(u)) with its two channel axes merged,
-planes (xx, xy, yx, yy), shape (4, M, N), and adjoint_hessian() is
-adjoint_grad_plus of adjoint_grad_minus: both are composed from the
-gradients' kernels and add no arithmetic of their own.
+Fields are channel-first: a c-channel field on an image or stack of shape
+s has shape (c,) + s, so each channel is one contiguous block, an (M, N)
+plane for an image and an (n, M, N) stack of planes for a stack.  The
+gradients grad_plus (forward) and grad_minus (backward) stack
+(row-difference, column-difference) channels, shape (2, M, N), where "x"
+means the row direction and "y" the column one; a single difference is one
+of their channels.  The second-order operator hessian() is
+grad_minus(grad_plus(u)) with its two channel axes merged, channels (xx,
+xy, yx, yy), shape (4, M, N), and adjoint_hessian() is adjoint_grad_plus
+of adjoint_grad_minus: both are composed from the gradients' kernels and
+add no arithmetic of their own.
 
 The gradients and their adjoints allocate their output once and write each
 channel's differences straight into its plane (_diff and _adjoint_diff),
@@ -25,21 +27,23 @@ exactly what adding the stencil into zeros gave, signed zeros included: no
 adjoint entry is ever -0.0.
 
 Every operator acts on the two pixel axes of an image and passes leading
-axes through: applied to a stack of equal-shape images (n, M, N), or to a
-stack of their fields (n, c, M, N), it gives each image's result, bit for
-bit, since each output is the same elementwise arithmetic on the same
-inputs.
+axes through: applied to a stack of equal-shape images (n, M, N) it gives
+(c, n, M, N), and its adjoint takes a stack's field (c, n, M, N), each
+image's result bit for bit, since each output is the same elementwise
+arithmetic on the same inputs.
 
 Each shift-and-add is one contiguous 1-D numpy operation.  The differences
-merge an (M, N) plane's two pixel axes into one axis of M*N values, a view
-for every output here since each plane is contiguous, on which neighbours
-along a row are 1 apart and neighbours down a column N apart; a difference
-is then one subtract of that axis against itself shifted.  A column
-difference's shift crosses each row's end, and what it computes there
-lands on the boundary column, which is written afterwards.  The blur does
-the same on a zero-padded copy of its input (see blur).  Every output
-entry takes the same operands in the same order as the slice-by-slice
-formulas, so every bit is theirs.
+merge the pixel axes into one axis, on which neighbours along a row are 1
+apart and neighbours down a column N apart; a difference is then one
+subtract of that axis against itself shifted.  When the operand and the
+output are both C-contiguous, a whole stack merges into one axis of n*M*N
+values; otherwise each (M, N) plane does, a view for every output here
+since each plane is contiguous.  A column difference's shift crosses each
+row's end, and a row difference's on a merged stack each image's end; what
+it computes there lands on a boundary row or column, which is written
+afterwards.  The blur does the same on a zero-padded copy of its input (see
+blur).  Every output entry takes the same operands in the same order as
+the slice-by-slice formulas, so every bit is theirs.
 """
 
 from dataclasses import dataclass
@@ -59,11 +63,14 @@ def _cut(a, axis, index):
     return a[(..., index) if axis == -1 else (..., index, slice(None))]
 
 
-def _flat(a):
-    """a with its two pixel axes merged into one, on which neighbours along
-    a row are 1 apart and down a column N apart: a view wherever each
-    (M, N) plane of a is contiguous, which every output here is."""
-    return a.reshape(a.shape[:-2] + (-1,))
+def _flat(*arrays):
+    """The arrays with their pixel axes merged, on which neighbours along a
+    row are 1 apart and down a column N apart: into one 1-D axis when every
+    array is C-contiguous, else each (M, N) plane into one axis, a view
+    wherever each plane is contiguous, which every output here is."""
+    if all(a.flags.c_contiguous for a in arrays):
+        return [a.reshape(-1) for a in arrays]
+    return [a.reshape(a.shape[:-2] + (-1,)) for a in arrays]
 
 
 def _diff(u, axis, forward, out):
@@ -72,10 +79,12 @@ def _diff(u, axis, forward, out):
     u[i+1] - u[i] lands on i (forward) or on i+1 (backward); the last
     (forward) or first (backward) row or column is zero.  One subtract over
     the merged pixel axis, shifted by one row or one column; a column
-    difference also takes one across each row's end, which lands on the
-    zero column and is overwritten.
+    difference also takes one across each row's end, and a row difference
+    on a merged stack one across each image's end, which lands on the zero
+    column or row and is overwritten.
     """
-    s, f, flat = 1 if axis == -1 else u.shape[-1], _flat(u), _flat(out)
+    s = 1 if axis == -1 else u.shape[-1]
+    f, flat = _flat(u, out)
     np.subtract(f[..., s:], f[..., :-s], out=flat[..., :-s] if forward else flat[..., s:])
     _cut(out, axis, -1 if forward else 0)[...] = 0.0
     return out
@@ -87,21 +96,23 @@ def _adjoint_diff(p, axis, forward, out):
     The two steps of scatter-adding the transposed stencil into zeros, the
     first one writing instead of adding: with q the entries of p that the
     difference writes, out[i+1] = 0.0 + q[i], then out[i] -= q[i], each over
-    the merged pixel axis.  For a column difference the first step also runs
-    across each row's end into the first column, which is then zeroed, and
-    the second into the last column, which is then written again as
-    0.0 + q[-1].
+    the merged pixel axis.  For a column difference, and for a row
+    difference on a merged stack, the first step also runs across each
+    row's or image's end into the first column or row, which is then
+    zeroed, and the second into the last column or row, which is then
+    written again as 0.0 + q[-1].
     """
     if out.shape[axis] == 1:
         out[...] = 0.0  # no differences, so no stencil to scatter
         return out
-    s, f, flat = 1 if axis == -1 else p.shape[-1], _flat(p), _flat(out)
+    s = 1 if axis == -1 else p.shape[-1]
+    f, flat = _flat(p, out)
     q = f[..., :-s] if forward else f[..., s:]
     np.add(0.0, q, out=flat[..., s:])
     _cut(out, axis, 0)[...] = 0.0
     np.subtract(flat[..., :-s], q, out=flat[..., :-s])
-    if axis == -1:
-        np.add(0.0, p[..., -2 if forward else -1], out=out[..., -1])
+    if axis == -1 or (flat.ndim == 1 and out.ndim > 2):
+        np.add(0.0, _cut(p, axis, -2 if forward else -1), out=_cut(out, axis, -1))
     return out
 
 
@@ -111,9 +122,9 @@ def _adjoint_diff(p, axis, forward, out):
 
 
 def _gradient(u, forward):
-    out = np.empty(u.shape[:-2] + (2,) + u.shape[-2:])
-    _diff(u, -2, forward, out[..., 0, :, :])
-    _diff(u, -1, forward, out[..., 1, :, :])
+    out = np.empty((2,) + u.shape)
+    _diff(u, -2, forward, out[0])
+    _diff(u, -1, forward, out[1])
     return out
 
 
@@ -124,47 +135,49 @@ def _adjoint_gradient(p, q, forward):
 
 
 def grad_plus(u):
-    """Forward gradient: (..., M, N) -> (..., 2, M, N)."""
+    """Forward gradient: (...) image or stack -> (2, ...)."""
     return _gradient(u, True)
 
 
 def grad_minus(u):
-    """Backward gradient: (..., M, N) -> (..., 2, M, N)."""
+    """Backward gradient: (...) image or stack -> (2, ...)."""
     return _gradient(u, False)
 
 
 def adjoint_grad_plus(p):
-    """Adjoint of grad_plus: (..., 2, M, N) -> (..., M, N)."""
-    return _adjoint_gradient(p[..., 0, :, :], p[..., 1, :, :], True)
+    """Adjoint of grad_plus: (2, ...) -> (...)."""
+    return _adjoint_gradient(p[0], p[1], True)
 
 
 def adjoint_grad_minus(p):
-    """Adjoint of grad_minus: (..., 2, M, N) -> (..., M, N)."""
-    return _adjoint_gradient(p[..., 0, :, :], p[..., 1, :, :], False)
+    """Adjoint of grad_minus: (2, ...) -> (...)."""
+    return _adjoint_gradient(p[0], p[1], False)
 
 
 def hessian(u):
-    """Backward-of-forward second differences: (..., M, N) -> (..., 4, M, N).
+    """Backward-of-forward second differences: (...) -> (4, ...).
 
-    grad_minus(grad_plus(u)), whose (..., 2, 2, M, N) result holds the
-    backward x/y differences of the forward x derivative, then of the
-    forward y derivative; its two channel axes merge into the channel order
-    (xx, xy, yx, yy).
+    grad_minus(grad_plus(u)), each backward difference taken over both
+    forward channels at once and written into a (2, 2, ...) array indexed
+    by the forward channel, then the backward one, so that its channels
+    merge into the order (xx, xy, yx, yy): the backward x/y differences of
+    the forward x derivative, then of the forward y one.
     """
-    h = grad_minus(grad_plus(u))
-    return h.reshape(h.shape[:-4] + (4,) + h.shape[-2:])
+    g, h = grad_plus(u), np.empty((2, 2) + u.shape)
+    _diff(g, -2, False, h[:, 0])
+    _diff(g, -1, False, h[:, 1])
+    return h.reshape((4,) + u.shape)
 
 
 def adjoint_hessian(t):
-    """Adjoint of hessian: (..., 4, M, N) -> (..., M, N).
+    """Adjoint of hessian: (4, ...) -> (...).
 
-    adjoint_grad_plus of adjoint_grad_minus applied to t as (..., 2, 2, M,
-    N): the (xx, yx) channels are the row-difference planes and (xy, yy)
-    the column-difference ones.  They are sliced, not reshaped, so t may be
-    any strided array.
+    adjoint_grad_plus of adjoint_grad_minus applied to t as (2, 2, ...):
+    the (xx, yx) channels are the row-difference planes and (xy, yy) the
+    column-difference ones.  They are sliced, not reshaped, so t may be any
+    strided array.
     """
-    return adjoint_grad_plus(
-        _adjoint_gradient(t[..., 0:4:2, :, :], t[..., 1:4:2, :, :], False))
+    return adjoint_grad_plus(_adjoint_gradient(t[0:4:2], t[1:4:2], False))
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ The local problems decouple completely, so the middle line runs many
 subdomains at once.  The copies utilde and lambda are packed fields, (S, H,
 W) stacks of one window per subdomain, all of the layout's one shape (see
 decomposition.OverlapLayout).  A chunk is a slice of consecutive
-subdomains, and its local problems run as that slice of the stack; the
-chunks run on a pool of `workers` threads.  Only the consensus averaging
-sees more than one subdomain's copy, and it always sums in ascending
-subdomain order, which makes runs with different worker counts identical
-bit for bit.
+subdomains, and its local problems run as that slice of the stack, and of
+each block's channel-first dual stack, whose every channel is then one
+contiguous (n, H, W) block; the chunks run on a pool of `workers` threads.
+Only the consensus averaging sees more than one subdomain's copy, and it
+always sums in ascending subdomain order, which makes runs with different
+worker counts identical bit for bit.
 
 Every model declares its saddle-point structure (models.Saddle), and one
 routine, primal_dual(), solves both the local problems and the whole-image
@@ -156,9 +157,10 @@ def primal_dual(sd, u, duals, sigma, tau):
     sd.prox = (eta, uhat) is set, the acceleration schedule at gamma =
     eta/8 (0 without a prox, so theta = 1) and the overrelaxation.  When
     sd.core is set every block's K u - f_b and the linear term are masked to
-    it.  Yields (u, duals) after every step and never ends: the caller owns
-    the loop and stops it (islice for a fixed budget).  The arguments are
-    not modified.
+    it; a block's mask and sigma are one factor, core * sigma, the same
+    bits as masking and then scaling, since core is 0 or 1.  Yields (u,
+    duals) after every step and never ends: the caller owns the loop and
+    stops it (islice for a fixed budget).  The arguments are not modified.
 
     A step works in place on the arrays it allocates: each block's dual is
     computed in the array its K returns and the new u in the one K*
@@ -168,23 +170,19 @@ def primal_dual(sd, u, duals, sigma, tau):
     bit for bit.  Each yielded array is new.
     """
     duals = list(duals)
-    masks = [None] * len(duals)
     lin = None if sd.linear is None else sd.linear[0] * sd.linear[1]
     gamma = 0.0 if sd.prox is None else 0.125 * sd.prox[0]
-    if sd.core is not None:
-        masks = [sd.core[..., None, :, :] if y.ndim > u.ndim else sd.core
-                 for y in duals]
-        lin = None if lin is None else lin * sd.core
+    if sd.core is not None and lin is not None:
+        lin = lin * sd.core
     ubar = u
     while True:
+        step = sigma if sd.core is None else sd.core * sigma
         for b, blk in enumerate(sd.blocks):
             ku = blk.forward(ubar, globals())
             out = None if np.may_share_memory(ku, ubar) else ku
             if blk.shift is not None:
                 ku = out = np.subtract(ku, blk.shift, out=out)
-            if masks[b] is not None:
-                ku = out = np.multiply(ku, masks[b], out=out)
-            ku = np.multiply(ku, sigma, out=out)
+            ku = np.multiply(ku, step, out=out)
             ku += duals[b]
             duals[b] = project_ball(ku, blk.radius, u.ndim, out=ku)
         v = _transpose_sum(sd, duals)
@@ -265,10 +263,11 @@ class DecoupledAlm:
     """State and one-step driver of the decoupled augmented Lagrangian loop.
 
     Holds the primal copies `u`, the multiplier `lam` and each block's dual
-    (warm-started across outer steps) as (S, H, W) or (S, c, H, W) packed
-    stacks whose alm.u[s] and alm.duals[b][s] are subdomain s's, and the
-    consensus average `avg`, the global image.  A dual is +0.0 off its tile, so
-    stack_sum(alm.duals[b], layout) is block b's global dual field.  The
+    (warm-started across outer steps) as (S, H, W) or channel-first (c, S,
+    H, W) packed stacks whose alm.u[s] and alm.duals[b][..., s, :, :] are
+    subdomain s's, and the consensus average `avg`, the global image.  A
+    dual is +0.0 off its tile, so stack_sum(alm.duals[b], layout) is block
+    b's global dual field.  The
     local solves run in chunks, slices of consecutive subdomains (see
     _runs): alm.chunks holds one (run, saddle) pair per chunk, the saddle
     its local problems, built once (see _local_saddle), and each step
@@ -308,11 +307,11 @@ class DecoupledAlm:
         (run, sd), lay = chunk, self.layout
         uhat = cut(self.avg, lay.windows[run]) * lay.tilde[run] - self.lam[run] / self.eta
         u, duals, it, gap = local_solve(replace(sd, prox=(self.eta, uhat)), self.u[run],
-                                        [y[run] for y in self.duals], self.inner)
+                                        [y[..., run, :, :] for y in self.duals], self.inner)
         # every worker writes its own slice of the stacks only
         self.u[run] = u
         for y, d in zip(self.duals, duals):
-            y[run] = d
+            y[..., run, :, :] = d
         return [it] * len(u), [gap] * len(u)
 
     def step(self):

@@ -71,6 +71,28 @@ def signed_zeros(rng, shape, zeros):
     return x
 
 
+def edge_specials(rng, shape, specials):
+    """signed_zeros with a share 0.3 of zeros, then -0.0 and each of the
+    specials put at random on the first and last rows and columns: the
+    entries that the differences of a stack merged into one axis read
+    across an image's end."""
+    x = signed_zeros(rng, shape, 0.3)
+    edges = np.zeros(shape, dtype=bool)
+    edges[..., [0, -1], :] = edges[..., :, [0, -1]] = True
+    for v in (-0.0,) + tuple(specials):
+        x[edges & (rng.random(shape) < 0.3)] = v
+    return x
+
+
+def three_layouts(x):
+    """x's values as a C-contiguous array, in Fortran order and strided
+    along the leading axis: the channel axis of a field, the image axis of
+    a stack of images."""
+    strided = np.zeros((2 * x.shape[0],) + x.shape[1:])
+    strided[1::2] = x
+    return np.ascontiguousarray(x), np.asfortranarray(x), strided[1::2]
+
+
 @dataclass(frozen=True, eq=False)
 class BackwardTVDenoise:
     """alpha*||u - f||_1 + ||grad_minus u||_1: its TV block names operators

@@ -429,11 +429,11 @@ def test_stack_sum_keeps_channels_and_checks_shapes():
     rng = np.random.default_rng(7)
     layout = OverlapLayout.from_grid((16, 16), 2, 2, CCV)
     s, h, w = layout.core.shape
-    packed = rng.standard_normal((s, 2, h, w))
+    packed = rng.standard_normal((2, s, h, w))
     total = stack_sum(packed, layout)
     assert total.shape == (2, 16, 16)
     for k in range(2):
-        assert np.array_equal(total[k], stack_sum(packed[:, k], layout))
+        assert np.array_equal(total[k], stack_sum(packed[k], layout))
     # one copy too few or too many, a window of another shape, no stack
     for bad in ((s - 1, h, w), (s + 1, h, w), (s, h + 1, w), (h, w)):
         with pytest.raises(ValueError) as exc:

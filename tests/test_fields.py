@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from ddimaging.fields import (
     psnr,
 )
 
-from conftest import signed_zeros
+from conftest import edge_specials, signed_zeros, three_layouts
 
 
 def test_magnitude_scalar_field():
@@ -97,15 +98,17 @@ def test_project_ball_scalar_field():
        r=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
 def test_pointwise_maps_take_a_stack_image_by_image(n, m, w, channels, r, seed):
     # on a stack of n images (ndim 3) a field has a channel axis when it has
-    # a fourth axis; a scalar (1, m, w) stack is not a one-plane channel field
+    # a fourth axis, the first; a scalar (1, m, w) stack is not a one-plane
+    # channel field
     rng = np.random.default_rng(seed)
-    stack = rng.standard_normal((n,) + channels + (m, w)) * 2.0
+    stack = rng.standard_normal(channels + (n, m, w)) * 2.0
     mag = magnitude(stack, 3)
     proj = project_ball(stack, r, 3)
     assert mag.shape == (n, m, w) and proj.shape == stack.shape
     for i in range(n):
-        assert mag[i].tobytes() == magnitude(stack[i]).tobytes()
-        assert proj[i].tobytes() == project_ball(stack[i], r).tobytes()
+        image = stack[..., i, :, :]
+        assert mag[i].tobytes() == magnitude(image).tobytes()
+        assert proj[..., i, :, :].tobytes() == project_ball(image, r).tobytes()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -118,14 +121,55 @@ def test_pointwise_maps_take_a_stack_image_by_image(n, m, w, channels, r, seed):
 def test_pointwise_maps_match_the_channel_reduction_byte_for_byte(
         lead, m, n, channels, zeros, r, seed):
     # the channel sum runs in channel order, as numpy's reduction over the
-    # planes does: the same bytes as np.sum(x * x, axis=-3)
+    # channels does: the same bytes as np.sum(x * x, axis=0)
     rng = np.random.default_rng(seed)
-    x = signed_zeros(rng, lead + (channels, m, n), zeros)
+    x = signed_zeros(rng, (channels,) + lead + (m, n), zeros)
     ndim = len(lead) + 2
-    mag = np.sqrt(np.sum(x * x, axis=-3))
+    mag = np.sqrt(np.sum(x * x, axis=0))
     assert magnitude(x, ndim).tobytes() == mag.tobytes()
-    want = x / np.maximum(1.0, mag / r)[..., None, :, :]
+    want = x / np.maximum(1.0, mag / r)
     assert project_ball(x, r, ndim).tobytes() == want.tobytes()
+
+
+def _ref_magnitude(x):
+    """Image by image of a channel-first stack's field: the channel squares
+    summed in channel order, then the root."""
+    out = np.empty(x.shape[1:])
+    for i in range(x.shape[1]):
+        acc = x[0, i] * x[0, i]
+        for k in range(1, len(x)):
+            acc = acc + x[k, i] * x[k, i]
+        out[i] = np.sqrt(acc)
+    return out
+
+
+def _ref_project_ball(x, r):
+    """Image by image: each channel divided by max(1, magnitude / r)."""
+    out, mag = np.empty(x.shape), _ref_magnitude(x)
+    for i in range(x.shape[1]):
+        out[:, i] = x[:, i] / np.maximum(1.0, mag[i] / r)
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(n=st.integers(1, 4), m=st.integers(1, 7), w=st.integers(1, 7),
+       channels=st.sampled_from([1, 2, 4]), r=st.sampled_from([1.0, 0.5, 3.0, 1e-3]),
+       specials=st.sampled_from([(), (np.nan,), (np.inf, -np.inf), (np.nan, np.inf, -np.inf)]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=4, m=7, w=7, channels=4, r=1.0, specials=(np.nan, np.inf, -np.inf), seed=0)
+def test_pointwise_maps_match_the_slice_by_slice_oracle_on_stacks(
+        n, m, w, channels, r, specials, seed):
+    # a channel-first field on a stack of n images, C-contiguous, in Fortran
+    # order or strided along its channel axis, with -0.0, NaN and +-inf on
+    # the first and last rows and columns; only infinite input may warn
+    # (inf / inf in the projection), so only it runs under errstate
+    x = edge_specials(np.random.default_rng(seed), (channels, n, m, w), specials)
+    quiet = np.errstate(invalid="ignore") if np.inf in specials else contextlib.nullcontext()
+    with quiet:
+        mag, proj = _ref_magnitude(x), _ref_project_ball(x, r)
+        for y in three_layouts(x):
+            assert magnitude(y, 3).tobytes() == mag.tobytes(), y.strides
+            assert project_ball(y, r, 3).tobytes() == proj.tobytes(), y.strides
 
 
 def test_pointwise_maps_reject_other_ranks():

@@ -416,7 +416,7 @@ def _out_of_place_primal_dual(sd, u, duals, sigma, tau):
     lin = None if sd.linear is None else sd.linear[0] * sd.linear[1]
     gamma = 0.0 if sd.prox is None else 0.125 * sd.prox[0]
     if sd.core is not None:
-        masks = [sd.core[..., None, :, :] if y.ndim > u.ndim else sd.core for y in duals]
+        masks = [sd.core for y in duals]
         lin = None if lin is None else lin * sd.core
     ubar = u
     while True:
@@ -548,7 +548,7 @@ def test_dual_variables_stay_feasible():
         assert len(alm.duals) == len(model.saddle.blocks)
         for blk, y in zip(model.saddle.blocks, alm.duals):
             channels = blk.forward(np.zeros(shape)).shape[:-2]
-            assert y.shape == layout.core.shape[:1] + channels + layout.core.shape[1:]
+            assert y.shape == channels + layout.core.shape
             assert magnitude(y, 3).max() <= blk.radius * (1.0 + 1e-12)
 
 
@@ -734,13 +734,13 @@ def test_a_block_may_name_an_operator_built_by_stacking(monkeypatch):
     # used to be still runs, and its iterates are the built-in's bit for bit
     def stacked(u):
         g = grad_minus(u)
-        return np.stack((g[..., 0, :, :], g[..., 1, :, :]), axis=-3)
+        return np.stack((g[0], g[1]))
 
     def summed_adjoint(p):
         # the adjoint of each channel alone, the other one zero
-        zero = np.zeros(p.shape[:-3] + p.shape[-2:])
-        return (adjoint_grad_minus(np.stack((p[..., 0, :, :], zero), axis=-3))
-                + adjoint_grad_minus(np.stack((zero, p[..., 1, :, :]), axis=-3)))
+        zero = np.zeros(p.shape[1:])
+        return (adjoint_grad_minus(np.stack((p[0], zero)))
+                + adjoint_grad_minus(np.stack((zero, p[1]))))
 
     monkeypatch.setattr(operators, "stacked_grad_minus", stacked, raising=False)
     monkeypatch.setattr(operators, "stacked_adjoint_grad_minus", summed_adjoint,
@@ -780,7 +780,7 @@ def test_iterates_stay_on_their_patches():
             assert not np.signbit(x[x == 0.0]).any(), type(model)
         for b, y in enumerate(alm.duals):
             for s, core in enumerate(layout.core):
-                off = y[s][..., ~core]
+                off = y[..., s, :, :][..., ~core]
                 assert not off.any() and not np.signbit(off).any(), (type(model), b, s)
 
 
@@ -793,11 +793,11 @@ def _window_step(alm):
         core = lay.core[s]
         uhat = alm.avg[win] * lay.tilde[s] - alm.lam[s] / eta
         local = _local(replace(model, f=model.f[win]), core.astype(np.float64), uhat, eta)
-        u, duals, it, gap = local_solve(local, alm.u[s], [y[s] for y in alm.duals],
+        u, duals, it, gap = local_solve(local, alm.u[s], [y[..., s, :, :] for y in alm.duals],
                                         alm.inner)
         alm.u[s] = u
         for y, d in zip(alm.duals, duals):
-            y[s] = d
+            y[..., s, :, :] = d
         iters.append(it)
         gaps.append(gap)
     avg_new = stack_sum(alm.u, lay) / lay.counts
@@ -885,7 +885,7 @@ def _whole_grid_solves(alm, state):
         core = on_grid(lay, s, lay.core[s])
         uhat = avg * on_grid(lay, s, lay.tilde[s]) - on_grid(lay, s, lam[s]) / eta
         local = _local(alm.model, core.astype(np.float64), uhat, eta)
-        d = [on_grid(lay, s, y[s]) for y in duals]
+        d = [on_grid(lay, s, y[..., s, :, :]) for y in duals]
         u_s, d, _, _ = local_solve(local, on_grid(lay, s, u[s]), d, alm.inner)
         solves.append((core, u_s, d))
     return solves
@@ -930,7 +930,8 @@ def test_local_solves_are_whole_grid_restrictions(m, n, kind, halfwidth, workers
         for s, (core, u_s, d) in enumerate(_whole_grid_solves(alm, state)):
             assert on_grid(layout, s, alm.u[s]).tobytes() == u_s.tobytes(), s
             for y, d_b in zip(alm.duals, d):
-                assert y[s][..., layout.core[s]].tobytes() == d_b[..., core].tobytes(), s
+                assert (y[..., s, :, :][..., layout.core[s]].tobytes()
+                        == d_b[..., core].tobytes()), s
         lam_norm = norm2(alm.lam)
         assert alm.multiplier_consensus_norm() <= 1e-10 * max(1.0, lam_norm)
 
@@ -1223,17 +1224,18 @@ def test_solve_dd_converges_and_segments(blob32):
 
 
 def test_fields_are_planar(monkeypatch):
-    # each channel of a field is a contiguous (M, N) plane on axis -3, so no
-    # channel read or write in the operators, magnitude or the ball
-    # projection strides: for every field-valued operator on an image and a
-    # stack, for the zero duals of a stack and for every chunk's slice of
-    # the packed duals
+    # fields are channel-first, so each channel of a field is one contiguous
+    # block, an (M, N) plane or an (n, M, N) stack of them, and no channel
+    # read or write in the operators, magnitude or the ball projection
+    # strides: for every field-valued operator on an image and a stack, for
+    # the zero duals of a stack and for every chunk's slice of the packed
+    # duals, each of whose channels is one C-contiguous block
     rng = np.random.default_rng(44)
     image = rng.random((7, 6))
     for name, c in (("grad_plus", 2), ("grad_minus", 2), ("hessian", 4)):
         for u in (image, np.stack((image, image[::-1], image[:, ::-1]))):
             out = getattr(operators, name)(u)
-            assert out.shape == u.shape[:-2] + (c, 7, 6), (name, u.shape)
+            assert out.shape == (c,) + u.shape, (name, u.shape)
             assert out.flags.c_contiguous, (name, u.shape)
     f = rng.random((20, 18))
     monkeypatch.setattr(solvers, "_CHUNK_PX", 200)
@@ -1245,10 +1247,14 @@ def test_fields_are_planar(monkeypatch):
         s, h, w = layout.tilde.shape
         channels = [blk.forward(f).shape[:-2] for blk in model.saddle.blocks]
         duals = zero_duals(model.saddle, np.zeros((s, h, w)))
-        assert [y.shape for y in duals] == [(s,) + c + (h, w) for c in channels]
+        assert [y.shape for y in duals] == [c + (s, h, w) for c in channels]
         alm = DecoupledAlm(model, layout, eta, default_inner(model, eta, iters=3))
         assert len(alm.chunks) > 1
         alm.step()
         for run, _ in alm.chunks:
+            n = len(range(s)[run])
             for y, c in zip(alm.duals, channels):
-                assert y[run].shape[1:] == c + (h, w) and y[run].flags.c_contiguous
+                d = y[..., run, :, :]
+                assert d.shape == c + (n, h, w)
+                # each channel of the chunk's dual is one C-contiguous block
+                assert all(channel.flags.c_contiguous for channel in (d if c else [d]))
