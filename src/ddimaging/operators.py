@@ -32,18 +32,20 @@ axes through: applied to a stack of equal-shape images (n, M, N) it gives
 image's result bit for bit, since each output is the same elementwise
 arithmetic on the same inputs.
 
-Each shift-and-add is one contiguous 1-D numpy operation.  The differences
-merge the pixel axes into one axis, on which neighbours along a row are 1
-apart and neighbours down a column N apart; a difference is then one
-subtract of that axis against itself shifted.  When the operand and the
-output are both C-contiguous, a whole stack merges into one axis of n*M*N
-values; otherwise each (M, N) plane does, a view for every output here
-since each plane is contiguous.  A column difference's shift crosses each
-row's end, and a row difference's on a merged stack each image's end; what
-it computes there lands on a boundary row or column, which is written
-afterwards.  The blur does the same on a zero-padded copy of its input (see
-blur).  Every output entry takes the same operands in the same order as
-the slice-by-slice formulas, so every bit is theirs.
+Each shift-and-add is one contiguous 1-D numpy operation.  A difference
+reads its operand and writes its output, which must be C-contiguous (a
+ValueError otherwise), as one flat axis, an image's M*N values or a
+stack's n*M*N, on which neighbours along a row are 1 apart and down a
+column N apart; it is one subtract of that axis against itself shifted.  A
+strided operand is read through one flat copy, which moves no bit.  A
+column difference's shift crosses each row's end, and a row difference's
+on a stack each image's end; what it computes there lands on a boundary
+row or column, which is written afterwards.  The blur does the same on a
+zero-padded copy of its input (see blur).  Every output entry takes the
+same operands in the same order as the slice-by-slice formulas, so every
+bit is theirs.  A discarded lane may compute inf - inf from a ±inf input
+and raise numpy's "invalid value" RuntimeWarning; NaN and finite input
+raise none.
 """
 
 from dataclasses import dataclass
@@ -63,29 +65,21 @@ def _cut(a, axis, index):
     return a[(..., index) if axis == -1 else (..., index, slice(None))]
 
 
-def _flat(*arrays):
-    """The arrays with their pixel axes merged, on which neighbours along a
-    row are 1 apart and down a column N apart: into one 1-D axis when every
-    array is C-contiguous, else each (M, N) plane into one axis, a view
-    wherever each plane is contiguous, which every output here is."""
-    if all(a.flags.c_contiguous for a in arrays):
-        return [a.reshape(-1) for a in arrays]
-    return [a.reshape(a.shape[:-2] + (-1,)) for a in arrays]
-
-
 def _diff(u, axis, forward, out):
     """Write u's forward or backward difference along axis into out.
 
     u[i+1] - u[i] lands on i (forward) or on i+1 (backward); the last
     (forward) or first (backward) row or column is zero.  One subtract over
-    the merged pixel axis, shifted by one row or one column; a column
+    the flattened operand, shifted by one row or one column; a column
     difference also takes one across each row's end, and a row difference
-    on a merged stack one across each image's end, which lands on the zero
-    column or row and is overwritten.
+    on a stack one across each image's end, which lands on the zero column
+    or row and is overwritten.
     """
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
     s = 1 if axis == -1 else u.shape[-1]
-    f, flat = _flat(u, out)
-    np.subtract(f[..., s:], f[..., :-s], out=flat[..., :-s] if forward else flat[..., s:])
+    f, flat = u.reshape(-1), out.reshape(-1)
+    np.subtract(f[s:], f[:-s], out=flat[:-s] if forward else flat[s:])
     _cut(out, axis, -1 if forward else 0)[...] = 0.0
     return out
 
@@ -96,22 +90,24 @@ def _adjoint_diff(p, axis, forward, out):
     The two steps of scatter-adding the transposed stencil into zeros, the
     first one writing instead of adding: with q the entries of p that the
     difference writes, out[i+1] = 0.0 + q[i], then out[i] -= q[i], each over
-    the merged pixel axis.  For a column difference, and for a row
-    difference on a merged stack, the first step also runs across each
-    row's or image's end into the first column or row, which is then
-    zeroed, and the second into the last column or row, which is then
-    written again as 0.0 + q[-1].
+    the flattened operands.  For a column difference, and for a row
+    difference on a stack, the first step also runs across each row's or
+    image's end into the first column or row, which is then zeroed, and the
+    second into the last column or row, which is then written again as
+    0.0 + q[-1].
     """
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
     if out.shape[axis] == 1:
         out[...] = 0.0  # no differences, so no stencil to scatter
         return out
     s = 1 if axis == -1 else p.shape[-1]
-    f, flat = _flat(p, out)
-    q = f[..., :-s] if forward else f[..., s:]
-    np.add(0.0, q, out=flat[..., s:])
+    f, flat = p.reshape(-1), out.reshape(-1)
+    q = f[:-s] if forward else f[s:]
+    np.add(0.0, q, out=flat[s:])
     _cut(out, axis, 0)[...] = 0.0
-    np.subtract(flat[..., :-s], q, out=flat[..., :-s])
-    if axis == -1 or (flat.ndim == 1 and out.ndim > 2):
+    np.subtract(flat[:-s], q, out=flat[:-s])
+    if axis == -1 or out.ndim > 2:
         np.add(0.0, _cut(p, axis, -2 if forward else -1), out=_cut(out, axis, -1))
     return out
 
@@ -121,16 +117,16 @@ def _adjoint_diff(p, axis, forward, out):
 # ---------------------------------------------------------------------------
 
 
-def _gradient(u, forward):
-    out = np.empty((2,) + u.shape)
+def _gradient(u, forward, out=None):
+    out = np.empty((2,) + u.shape) if out is None else out
     _diff(u, -2, forward, out[0])
     _diff(u, -1, forward, out[1])
     return out
 
 
-def _adjoint_gradient(p, q, forward):
+def _adjoint_gradient(p, q, forward, out=None):
     """The row difference's adjoint of p plus the column one's of q."""
-    out = _adjoint_diff(p, -2, forward, np.empty(p.shape))
+    out = _adjoint_diff(p, -2, forward, np.empty(p.shape) if out is None else out)
     return np.add(out, _adjoint_diff(q, -1, forward, np.empty(p.shape)), out=out)
 
 
@@ -157,27 +153,29 @@ def adjoint_grad_minus(p):
 def hessian(u):
     """Backward-of-forward second differences: (...) -> (4, ...).
 
-    grad_minus(grad_plus(u)), each backward difference taken over both
-    forward channels at once and written into a (2, 2, ...) array indexed
-    by the forward channel, then the backward one, so that its channels
-    merge into the order (xx, xy, yx, yy): the backward x/y differences of
-    the forward x derivative, then of the forward y one.
+    grad_minus(grad_plus(u)), the backward gradient of each forward channel
+    written into two consecutive channels, so that they come in the order
+    (xx, xy, yx, yy): the backward x/y differences of the forward x
+    derivative, then of the forward y one.
     """
-    g, h = grad_plus(u), np.empty((2, 2) + u.shape)
-    _diff(g, -2, False, h[:, 0])
-    _diff(g, -1, False, h[:, 1])
-    return h.reshape((4,) + u.shape)
+    g, h = grad_plus(u), np.empty((4,) + u.shape)
+    _gradient(g[0], False, h[0:2])
+    _gradient(g[1], False, h[2:4])
+    return h
 
 
 def adjoint_hessian(t):
     """Adjoint of hessian: (4, ...) -> (...).
 
     adjoint_grad_plus of adjoint_grad_minus applied to t as (2, 2, ...):
-    the (xx, yx) channels are the row-difference planes and (xy, yy) the
-    column-difference ones.  They are sliced, not reshaped, so t may be any
-    strided array.
+    each forward channel's backward-gradient pair, (xx, xy) and then (yx,
+    yy), goes through adjoint_grad_minus into its plane of one (2, ...)
+    field.
     """
-    return adjoint_grad_plus(_adjoint_gradient(t[0:4:2], t[1:4:2], False))
+    w = np.empty((2,) + t.shape[1:])
+    _adjoint_gradient(t[0], t[1], False, w[0])
+    _adjoint_gradient(t[2], t[3], False, w[1])
+    return adjoint_grad_plus(w)
 
 
 # ---------------------------------------------------------------------------

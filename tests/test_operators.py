@@ -503,8 +503,8 @@ def _frozen_blur(u, kernel):
 def test_shift_kernels_match_their_frozen_copies_byte_for_byte(
         lead, channels, m, n, l, specials, seed):
     # normals over 16 decades, +-0.0, NaN and +-inf; on an image, a stack
-    # or a channel plane x[..., k, :, :] of a field, into a fresh output or
-    # into a plane of one; 1xN, Nx1 and halfwidths past the image's size
+    # or a channel plane x[..., k, :, :] of a field, into a fresh output;
+    # 1xN, Nx1 and halfwidths past the image's size
     rng = np.random.default_rng(seed)
     shape = lead + ((channels,) if channels else ()) + (m, n)
     x = signed_zeros(rng, shape, 0.3)
@@ -526,11 +526,26 @@ def test_shift_kernels_match_their_frozen_copies_byte_for_byte(
             for axis in (-2, -1):
                 for forward in (True, False):
                     for new, old in ((_diff, _frozen_diff), (_adjoint_diff, _frozen_adjoint_diff)):
-                        got = new(u, axis, forward, plane(np.empty(x.shape)))
+                        got = new(u, axis, forward, np.empty(u.shape))
                         want = old(u, axis, forward, np.empty(u.shape))
                         assert _same_bits(got, want), (new.__name__, axis, forward)
             got, want = blur(u, BlurKernel(l)), _frozen_blur(u, BlurKernel(l))
             assert _same_bits(got, want, nan_as_one), "blur"
+
+
+def test_shift_kernels_refuse_an_output_they_cannot_write_in_place():
+    # a channel plane of a stacked field is strided, so its flat axis would
+    # be a copy and the differences would be lost
+    u = np.ones((2, 4, 5))
+    for kernel in (_diff, _adjoint_diff):
+        for axis in (-2, -1):
+            out = np.empty((2, 3, 4, 5))[:, 1]
+            try:
+                kernel(u, axis, True, out)
+            except ValueError as exc:
+                assert "C-contiguous" in str(exc)
+            else:
+                raise AssertionError(f"{kernel.__name__} wrote into a strided out")
 
 
 def test_blur_holds_at_most_three_stack_sized_arrays():
