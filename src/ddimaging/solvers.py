@@ -27,10 +27,16 @@ primal-dual algorithm for convex problems with applications to imaging"
 
     theta = 1/sqrt(1 + 2*gamma*tau),  tau <- theta*tau,  sigma <- sigma/theta
 
-with gamma = eta/8 (Alg. 2, which admits any 0 <= gamma <= eta),
-warm-started primal and dual variables, and steps reset to step_sizes(sd)
-at every outer iteration.  The baseline is the model's own saddle, which
-has neither core nor prox, so gamma = 0 and theta = 1 (Alg. 1).
+with gamma = _GAMMA_PER_ETA * eta = eta/2 (Alg. 2, which admits any
+0 <= gamma <= eta), warm-started primal and dual variables, and steps reset
+to step_sizes(sd) at every outer iteration.  scripts/steps_to_gap.py chose
+the factor (STEPS_28.json): at 128^2 over 4x4 tiles TV-L1 reaches a
+relative energy gap of 1e-3 in 409 outer steps against 633 at eta/8, at the
+same cost per step (Hessian-L1 44 against 46, CCV unchanged).  Gap mode pays
+in inner iterations: on the frozen test set-up CCV needs 1.4x and TV-L1 2.2x
+those at eta/8, and at gamma = eta every model needs 2.4-7.4x those at
+eta/2.  The baseline is the model's own saddle, which has neither core nor
+prox, so gamma = 0 and theta = 1 (Alg. 1).
 
 A local problem is a Saddle too (see _local_saddle): the model's, cut to
 the subdomain's window, with its core masking every block to the tile,
@@ -85,6 +91,9 @@ GAP_MAX_ITERS = 500_000
 # whatever the worker count; a chunk's solve peaks at about 10 image-sized
 # float arrays, some 5 MB at this size
 _CHUNK_PX = 65_536
+# a local solve accelerates at gamma = _GAMMA_PER_ETA * eta, eta its
+# strong-convexity modulus (see primal_dual and scripts/steps_to_gap.py)
+_GAMMA_PER_ETA = 0.5
 
 
 @dataclass(frozen=True)
@@ -155,12 +164,13 @@ def primal_dual(sd, u, duals, sigma, tau):
     Each step: dual ascent and ball projection per block, the primal
     resolvent (clamped to [0, 1] when sd.box) with the proximal term when
     sd.prox = (eta, uhat) is set, the acceleration schedule at gamma =
-    eta/8 (0 without a prox, so theta = 1) and the overrelaxation.  When
-    sd.core is set every block's K u - f_b and the linear term are masked to
-    it; a block's mask and sigma are one factor, core * sigma, the same
-    bits as masking and then scaling, since core is 0 or 1.  Yields (u,
-    duals) after every step and never ends: the caller owns the loop and
-    stops it (islice for a fixed budget).  The arguments are not modified.
+    _GAMMA_PER_ETA * eta = eta/2 (0 without a prox, so theta = 1) and the
+    overrelaxation.  When sd.core is set every block's K u - f_b and the
+    linear term are masked to it; a block's mask and sigma are one factor,
+    core * sigma, the same bits as masking and then scaling, since core is
+    0 or 1.  Yields (u, duals) after every step and never ends: the caller
+    owns the loop and stops it (islice for a fixed budget).  The arguments
+    are not modified.
 
     A step works in place on the arrays it allocates: each block's dual is
     computed in the array its K returns and the new u in the one K*
@@ -171,7 +181,7 @@ def primal_dual(sd, u, duals, sigma, tau):
     """
     duals = list(duals)
     lin = None if sd.linear is None else sd.linear[0] * sd.linear[1]
-    gamma = 0.0 if sd.prox is None else 0.125 * sd.prox[0]
+    gamma = 0.0 if sd.prox is None else _GAMMA_PER_ETA * sd.prox[0]
     if sd.core is not None and lin is not None:
         lin = lin * sd.core
     ubar = u

@@ -414,7 +414,7 @@ def _out_of_place_primal_dual(sd, u, duals, sigma, tau):
     duals = list(duals)
     masks = [None] * len(duals)
     lin = None if sd.linear is None else sd.linear[0] * sd.linear[1]
-    gamma = 0.0 if sd.prox is None else 0.125 * sd.prox[0]
+    gamma = 0.0 if sd.prox is None else 0.5 * sd.prox[0]
     if sd.core is not None:
         masks = [sd.core for y in duals]
         lin = None if lin is None else lin * sd.core
@@ -605,12 +605,12 @@ def test_concurrent_chunks_at_the_benchmark_layout():
 # of the decomposed solver must reproduce them bit for bit; a change that
 # alters the arithmetic on purpose re-derives them and records why.
 FROZEN_TRAJECTORY = {
-    "ccv": ("462a90fa01d03b79a682fe25dcea493fbc4a5dd0d160e0fccd2ea51ab53f8d42",
-            "7521653f46bc749c975f7ea9ff53b49095e6aec704a235c656183b289b460f18"),
-    "tvl1": ("bfa7c3ee7af0abded8b990a3fbf55df09e1b02a8c844f5f731889a930bdcf5b0",
-             "43b85762bd33b72d5a61925df61bf890a4f14de2966176d8d89e1d2446779e24"),
-    "hessl1": ("96e18f5f65b940e164e9649a0de6780f1a80e9ea20ef2d9e519ea2c2d1076099",
-               "35a27a7327ff6dbfd1bb8feb296f8ade918edd62b3fd96661043077ca6d382a5"),
+    "ccv": ("33993b90cd3ea9a750f84ba0bdea46677b3c9c1e96f3e91ef95c60843c55ded9",
+            "316c43d6cf54f0aeb371ab8746687454d02430391b3e90210c397c3f49399be7"),
+    "tvl1": ("cde5dafd3213cff0bf9453b3a3a7a8a7e1f0d7d01f729947f2c0025bb41ec9fe",
+             "3da76c809470edd4e9b8111023da7f2dc5c09d8fc377f7f1e2f5dffeee6c4371"),
+    "hessl1": ("300d3700ab2cc6319b98727befe403c2c430aa24ed0dca696ac6f636211e7583",
+               "7d684585551702327c2001762c1ed004393d8e14294a10574a3dd9501cf4491e"),
 }
 
 
@@ -649,20 +649,20 @@ def test_frozen_trajectory():
 # channel planes moved last (the duals were hashed channel-last when these
 # were derived; the planar layout holds the same values).
 FROZEN_GAP_TRAJECTORY = {
-    "ccv": ([[125, 175, 100, 150, 75, 100], [150, 75, 100, 50, 50, 75]],
-            "e9368611f9b95766e07c010954d5a8844730ed795c8f8b652b7fa49039910b28",
-            "6cb1b6213e82bc1e4e0c543ae3a48b1c7ef25a67eb91974f6b98a527358166ce",
-            ("475e95ee3bca4580822af47fa4b85d38d53d3380e61eee45db78bec15bd1f2f1",)),
-    "tvl1": ([[375, 400, 525, 375, 525, 350], [400, 600, 375, 375, 450, 325]],
-             "cf91e3efe02541346de8bc75d92650424fe93f6900edf0cb22d0d9f6b6abc9f4",
-             "9540962a2dc6a06df793f95868743c3f87563259f8f989b5518538d5f70e87ac",
-             ("4626ae48bb1105e5382286779d51d867d2e773c411e5c5e08f084c8e963e484d",
-              "46b6468e590c86e13d21e08f5772cebdcd0258d8e3c75506f7e3fadf4da3a24f")),
-    "hessl1": ([[1650, 925, 1150, 825, 850, 700], [1050, 1025, 900, 775, 1100, 1300]],
-               "29d8de2b5d2b5755a50140406ded73db0fac28d91b4b05ad8a46544cc01c657f",
-               "18d633f1d4eeb344b095473f00b4bb02bde5c9a2da0964afa2e7b843b681aa54",
-               ("1a670cb0314c68eb35acd158a56feb0a714ebfbaa51d2d21700af1aa2cad0da1",
-                "a6c498b52f3fe93f9a03023612458b4bf3deec890ed498faa17c4f49cb146640")),
+    "ccv": ([[175, 100, 175, 275, 125, 125], [175, 100, 125, 100, 100, 100]],
+            "1b3941732fa99a18a91af128b05c3aa35cd27f2f572da78103457bc13a8c8837",
+            "3e3ac6f447eb31c32f736c6bba40f3a21c9cc609ceebdd14eace11703ae5c44c",
+            ("8b98ea523d1419724056d67d1ce5477613317154debe3bff264a25af3af01a26",)),
+    "tvl1": ([[725, 750, 1425, 875, 1100, 875], [900, 950, 1075, 875, 875, 675]],
+             "d14177ae8c964d667945eec03e6dfeb9e03091799757e75d3842f25929a8faed",
+             "a16c15e06c432ff82ea58c93936b084d0d74ec0c1bbfd79dccd9ad8c79db6ed6",
+             ("0b1a315e9ab4d2d9fe29b0f2109a55f6dfdb99f145a145b93e66917314f52251",
+              "fdf7b5113801b2ee078942f636a7a04289b2073dfa16ba08b121e0bab0b7d7f4")),
+    "hessl1": ([[850, 575, 600, 475, 525, 400], [500, 525, 550, 475, 550, 650]],
+               "b8446c8308722e00787fc1aec3c71b6b3fd4d6953aaff937208e553e5ba62df5",
+               "26f12420044721d10df26f34921d20bc65e4488834e3cc54bd5cdf0a3b0b12c8",
+               ("14f2fd6699506fe7be6d1f93fc85be1b8d487b63abe193d272e39ac7def4af5a",
+                "80fddd479940d5b25c4490bf33f089e4a01a8c1248b46997a65df5fd5ff3d792")),
 }
 
 
@@ -1137,6 +1137,25 @@ def test_non_finite_energy_stops_the_solve():
                              workers=workers)
             with pytest.raises(NonFiniteEnergyError, match="at iteration 1 is"):
                 cp_full(model, 5)
+
+
+@pytest.mark.parametrize("kind", ["ccv", "tvl1", "hessl1"])
+def test_huge_eta_solves_without_a_warning(kind):
+    # a local solve accelerates at gamma proportional to eta, and sigma grows
+    # by 1/theta at every inner iteration, the faster the larger gamma; up to
+    # eta 1e100, at the smallest and largest alphas tried, the dual steps
+    # stay finite: every operation runs without a warning and u is finite
+    f = np.random.default_rng(28).random((20, 17))
+    build = {"ccv": lambda a: ChanVese(f=f, alpha=a, c1=0.6, c2=0.1),
+             "tvl1": lambda a: TVL1Deblur(f=f, alpha=a, kernel=BlurKernel(1)),
+             "hessl1": lambda a: HessianL1(f=f, alpha=a)}[kind]
+    for alpha, eta in itertools.product((1e-200, 1.0, 1e200), (1e6, 1e50, 1e100)):
+        model = build(alpha)
+        layout = OverlapLayout.from_grid(f.shape, 2, 2, stencil_of(model))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_dd(model, layout, eta, default_inner(model, eta), None, 5)
+        assert res.iters == 5 and np.isfinite(res.u).all(), (alpha, eta)
 
 
 def test_reference_energy_is_trace_minimum():
