@@ -30,9 +30,10 @@ primal-dual algorithm for convex problems with applications to imaging"
 with gamma = _GAMMA_PER_ETA * eta = eta/2 (Alg. 2, which admits any
 0 <= gamma <= eta), warm-started primal and dual variables, and steps reset
 to step_sizes(sd) at every outer iteration.  scripts/steps_to_gap.py chose
-the factor (STEPS_28.json): at 128^2 over 4x4 tiles TV-L1 reaches a
-relative energy gap of 1e-3 in 409 outer steps against 633 at eta/8, at the
-same cost per step (Hessian-L1 44 against 46, CCV unchanged).  Gap mode pays
+the factor when solves started at zero (STEPS_28.json): at 128^2 over 4x4
+tiles TV-L1 reached a relative energy gap of 1e-3 in 409 outer steps
+against 633 at eta/8, at the same cost per step (Hessian-L1 44 against 46,
+CCV unchanged); from the data it takes 347 (STEPS_29.json).  Gap mode pays
 in inner iterations: on the frozen test set-up CCV needs 1.4x and TV-L1 2.2x
 those at eta/8, and at gamma = eta every model needs 2.4-7.4x those at
 eta/2.  The baseline is the model's own saddle, which has neither core nor
@@ -55,7 +56,12 @@ below a tolerance, which the Lyapunov monotonicity tests rely on.  Every
 solve, decomposed (solve_dd) or whole-image (solve_single, and cp_full, its
 untimed form), runs one loop, _run(): it steps, takes the energy, records
 one MetricsRow per iterate and, given a tolerance, applies the joint stop
-rule (StopRule) between consecutive iterates.
+rule (StopRule) between consecutive iterates.  Every solve starts at the
+data image, clipped to [0, 1] when the model has the box constraint
+(_start): solve_dd with the consensus average at that image, the copies at
+its restriction and the multiplier and the duals at zero.  The iteration
+converges from any start whose multiplier lies in the orthogonal complement
+of the consensus subspace, and a zero multiplier does.
 """
 
 import math
@@ -284,9 +290,11 @@ class DecoupledAlm:
     solves it on its slice of the stacks with prox set to (eta, uhat) on a
     copy.  Gap mode solves one window per chunk, so each gap sums its own
     window.  The layout must be built for the model's grid and stencil,
-    which the constructor checks.  All iterates start at zero, which makes the
-    multiplier orthogonal to the consensus subspace and keeps it so by
-    induction.
+    which the constructor checks.  `avg` starts at the data image (clipped
+    to [0, 1] under the box, see _start) and the copies at its restriction,
+    exactly +0.0 off the patches; the multiplier and the duals start at
+    zero, which makes the multiplier orthogonal to the consensus subspace
+    and keeps it so by induction.
     """
 
     def __init__(self, model, layout, eta, inner_prm, workers=1):
@@ -305,9 +313,10 @@ class DecoupledAlm:
         self.eta = float(eta)
         self.inner = inner_prm
         self.workers = workers
-        self.u = np.zeros(layout.tilde.shape)
+        self.avg = _start(model)
+        # + 0.0 folds the -0.0 that negative data leaves off the patches
+        self.u = restrict_global(self.avg, layout) + 0.0
         self.lam = np.zeros(layout.tilde.shape)
-        self.avg = np.zeros(layout.shape)
         self.duals = zero_duals(model.saddle, self.u)
         limit = 0 if inner_prm.gap_tol is not None else _CHUNK_PX
         self.chunks = [(run, _local_saddle(model.saddle, layout, run))
@@ -328,8 +337,11 @@ class DecoupledAlm:
         """One outer iteration; returns its consensus residual and metrics."""
         lay = self.layout
         eta = self.eta
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            results = list(pool.map(self._solve_chunk, self.chunks))
+        if self.workers == 1:
+            results = [self._solve_chunk(chunk) for chunk in self.chunks]
+        else:
+            with ThreadPoolExecutor(max_workers=self.workers) as pool:
+                results = list(pool.map(self._solve_chunk, self.chunks))
         avg_new = stack_sum(self.u, lay) / lay.counts
         resid_vec = self.u - restrict_global(avg_new, lay)
         self.lam += eta * resid_vec
@@ -393,6 +405,13 @@ def lyapunov_metric(layout, eta, avg_a, lam_a, avg_b, lam_b):
             + norm2(lam_a - lam_b) ** 2 / eta)
 
 
+def _start(model):
+    """The image every solve starts at: a new float64 copy of the data,
+    clipped to [0, 1] when the model has the box constraint."""
+    u0 = np.array(model.f, dtype=np.float64)
+    return np.clip(u0, 0.0, 1.0, out=u0) if model.saddle.box else u0
+
+
 # ---------------------------------------------------------------------------
 # stop rule
 # ---------------------------------------------------------------------------
@@ -401,21 +420,29 @@ def lyapunov_metric(layout, eta, avg_a, lam_a, avg_b, lam_b):
 class StopRule:
     """Joint relative energy-change and iterate-change criterion.
 
-    Fires between consecutive iterates of a solve started at u = 0 when
-    max(|e_prev - e|/|E(f)|, ||u_prev - u||/||f||) < tol, with f the data
-    image, clipped to [0, 1] in E(f) when the model has the box constraint
-    (E is +inf off the box); either scale falls back to 1 below 1e-12, so a
-    black image solves.
+    Fires between consecutive iterates of a solve, the first compared with
+    (E(u0), u0), when max(|e_prev - e|/|E(u0)|, ||u_prev - u||/||f||) < tol,
+    with f the data image and u0 the start: f, clipped to [0, 1] when the
+    model has the box constraint, off which E is +inf (see _start).
+    Either scale falls back to 1 below 1e-12, so a black image solves.
+    Raises ValueError when E(u0) is not finite while E(0), the data terms'
+    weighted sum, is: the data are too large for the model.  When E(0)
+    overflows too, the data's own sum does (see models._checked), and the
+    solve reports it at its first step.
     """
 
     def __init__(self, model, tol):
         check_positive("tol", tol)
         self.tol = tol
-        f_in_box = np.clip(model.f, 0.0, 1.0) if model.saddle.box else model.f
-        scales = abs(energy(model, f_in_box)), norm2(model.f)
+        u0 = _start(model)
+        with np.errstate(over="ignore"):
+            e0 = energy(model, u0)
+            if not math.isfinite(e0) and math.isfinite(energy(model, np.zeros(u0.shape))):
+                raise ValueError(f"the energy at the data image is {e0!r}, not finite: "
+                                 "the data are too large for the model")
+            scales = abs(e0), norm2(model.f)
         self.e_scale, self.u_scale = (1.0 if x < 1e-12 else x for x in scales)
-        u0 = np.zeros(model.f.shape)
-        self.prev = energy(model, u0), u0
+        self.prev = e0, u0
 
     def __call__(self, e, u):
         """True when the rule fires between the previous iterate and (e, u)."""
@@ -533,7 +560,8 @@ def solve_single(model, tol, max_iters, e_star=None, ground_truth=None,
                  timing=True, on_row=None):
     """Whole-image solve (one subdomain) via the non-accelerated baseline.
 
-    primal_dual() on the model's own saddle (no prox: gamma = 0) from u = 0, at
+    primal_dual() on the model's own saddle (no prox: gamma = 0) from the
+    data (see _start) with zero duals, at
     step_sizes(model.saddle, model.defaults.cp_tau); tol=None runs the
     whole budget.  Reports the same row schema as solve_dd; the consensus
     residual is identically zero and the consecutive-iterate metric is not
@@ -543,7 +571,7 @@ def solve_single(model, tol, max_iters, e_star=None, ground_truth=None,
     stop = None if tol is None else StopRule(model, tol)
     sd = model.saddle
     sigma, tau = step_sizes(sd, model.defaults.cp_tau)
-    u = np.zeros_like(model.f, dtype=np.float64)
+    u = _start(model)
     steps = primal_dual(sd, u, zero_duals(sd, u), sigma, tau)
     return _run(model, lambda: (next(steps)[0], 0.0, None), max_iters, stop,
                 e_star, ground_truth, timing, on_row, "iteration")
@@ -552,8 +580,9 @@ def solve_single(model, tol, max_iters, e_star=None, ground_truth=None,
 def cp_full(model, iters, on_iter=None):
     """The baseline for `iters` iterations, untimed: solve_single's SolveResult.
 
-    The energy of every iterate is in the rows; the best of them is an
-    upper bound on the minimum and serves as the reference energy.
+    It starts where solve_single does, at the (clipped) data.  The energy
+    of every iterate is in the rows; the best of them is an upper bound on
+    the minimum and serves as the reference energy.
     on_iter(row) receives each MetricsRow when provided.
     """
     check_count("iters", iters)

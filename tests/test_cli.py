@@ -281,6 +281,20 @@ def test_subnormal_alpha_is_a_usage_error(tmp_path, capsys):
         assert code in (0, 2), alpha
 
 
+def test_data_whose_energy_overflows_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # PGM data lie in [0, 1], so the loader hands the solve data scaled to
+    # 1e160, whose energy overflows: refused before the first step, exit 1
+    src, scene = _write_scene(tmp_path, shape=(16, 16))
+    monkeypatch.setattr(cli, "load_pgm", lambda path: 1e160 * scene)
+    for model, flags in (("tvl1", ["--kernel-halfwidth", "1"]), ("hessl1", [])):
+        for grid in ("2x2", "1x1"):
+            capsys.readouterr()
+            code = main(["solve", "--model", model, "--input", str(src),
+                         "--subdomains", grid] + flags)
+            assert code == 1, (model, grid)
+            assert "energy at the data image is inf" in capsys.readouterr().err
+
+
 def test_unreadable_pgm_is_an_error_not_a_traceback(tmp_path, capsys):
     # a P2 sample beyond the int64 range used to escape as OverflowError
     src = tmp_path / "huge.pgm"

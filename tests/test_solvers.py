@@ -355,9 +355,10 @@ def test_gap_certifies_suboptimality():
 
 
 def _cp_alg1(model, sigma, tau, iters):
-    """Chambolle-Pock Alg. 1 written out per model, with its energy trace."""
+    """Chambolle-Pock Alg. 1 written out per model from the (clipped) data,
+    with its energy trace."""
     f = model.f
-    u = np.zeros_like(f)
+    u = np.clip(f, 0.0, 1.0) if isinstance(model, ChanVese) else f.copy()
     ubar = u.copy()
     p = np.zeros((2,) + f.shape)
     t = np.zeros((4,) + f.shape)
@@ -386,7 +387,8 @@ def test_cp_full_is_primal_dual_at_eta_zero():
     # the baseline is the accelerated routine at eta = 0, so gamma = 0 and
     # theta = 1, on a single subdomain with unit masks, and both are the
     # plain Alg. 1 iteration, bit for bit, at the baseline's own steps (for
-    # TV-L1 and Hessian-L1 tau = cp_tau, not 1/sqrt(bound))
+    # TV-L1 and Hessian-L1 tau = cp_tau, not 1/sqrt(bound)), all three from
+    # the data
     rng = np.random.default_rng(25)
     f = rng.uniform(0, 1, size=(12, 10))
     for model in (ChanVese(f=f, alpha=2.0, c1=0.6, c2=0.1),
@@ -396,8 +398,8 @@ def test_cp_full_is_primal_dual_at_eta_zero():
         res = cp_full(model, 300)
         local = _local(model, np.ones(f.shape), np.zeros(f.shape), 0.0)
         trace = []
-        steps = primal_dual(local, np.zeros(f.shape), zero_duals(local, model.f),
-                            sigma, tau)
+        u0 = np.clip(f, 0.0, 1.0) if model.saddle.box else f.copy()
+        steps = primal_dual(local, u0, zero_duals(local, model.f), sigma, tau)
         for it, (u, _) in enumerate(islice(steps, 300), 1):
             trace.append(energy(model, u))
         u_alg1, trace_alg1 = _cp_alg1(model, sigma, tau, 300)
@@ -605,12 +607,12 @@ def test_concurrent_chunks_at_the_benchmark_layout():
 # of the decomposed solver must reproduce them bit for bit; a change that
 # alters the arithmetic on purpose re-derives them and records why.
 FROZEN_TRAJECTORY = {
-    "ccv": ("33993b90cd3ea9a750f84ba0bdea46677b3c9c1e96f3e91ef95c60843c55ded9",
-            "316c43d6cf54f0aeb371ab8746687454d02430391b3e90210c397c3f49399be7"),
-    "tvl1": ("cde5dafd3213cff0bf9453b3a3a7a8a7e1f0d7d01f729947f2c0025bb41ec9fe",
-             "3da76c809470edd4e9b8111023da7f2dc5c09d8fc377f7f1e2f5dffeee6c4371"),
-    "hessl1": ("300d3700ab2cc6319b98727befe403c2c430aa24ed0dca696ac6f636211e7583",
-               "7d684585551702327c2001762c1ed004393d8e14294a10574a3dd9501cf4491e"),
+    "ccv": ("fde57511642aff89409bf4f53ef1069f5a923338c27bb881336ce5a380258969",
+            "4ef1d76d16f460c46dfd3c4e49b92b7209d051775b82cb0190de3eb7347a31ce"),
+    "tvl1": ("f6b6140dfee7551e1c158de6947acb8a51527f8502123637b7fc406b3de1212b",
+             "621626a4167b3449bee9072e5b779d948a2c544c70a0b1d8af339056deea2702"),
+    "hessl1": ("d14adb666a9468891d8532abd289f7899fb874bd4e4a55212ea377549821b00e",
+               "b09e9675e4e045200b0f7fe3e98a65f5748862452a5339bb172d81153b86f9d2"),
 }
 
 
@@ -649,20 +651,20 @@ def test_frozen_trajectory():
 # channel planes moved last (the duals were hashed channel-last when these
 # were derived; the planar layout holds the same values).
 FROZEN_GAP_TRAJECTORY = {
-    "ccv": ([[175, 100, 175, 275, 125, 125], [175, 100, 125, 100, 100, 100]],
-            "1b3941732fa99a18a91af128b05c3aa35cd27f2f572da78103457bc13a8c8837",
-            "3e3ac6f447eb31c32f736c6bba40f3a21c9cc609ceebdd14eace11703ae5c44c",
-            ("8b98ea523d1419724056d67d1ce5477613317154debe3bff264a25af3af01a26",)),
-    "tvl1": ([[725, 750, 1425, 875, 1100, 875], [900, 950, 1075, 875, 875, 675]],
-             "d14177ae8c964d667945eec03e6dfeb9e03091799757e75d3842f25929a8faed",
-             "a16c15e06c432ff82ea58c93936b084d0d74ec0c1bbfd79dccd9ad8c79db6ed6",
-             ("0b1a315e9ab4d2d9fe29b0f2109a55f6dfdb99f145a145b93e66917314f52251",
-              "fdf7b5113801b2ee078942f636a7a04289b2073dfa16ba08b121e0bab0b7d7f4")),
-    "hessl1": ([[850, 575, 600, 475, 525, 400], [500, 525, 550, 475, 550, 650]],
-               "b8446c8308722e00787fc1aec3c71b6b3fd4d6953aaff937208e553e5ba62df5",
-               "26f12420044721d10df26f34921d20bc65e4488834e3cc54bd5cdf0a3b0b12c8",
-               ("14f2fd6699506fe7be6d1f93fc85be1b8d487b63abe193d272e39ac7def4af5a",
-                "80fddd479940d5b25c4490bf33f089e4a01a8c1248b46997a65df5fd5ff3d792")),
+    "ccv": ([[200, 100, 150, 175, 125, 150], [150, 75, 100, 125, 75, 150]],
+            "a1412fbfd8be9358696adea4f187423439ac8e6f9da777052656d641d89214dd",
+            "969deabb8d50d135c8e936e6c117c3f634e69d27683f679a1f4c5003a8bc5e2f",
+            ("66190c84cf3f58bc056306a3dae35737b5e687032a89ab77e18109d2c4e012a8",)),
+    "tvl1": ([[1225, 1000, 1225, 1150, 1200, 975], [825, 1175, 1350, 850, 775, 1525]],
+             "0a676b2339e15b5b66ba88f5ea6f625aba4e836900afdef7374c46c49da63b99",
+             "e75d9684257ca9dc59a993cfc51712b7d7fe0696d1bffee09db03ffdabc0e2ae",
+             ("7b2bd3f4e1b549a1352eac4a545787f24a537e354c5ea808482b869baabca5fc",
+              "d0c9d43e88c47def4bc21de041bfad89e67f95695a6470f0ec04a802b7a9169c")),
+    "hessl1": ([[250, 200, 250, 125, 300, 200], [200, 225, 150, 225, 175, 250]],
+               "6e4cadb9a0748cb8bd1eefec0934dffdf0a9b92802428452904f0081f6d97a5c",
+               "76518472dcff5f4d7c084882824d6d45927e9b8808598a4d78eaf921aa362a71",
+               ("12e6901683e19ba553ac5fc2c24236b969f81e9596fdd2704b9bedaf40f11368",
+                "813d81934abd0bf5c989219742d64c5717672a9d9607315309502aaf63305c5c")),
 }
 
 
@@ -782,6 +784,77 @@ def test_iterates_stay_on_their_patches():
             for s, core in enumerate(layout.core):
                 off = y[..., s, :, :][..., ~core]
                 assert not off.any() and not np.signbit(off).any(), (type(model), b, s)
+
+
+def test_solves_start_at_the_data():
+    # every solve starts at the data, clipped to [0, 1] under the box: the
+    # consensus average is that image, the copies its restriction (exactly
+    # +0.0 off the patches, also where the data are negative), and the
+    # multiplier and the duals start at zero, which keeps the multiplier
+    # orthogonal to the consensus subspace
+    f = 1.6 * np.random.default_rng(41).random((13, 11)) - 0.3
+    for model in (ChanVese(f=f, alpha=10.0, c1=0.6, c2=0.1),
+                  TVL1Deblur(f=f, alpha=10.0, kernel=BlurKernel(2)),
+                  HessianL1(f=f, alpha=1.0),
+                  BackwardTVDenoise(f=f, alpha=1.5)):
+        u0 = np.clip(f, 0.0, 1.0) if model.saddle.box else f
+        eta = model.defaults.eta
+        layout = OverlapLayout.from_grid(f.shape, 3, 2, stencil_of(model))
+        alm = DecoupledAlm(model, layout, eta, default_inner(model, eta))
+        assert alm.avg.tobytes() == u0.tobytes(), type(model)
+        assert np.array_equal(alm.u, restrict_global(u0, layout)), type(model)
+        for s, patch in enumerate(layout.tilde):
+            off = alm.u[s][~patch]
+            assert not off.any() and not np.signbit(off).any(), (type(model), s)
+        assert not alm.lam.any() and not np.signbit(alm.lam).any()
+        for y in alm.duals:
+            assert not y.any() and not np.signbit(y).any(), type(model)
+        sd = model.saddle
+        sigma, tau = step_sizes(sd, model.defaults.cp_tau)
+        first, _ = next(primal_dual(sd, u0, zero_duals(sd, u0), sigma, tau))
+        assert solve_single(model, None, 1).u.tobytes() == first.tobytes(), type(model)
+
+
+def test_one_worker_solves_on_the_calling_thread(monkeypatch):
+    # at one worker the local solves run inline, with no pool, and give the
+    # bits of a two-worker run
+    f = np.random.default_rng(42).random((20, 18))
+    model = TVL1Deblur(f=f, alpha=10.0, kernel=BlurKernel(1))
+    eta = model.defaults.eta
+    layout = OverlapLayout.from_grid(f.shape, 3, 2, stencil_of(model))
+    prm = default_inner(model, eta, iters=5)
+    two = solve_dd(model, layout, eta, prm, None, 3, workers=2, timing=False)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was built at workers=1")
+    monkeypatch.setattr(solvers, "ThreadPoolExecutor", no_pool)
+    one = solve_dd(model, layout, eta, prm, None, 3, workers=1, timing=False)
+    assert one.u.tobytes() == two.u.tobytes()
+    assert one.rows == two.rows
+
+
+def test_data_whose_energy_overflows_is_refused():
+    # the stop rule takes the energy at the data as its first value and its
+    # scale: data at 1e150 solve, and at 1e160, where the magnitudes' squares
+    # overflow, the energy there is not finite and the solve is refused
+    # before its first step, without an overflow warning
+    f = np.random.default_rng(28).random((20, 17))
+    for scale, build in itertools.product(
+            (1e150, 1e160), (lambda g: TVL1Deblur(f=g, alpha=1.0, kernel=BlurKernel(1)),
+                             lambda g: HessianL1(f=g, alpha=1.0))):
+        model = build(scale * f)
+        eta = model.defaults.eta
+        layout = OverlapLayout.from_grid(f.shape, 2, 2, stencil_of(model))
+        runs = (lambda: solve_dd(model, layout, eta, default_inner(model, eta), 1e-3, 3),
+                lambda: solve_single(model, 1e-3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in runs:
+                if scale == 1e150:
+                    assert np.isfinite(run().u).all(), type(model)
+                else:
+                    with pytest.raises(ValueError, match="energy at the data image is inf"):
+                        run()
 
 
 def _window_step(alm):
@@ -1071,11 +1144,14 @@ def test_stop_check_basic():
     assert not _fires(model, (10.0, u), (10.1, u))
     v = u + 1e-2
     assert not _fires(model, (10.0, u), (10.0, v))
-    # the first iterate is compared with E(0) at u = 0, and each later one
-    # with the iterate before it
+    # the first iterate is compared with (E(u0), u0), u0 the data clipped to
+    # [0, 1], and each later one with the iterate before it
     rule = StopRule(model, 1e-4)
-    assert not rule(-10.0, f)
+    assert rule.prev[0] == -10.0 and rule.prev[1].tobytes() == f.tobytes()
     assert rule(-10.0, f)
+    rule = StopRule(model, 1e-4)
+    assert not rule(0.0, np.zeros((2, 2)))
+    assert rule(0.0, np.zeros((2, 2)))
 
 
 def test_stop_check_denominator_fallback():
