@@ -579,27 +579,32 @@ def test_bitwise_determinism_across_worker_counts():
         assert np.array_equal(a, b)
 
 
-def test_concurrent_chunks_at_the_benchmark_layout():
+def test_concurrent_chunks_at_the_benchmark_layout(monkeypatch):
     # CCV at 256^2 over 8x8, the benchmark's ccv-8x8 layout, runs as several
     # chunks at the default chunk size, so two workers solve chunks at once
-    # and write their slices of the shared stacks concurrently
+    # and write their slices of the shared stacks concurrently; at a chunk
+    # of 8 windows, four workers solve partly skipped chunks at once from
+    # the third step on, each writing its windows of the stacks and of the
+    # skip records
     model = ChanVese(f=camera_scene(256, 256), alpha=10.0, c1=0.6, c2=0.1)
     eta = model.defaults.eta
     layout = OverlapLayout.from_grid(model.f.shape, 8, 8, stencil_of(model))
-    runs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for workers in (1, 2):
-            alm = DecoupledAlm(model, layout, eta, default_inner(model, eta),
-                               workers=workers)
-            assert len(alm.chunks) >= 2
-            for _ in range(2):
-                alm.step()
-            runs.append(_alm_state(alm))
+        for limit, steps in ((solvers._CHUNK_PX, 2), (8 * layout.tilde[0].size, 5)):
+            monkeypatch.setattr(solvers, "_CHUNK_PX", limit)
+            runs = []
+            for workers in (1, 2, 4):
+                alm = DecoupledAlm(model, layout, eta, default_inner(model, eta),
+                                   workers=workers)
+                assert len(alm.chunks) >= 2
+                infos = [alm.step() for _ in range(steps)]
+                runs.append((_alm_state(alm), infos))
+            assert runs[0] == runs[1] == runs[2]
     finally:
         sys.setswitchinterval(interval)
-    assert runs[0] == runs[1]
+    assert [info.solved for info in runs[0][1]] == [64, 64, 42, 21, 21]
 
 
 # SHA-256 of alm.u and alm.lam, spread to (S, M, N) stacks by _stack_sha256,
@@ -912,6 +917,33 @@ def _alm_state(alm):
     return [a.tobytes() for a in [alm.u, alm.lam, alm.avg] + alm.duals]
 
 
+def _chunked_runs_equal_the_window_loop(monkeypatch, model, p, q, inners, steps, default):
+    """steps(prm) outer steps of model over p x q tiles for each inner budget
+    prm, at the chunk limit `default` and at one that splits the windows in
+    two, and at 1, 2 and 4 workers, each step's state, inner iterations and
+    gaps checked against _window_step's; returns each budget's per-step
+    solved counts, which must not depend on the limit or the worker count."""
+    eta = model.defaults.eta
+    layout = OverlapLayout.from_grid(model.f.shape, p, q, stencil_of(model))
+    areas = sum(t.size for t in layout.tilde)
+    solved = {}
+    for limit in (default, areas // 2):
+        monkeypatch.setattr(solvers, "_CHUNK_PX", limit)
+        for prm in inners:
+            for workers in (1, 2, 4):
+                alm = DecoupledAlm(model, layout, eta, prm, workers=workers)
+                ref = DecoupledAlm(model, layout, eta, prm)
+                counts = []
+                for _ in range(steps(prm)):
+                    info = alm.step()
+                    assert (info.inner_iters, info.gaps) == _window_step(ref)
+                    assert _alm_state(alm) == _alm_state(ref), (
+                        type(model).__name__, model.f.shape, limit, prm, workers)
+                    counts.append(info.solved)
+                assert solved.setdefault(prm, counts) == counts, (limit, prm, workers)
+    return solved
+
+
 def test_chunked_step_equals_the_window_loop(monkeypatch):
     # uneven tiles, a one-pixel-high tile row (9 rows over 5) and a grid no
     # larger than one window (3x3 over 2x2), so boxes grow and shift inward
@@ -928,22 +960,90 @@ def test_chunked_step_equals_the_window_loop(monkeypatch):
                       HessianL1(f=g - 0.3, alpha=1.0),
                       BackwardTVDenoise(f=g, alpha=1.5)):
             eta = model.defaults.eta
-            layout = OverlapLayout.from_grid(shape, p, q, stencil_of(model))
-            areas = sum(t.size for t in layout.tilde)
             inners = [default_inner(model, eta, iters=7)]
             if shape == (7, 5):
                 inners.append(default_inner(model, eta, gap_tol=1e-5))
-            for limit in (default, areas // 2):
-                monkeypatch.setattr(solvers, "_CHUNK_PX", limit)
-                for prm in inners:
-                    for workers in (1, 2, 4):
-                        alm = DecoupledAlm(model, layout, eta, prm, workers=workers)
-                        ref = DecoupledAlm(model, layout, eta, prm)
-                        for _ in range(4 if prm.gap_tol is None else 2):
-                            info = alm.step()
-                            assert (info.inner_iters, info.gaps) == _window_step(ref)
-                            assert _alm_state(alm) == _alm_state(ref), (
-                                type(model).__name__, shape, limit, prm, workers)
+            _chunked_runs_equal_the_window_loop(
+                monkeypatch, model, p, q, inners,
+                lambda prm: 4 if prm.gap_tol is None else 2, default)
+    # CCV on the camera scene, where most windows reach a fixed point bit for
+    # bit and their local solves are skipped, alone or beside solved windows
+    # of their chunk
+    model = ChanVese(f=camera_scene(32, 32), alpha=10.0, c1=0.6, c2=0.1)
+    eta = model.defaults.eta
+    fixed, gap = default_inner(model, eta), default_inner(model, eta, gap_tol=1e-5)
+    solved = _chunked_runs_equal_the_window_loop(
+        monkeypatch, model, 4, 4, [fixed, gap], lambda prm: 8, default)
+    assert solved == {fixed: [16, 16, 11, 8, 8, 8, 8, 7], gap: [16, 16, 8, 8, 8, 8, 7, 7]}
+
+
+def test_same_bits_compares_each_window_bit_for_bit():
+    a = np.zeros((2, 3, 4, 5))
+    b = a.copy()
+    b[1, 2, 3, 4] = -0.0
+    assert solvers._same_bits(a, a.copy()).tolist() == [True, True, True]
+    # a -0.0 where +0.0 was, in any channel, changes its window only
+    assert solvers._same_bits(a, b).tolist() == [True, True, False]
+    assert solvers._same_bits(a[1], b[1]).tolist() == [True, True, False]
+    nan = np.full((1, 2, 2), np.nan)
+    assert solvers._same_bits(nan, nan.copy()).tolist() == [True]
+    assert solvers._same_bits(nan, -nan).tolist() == [False]
+
+
+def test_a_negative_zero_in_uhat_solves_its_window_again():
+    # a window whose uhat differs from the one its last solve was given only
+    # by a -0.0 where it held +0.0 has other inputs, and is solved again
+    model = ChanVese(f=camera_scene(32, 32), alpha=10.0, c1=0.6, c2=0.1)
+    eta = model.defaults.eta
+    layout = OverlapLayout.from_grid(model.f.shape, 4, 4, stencil_of(model))
+    alm, ref = (DecoupledAlm(model, layout, eta, default_inner(model, eta)) for _ in range(2))
+    for _ in range(3):
+        alm.step()
+        ref.step()
+    skip = [s for s, win in enumerate(layout.windows) if alm._noop[s] and (
+        (alm.avg[win] * layout.tilde[s] - alm.lam[s] / eta).tobytes() == alm._uhat[s].tobytes())]
+    s = next(s for s in skip if (alm._uhat[s] == 0.0).any())
+    assert not np.signbit(alm._uhat[s]).any()
+    alm._uhat[s][tuple(i[0] for i in np.nonzero(alm._uhat[s] == 0.0))] = -0.0
+    assert (alm.step().solved, ref.step().solved) == (16 - len(skip) + 1, 16 - len(skip))
+    assert _alm_state(alm) == _alm_state(ref)
+
+
+def test_small_steps_solve_on_the_calling_thread(monkeypatch):
+    # a step solves its chunks on the calling thread, whatever the worker
+    # count, when fewer than two of them have windows to solve or those
+    # windows fit one chunk: a single chunk, the steps after the first on
+    # data whose every local solve is a fixed point, and the benchmark's
+    # ccv-8x8 layout once skips leave fewer than 65,536 pixels to solve
+    pools = []
+    default = solvers._CHUNK_PX
+
+    class Pool(solvers.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(solvers, "ThreadPoolExecutor", Pool)
+    f = np.random.default_rng(42).random((20, 18))
+    model = TVL1Deblur(f=f, alpha=10.0, kernel=BlurKernel(1))
+    layout = OverlapLayout.from_grid(f.shape, 3, 2, stencil_of(model))
+    alm = DecoupledAlm(model, layout, 10.0, default_inner(model, 10.0, iters=5), workers=2)
+    assert len(alm.chunks) == 1
+    assert [alm.step().solved for _ in range(3)] == [6, 6, 6] and not pools
+    # black data: u = 0 and zero duals solve every local problem exactly
+    model = ChanVese(f=np.zeros((20, 18)), alpha=10.0, c1=0.6, c2=0.1)
+    layout = OverlapLayout.from_grid(f.shape, 3, 2, stencil_of(model))
+    monkeypatch.setattr(solvers, "_CHUNK_PX", 0)
+    alm = DecoupledAlm(model, layout, 1.0, default_inner(model, 1.0), workers=2)
+    assert len(alm.chunks) == 6
+    assert [alm.step().solved for _ in range(3)] == [6, 0, 0] and len(pools) == 1
+    assert not alm.u.any() and not alm.lam.any()
+    monkeypatch.setattr(solvers, "_CHUNK_PX", default)
+    model = ChanVese(f=camera_scene(256, 256), alpha=10.0, c1=0.6, c2=0.1)
+    layout = OverlapLayout.from_grid(model.f.shape, 8, 8, stencil_of(model))
+    alm = DecoupledAlm(model, layout, 1.0, default_inner(model, 1.0), workers=2)
+    assert len(alm.chunks) == 2 and 42 * layout.tilde[0].size <= default
+    steps = [(alm.step().solved, len(pools)) for _ in range(4)]
+    assert steps == [(64, 2), (64, 3), (42, 3), (21, 3)]
 
 
 def _whole_grid_solves(alm, state):
