@@ -3,7 +3,7 @@
 Run from the repository root (numpy and the standard library only; the
 package is imported from ``src/`` of the same checkout):
 
-    python3 scripts/steps_to_gap.py --out STEPS_29.json
+    python3 scripts/steps_to_gap.py --out STEPS_31.json
 
 Each case is one model at its default eta and inner budget, on one image
 side of ``--sides`` over ``--tiles`` x ``--tiles`` tiles, with the local

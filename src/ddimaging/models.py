@@ -6,14 +6,17 @@ Every model minimizes, over images u on an M x N grid,
 
 with K_b linear and ||.||_1 summing pointwise magnitudes.  Each model class
 declares this structure once as a Saddle: its dual blocks (K_b, its adjoint,
-the radius r_b that bounds the block's dual variable, an optional data shift
-f_b), the optional linear term (w, c), whether u is confined to the unit box,
-and the bound on the squared norm of the stacked operator (K_b)_b, which
-limits the primal-dual step sizes; the blocks' operators alone decide each
-subdomain's enlargement (see stencil_of).  Each parameter's default is its
-field's default, and the class-level Defaults give the solver settings: the
-coupling weight eta, the stop tolerance, the inner iteration budget and the
-baseline's primal step.
+the radius r_b that bounds the block's dual variable, K_b's largest absolute
+row and column sums (R_b, C_b), an optional data shift f_b), the optional
+linear term (w, c) and whether u is confined to the unit box.  The sums
+give the primal-dual step sizes: each block's dual step and the primal
+step (see solvers.step_sizes), and the bound sum_b R_b*C_b on the squared
+norm of the stacked operator (K_b)_b, which limits the baseline's steps.
+The blocks' operators alone decide each subdomain's enlargement (see
+stencil_of).  Each parameter's default is its field's default, and the
+class-level Defaults give the solver settings: the coupling weight eta,
+the stop tolerance, the inner iteration budget and the baseline's primal
+step.
 
 * ChanVese:   alpha*<u, g> + box + ||grad u||_1 with g = (f - c1)^2 - (f - c2)^2
               (two-phase segmentation with fixed region values, minimized by
@@ -47,6 +50,13 @@ from .operators import BlurKernel, blur, grad_plus, hessian  # noqa: F401
 class Block:
     """One dual block: the term radius * ||K u - shift||_1.
 
+    sums = (R, C) are K's largest absolute row and column sums, sums of
+    |K_ij| over j and over i, or upper bounds on them on every grid; they
+    set the block's dual step 1/R and its share C of the primal step's
+    denominator (see solvers.step_sizes), and R*C bounds ||K||^2.  The
+    identity's (1, 1) is the default of a block without an operator; a
+    block with one must declare them, or it raises a ValueError.
+
     K and its adjoint are named, not held (None is the identity), and each
     name must be a function of ddimaging.operators, applied as K(u, *args)
     with hashable args, or the block raises a ValueError naming itself.
@@ -63,6 +73,7 @@ class Block:
     op: Optional[str]
     adjoint: Optional[str]
     radius: float = field(compare=False)
+    sums: Optional[tuple] = field(default=None, compare=False)
     shift: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
     args: tuple = ()
 
@@ -76,6 +87,12 @@ class Block:
             hash(self.args)
         except TypeError as exc:
             raise ValueError(f"{block}: args must be hashable ({exc})") from None
+        if self.sums is None and self.op is None:
+            object.__setattr__(self, "sums", (1.0, 1.0))
+        if not (isinstance(self.sums, tuple) and len(self.sums) == 2 and all(
+                isinstance(x, (int, float)) and math.isfinite(x) and x > 0 for x in self.sums)):
+            raise ValueError(f"{block}: sums must be K's largest absolute row and column "
+                             f"sums, two finite positive numbers, got {self.sums!r}")
 
     def forward(self, u, ns=vars(operators)):
         return u if self.op is None else _operator(self.op, ns)(u, *self.args)
@@ -93,8 +110,11 @@ def _operator(name, ns):
     return ns[name] if name in ns else getattr(operators, name)
 
 
-TV = Block("grad_plus", "adjoint_grad_plus", 1.0)
-HESSIAN = Block("hessian", "adjoint_hessian", 1.0)
+# a forward difference's row holds -1 and 1, and each pixel enters two rows
+# of each of the gradient's two channels; each of the Hessian's four
+# channels is a difference of differences, with rows and columns of 4
+TV = Block("grad_plus", "adjoint_grad_plus", 1.0, sums=(2, 4))
+HESSIAN = Block("hessian", "adjoint_hessian", 1.0, sums=(4, 16))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,11 +123,16 @@ class Saddle:
     with core and prox set, a local problem's (see solvers._local_saddle)."""
 
     blocks: tuple
-    bound: float
     linear: Optional[tuple] = None  # (w, c)
     box: bool = False
     core: Optional[np.ndarray] = None
     prox: Optional[tuple] = None  # (eta, uhat)
+
+    @property
+    def bound(self):
+        """sum_b R_b*C_b, a bound on the squared norm of the stacked operator
+        (K_b)_b: ||K||^2 <= sum_b ||K_b||^2 <= sum_b ||K_b||_inf*||K_b||_1."""
+        return float(sum(r * c for r, c in (blk.sums for blk in self.blocks)))
 
 
 @dataclass(frozen=True)
@@ -143,8 +168,7 @@ class ChanVese:
 
     @cached_property
     def saddle(self):
-        return _checked(self, Saddle(blocks=(TV,), bound=8.0, linear=(self.alpha, self.g),
-                                     box=True))
+        return _checked(self, Saddle(blocks=(TV,), linear=(self.alpha, self.g), box=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +184,11 @@ class TVL1Deblur:
 
     @cached_property
     def saddle(self):
-        data = Block("blur", "blur", self.alpha, shift=self.f, args=(self.kernel,))
-        return _checked(self, Saddle(blocks=(data, TV), bound=9.0))
+        # a mean: its rows and columns sum to 1, less where the window
+        # leaves the grid
+        data = Block("blur", "blur", self.alpha, sums=(1, 1), shift=self.f,
+                     args=(self.kernel,))
+        return _checked(self, Saddle(blocks=(data, TV)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +204,7 @@ class HessianL1:
     @cached_property
     def saddle(self):
         data = Block(None, None, self.alpha, shift=self.f)
-        return _checked(self, Saddle(blocks=(data, HESSIAN), bound=65.0))
+        return _checked(self, Saddle(blocks=(data, HESSIAN)))
 
 
 def _check_params(model, **values):

@@ -34,19 +34,27 @@ baseline.  It is the primal-dual method of Chambolle & Pock, "A first-order
 primal-dual algorithm for convex problems with applications to imaging"
 (JMIV 2011): a local problem is eta-strongly convex, so after each step
 
-    theta = 1/sqrt(1 + 2*gamma*tau),  tau <- theta*tau,  sigma <- sigma/theta
+    theta = 1/sqrt(1 + 2*gamma*tau),  tau <- theta*tau,  sigma_b <- sigma_b/theta
 
 with gamma = _GAMMA_PER_ETA * eta = eta/2 (Alg. 2, which admits any
 0 <= gamma <= eta), warm-started primal and dual variables, and steps reset
-to step_sizes(sd) at every outer iteration.  scripts/steps_to_gap.py chose
-the factor when solves started at zero (STEPS_28.json): at 128^2 over 4x4
-tiles TV-L1 reached a relative energy gap of 1e-3 in 409 outer steps
-against 633 at eta/8, at the same cost per step (Hessian-L1 44 against 46,
-CCV unchanged); from the data it takes 347 (STEPS_29.json).  Gap mode pays
-in inner iterations: on the frozen test set-up CCV needs 1.4x and TV-L1 2.2x
-those at eta/8, and at gamma = eta every model needs 2.4-7.4x those at
-eta/2.  The baseline is the model's own saddle, which has neither core nor
-prox, so gamma = 0 and theta = 1 (Alg. 1).
+to step_sizes(sd) at every outer iteration: one dual step sigma_b = 1/R_b
+per block b and the primal step tau = 1/sum_b C_b, (R_b, C_b) the block's
+largest absolute row and column sums (models.Block).  That is the diagonal
+preconditioning of Pock & Chambolle, "Diagonal preconditioning for first
+order primal-dual algorithms in convex optimization" (ICCV 2011), at
+alpha = 1, taken block by block.  Against the scalar steps sigma = tau =
+1/sqrt(sum_b R_b*C_b) the local solves took before, it takes TV-L1 at
+128^2 over 4x4 tiles to a relative energy gap of 1e-3 in 281 outer steps
+instead of 347, and leaves Hessian-L1 (21) and CCV (1) where they were
+(STEPS_31.json against STEPS_29.json).  scripts/steps_to_gap.py chose the
+factor 1/2 when solves started at zero with scalar steps (STEPS_28.json):
+TV-L1 then took 409 outer steps against 633 at eta/8, at the same cost per
+step.  Gap mode pays in inner iterations: on the frozen test set-up CCV
+needs 1.15x and TV-L1 2.1x those at eta/8, and at gamma = eta every model
+needs 2.9-6.6x those at eta/2 (STEPS_31.json).  The baseline is the
+model's own saddle, which has neither core nor prox, so gamma = 0 and
+theta = 1 (Alg. 1), and it keeps the scalar steps of baseline_steps.
 
 A local problem is a Saddle too (see _local_saddle): the model's, cut to
 the subdomain's window, with its core masking every block to the tile,
@@ -118,8 +126,9 @@ class InnerParams:
 
     gap_tol=None runs exactly `iters` iterations; otherwise iterations
     continue (up to GAP_MAX_ITERS) until the local duality gap is <= gap_tol,
-    checked every GAP_CHECK iterations.  The steps are step_sizes(sd), and
-    eta sets the acceleration (see primal_dual).
+    checked every GAP_CHECK iterations.  Every solve starts at
+    step_sizes(sd), one dual step per block and the primal step, and eta
+    sets the acceleration (see primal_dual).
     """
 
     iters: int
@@ -141,16 +150,37 @@ def default_inner(model, eta, **overrides):
     return InnerParams(**base)
 
 
-def step_sizes(sd, tau=None):
-    """Initial (sigma, tau) spending the whole admissible product 1/sd.bound.
+def step_sizes(sd):
+    """A local solve's initial steps (sigmas, tau): one dual step per block.
+
+    Pock & Chambolle's diagonal preconditioning at alpha = 1 ("Diagonal
+    preconditioning for first order primal-dual algorithms in convex
+    optimization", ICCV 2011), one step per block: sigma_b = 1/R_b and
+    tau = 1/sum_b C_b, (R_b, C_b) the block's declared sums (models.Block).
+    sigma_b times the absolute sum of any row of block b, and tau times
+    that of any column of the stacked K, are then at most 1, which gives
+    ||Sigma^(1/2) K T^(1/2)||^2 <= sum_b sigma_b*tau*R_b*C_b = 1, the
+    condition of their preconditioned iteration.  A local problem's mask
+    only lowers the sums, so the model's steps serve it.
+    """
+    sums = [blk.sums for blk in sd.blocks]
+    return tuple(1.0 / r for r, _ in sums), 1.0 / sum(c for _, c in sums)
+
+
+def baseline_steps(sd, tau=None):
+    """The baseline's steps (sigmas, tau): one scalar sigma for every block,
+    spending the whole admissible product sigma*tau = 1/sd.bound of
+    Chambolle & Pock's Alg. 1.
 
     sigma = tau = 1/sqrt(bound), or sigma = 1/(bound*tau) given a tau.
     """
     bound = sd.bound
     if tau is None:
-        step = 1.0 / math.sqrt(bound)
-        return step, step
-    return 1.0 / (bound * tau), tau
+        tau = 1.0 / math.sqrt(bound)
+        sigma = tau
+    else:
+        sigma = 1.0 / (bound * tau)
+    return (sigma,) * len(sd.blocks), tau
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +189,8 @@ def step_sizes(sd, tau=None):
 
 
 def acceleration_schedule(sigma, tau, gamma):
+    """Chambolle & Pock's Alg. 2 step update: (theta, sigma/theta, tau*theta),
+    sigma one dual step or an array of them, each scaled alike."""
     theta = 1.0 / math.sqrt(1.0 + 2.0 * gamma * tau)
     return theta, sigma / theta, tau * theta
 
@@ -174,19 +206,21 @@ def _transpose_sum(sd, duals):
                         for blk, y in zip(sd.blocks, duals)))
 
 
-def primal_dual(sd, u, duals, sigma, tau):
-    """Primal-dual iteration on the saddle problem sd.
+def primal_dual(sd, u, duals, sigmas, tau):
+    """Primal-dual iteration on the saddle problem sd, block b's dual
+    stepping by sigmas[b] and the primal by tau.
 
     Each step: dual ascent and ball projection per block, the primal
     resolvent (clamped to [0, 1] when sd.box) with the proximal term when
     sd.prox = (eta, uhat) is set, the acceleration schedule at gamma =
-    _GAMMA_PER_ETA * eta = eta/2 (0 without a prox, so theta = 1) and the
+    _GAMMA_PER_ETA * eta = eta/2 (0 without a prox, so theta = 1), which
+    scales every sigma_b by 1/theta and tau by theta, and the
     overrelaxation.  When sd.core is set every block's K u - f_b and the
-    linear term are masked to it; a block's mask and sigma are one factor,
-    core * sigma, the same bits as masking and then scaling, since core is
-    0 or 1.  Yields (u, duals) after every step and never ends: the caller
-    owns the loop and stops it (islice for a fixed budget).  The arguments
-    are not modified.
+    linear term are masked to it; a block's mask and sigma_b are one
+    factor, core * sigma_b, the same bits as masking and then scaling,
+    since core is 0 or 1.  Yields (u, duals) after every step and never
+    ends: the caller owns the loop and stops it (islice for a fixed
+    budget).  The arguments are not modified.
 
     A step works in place on the arrays it allocates: each block's dual is
     computed in the array its K returns and the new u in the one K*
@@ -200,14 +234,15 @@ def primal_dual(sd, u, duals, sigma, tau):
     gamma = 0.0 if sd.prox is None else _GAMMA_PER_ETA * sd.prox[0]
     if sd.core is not None and lin is not None:
         lin = lin * sd.core
+    sigma = np.array(sigmas, dtype=np.float64)
     ubar = u
     while True:
-        step = sigma if sd.core is None else sd.core * sigma
         for b, blk in enumerate(sd.blocks):
             ku = blk.forward(ubar, globals())
             out = None if np.may_share_memory(ku, ubar) else ku
             if blk.shift is not None:
                 ku = out = np.subtract(ku, blk.shift, out=out)
+            step = sigma[b] if sd.core is None else sd.core * sigma[b]
             ku = np.multiply(ku, step, out=out)
             ku += duals[b]
             duals[b] = project_ball(ku, blk.radius, u.ndim, out=ku)
@@ -261,8 +296,8 @@ def local_solve(sd, u, duals, prm):
     """
     gap = None
     limit = prm.iters if prm.gap_tol is None else GAP_MAX_ITERS
-    sigma, tau = step_sizes(sd)
-    steps = primal_dual(sd, u, duals, sigma, tau)
+    sigmas, tau = step_sizes(sd)
+    steps = primal_dual(sd, u, duals, sigmas, tau)
     for it, (u, duals) in enumerate(islice(steps, limit), 1):
         if prm.gap_tol is not None and it % GAP_CHECK == 0:
             gap = duality_gap(sd, u, duals)
@@ -637,8 +672,8 @@ def solve_single(model, tol, max_iters, e_star=None, ground_truth=None,
     """Whole-image solve (one subdomain) via the non-accelerated baseline.
 
     primal_dual() on the model's own saddle (no prox: gamma = 0) from the
-    data (see _start) with zero duals, at
-    step_sizes(model.saddle, model.defaults.cp_tau); tol=None runs the
+    data (see _start) with zero duals, at the scalar steps
+    baseline_steps(model.saddle, model.defaults.cp_tau); tol=None runs the
     whole budget.  Reports the same row schema as solve_dd; the consensus
     residual is identically zero and the consecutive-iterate metric is not
     defined without a coupling weight, so it stays empty.
@@ -646,9 +681,9 @@ def solve_single(model, tol, max_iters, e_star=None, ground_truth=None,
     check_count("max_iters", max_iters)
     stop = None if tol is None else StopRule(model, tol)
     sd = model.saddle
-    sigma, tau = step_sizes(sd, model.defaults.cp_tau)
+    sigmas, tau = baseline_steps(sd, model.defaults.cp_tau)
     u = _start(model)
-    steps = primal_dual(sd, u, zero_duals(sd, u), sigma, tau)
+    steps = primal_dual(sd, u, zero_duals(sd, u), sigmas, tau)
     return _run(model, lambda: (next(steps)[0], 0.0, None), max_iters, stop,
                 e_star, ground_truth, timing, on_row, "iteration")
 

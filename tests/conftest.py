@@ -106,8 +106,8 @@ class BackwardTVDenoise:
     @cached_property
     def saddle(self):
         data = Block(None, None, self.alpha, shift=self.f)
-        tv = Block("grad_minus", "adjoint_grad_minus", 1.0)
-        return Saddle(blocks=(data, tv), bound=9.0)
+        tv = Block("grad_minus", "adjoint_grad_minus", 1.0, sums=(2, 4))
+        return Saddle(blocks=(data, tv))
 
 
 def on_grid(layout, s, a):

@@ -366,7 +366,7 @@ class _TVL1Denoise:
     @cached_property
     def saddle(self):
         data = Block(None, None, self.alpha, shift=self.f - self.c1)
-        return Saddle(blocks=(data, TV), bound=9.0)
+        return Saddle(blocks=(data, TV))
 
 
 def test_energy_builds_the_named_model(tmp_path, capsys, monkeypatch):

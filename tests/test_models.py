@@ -8,6 +8,8 @@ import pytest
 from ddimaging.decomposition import OverlapLayout
 from ddimaging.fields import magnitude
 from ddimaging.models import (
+    HESSIAN,
+    TV,
     Block,
     ChanVese,
     HessianL1,
@@ -284,6 +286,57 @@ def test_a_block_is_checked_where_it_is_declared():
         with pytest.raises(ValueError, match=re.escape(
                 "Block('blur', 'blur'): args must be hashable")):
             Block("blur", "blur", 1.0, args=args)
+    # a block with an operator declares K's largest absolute row and column
+    # sums, two finite positive numbers; an identity block defaults to (1, 1)
+    for sums in (None, (2,), (0, 4), (2, math.inf), (2, math.nan), "24", [2, 4]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"Block('grad_plus', 'adjoint_grad_plus'): sums must be K's largest "
+                f"absolute row and column sums, two finite positive numbers, got {sums!r}")):
+            Block("grad_plus", "adjoint_grad_plus", 1.0, sums=sums)
+    assert Block(None, None, 1.0).sums == (1.0, 1.0)
+
+
+def _abs_sums(blk, shape):
+    """The largest absolute row and column sums of the block's K as a dense
+    matrix on an image of the given shape, its columns K of unit images."""
+    cols = []
+    for k in range(math.prod(shape)):
+        e = np.zeros(math.prod(shape))
+        e[k] = 1.0
+        cols.append(blk.forward(e.reshape(shape)).ravel())
+    a = np.abs(np.stack(cols, axis=1))
+    return a.sum(axis=1).max(), a.sum(axis=0).max()
+
+
+def test_declared_sums_are_the_operators_absolute_row_and_column_sums():
+    # each built-in block's (R, C) is at least K's largest absolute row and
+    # column sums on every grid, and equals them on a grid wider than K's
+    # stencil, which holds a pixel whose every neighbour it reads; a blur
+    # wider than the grid only lowers them
+    f = np.zeros((4, 4))
+    blocks = [HessianL1(f=f).saddle.blocks[0], TV, BackwardTVDenoise(f=f).saddle.blocks[1],
+              HESSIAN] + [TVL1Deblur(f=f, kernel=BlurKernel(l)).saddle.blocks[0]
+                          for l in (1, 4, 100)]
+    assert [blk.op for blk in blocks] == [None, "grad_plus", "grad_minus", "hessian"] + ["blur"] * 3
+    for blk in blocks:
+        l = blk.args[0].halfwidth if blk.args else 1
+        for shape in ((1, 1), (1, 4), (2, 2), (3, 2), (5, 4)):
+            got = _abs_sums(blk, shape)
+            assert all(g <= d * (1 + 1e-12) for g, d in zip(got, blk.sums)), (blk, shape, got)
+        if l < 100:
+            got = _abs_sums(blk, (2 * l + 3, 2 * l + 2))
+            assert all(math.isclose(g, d, rel_tol=1e-12) for g, d in zip(got, blk.sums)), (
+                blk, got)
+
+
+def test_the_bound_is_the_sum_of_the_blocks_row_times_column_sums():
+    # sum_b R_b*C_b: the identity and the blur 1, the gradients 8, the
+    # Hessian 64
+    f = np.zeros((4, 4))
+    models = (ChanVese(f=f, c1=0.6, c2=0.1), TVL1Deblur(f=f, kernel=BlurKernel(4)),
+              HessianL1(f=f), BackwardTVDenoise(f=f))
+    assert [m.saddle.bound for m in models] == [8.0, 9.0, 65.0, 9.0]
+    assert all(type(m.saddle.bound) is float for m in models)
 
 
 def test_zero_dual_is_shaped_like_k_u():

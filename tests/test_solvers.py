@@ -43,6 +43,7 @@ from ddimaging.solvers import (
     NonFiniteEnergyError,
     StopRule,
     acceleration_schedule,
+    baseline_steps,
     cp_full,
     default_inner,
     duality_gap,
@@ -116,17 +117,25 @@ def test_step_bounds_and_defaults():
     models = [ChanVese(f=f, alpha=1, c1=0.6, c2=0.1),
               TVL1Deblur(f=f, alpha=1, kernel=BlurKernel(4)),
               HessianL1(f=f, alpha=1)]
-    for model, bound in zip(models, (1.0 / 8.0, 1.0 / 9.0, 1.0 / 65.0)):
+    blocks = [((0.5,), 0.25), ((1.0, 0.5), 0.2), ((1.0, 0.25), 1.0 / 17.0)]
+    for model, bound, steps in zip(models, (1.0 / 8.0, 1.0 / 9.0, 1.0 / 65.0), blocks):
         assert 1.0 / model.saddle.bound == bound
-        # the local solves' and the baseline's steps, the only ones in use,
-        # stay within sigma*tau <= 1/bound (Chambolle & Pock, Alg. 1 and 2)
-        sigma, tau = step_sizes(model.saddle)
-        assert sigma == tau == 1.0 / math.sqrt(model.saddle.bound)
-        assert sigma * tau <= bound * (1.0 + 1e-9)
+        # a local solve starts at one sigma_b = 1/R_b per block and tau =
+        # 1/sum_b C_b (Pock & Chambolle 2011), so sum_b sigma_b*tau*R_b*C_b,
+        # which bounds ||Sigma^(1/2) K T^(1/2)||^2, is 1
+        sigmas, tau = step_sizes(model.saddle)
+        assert (sigmas, tau) == steps
+        sums = [blk.sums for blk in model.saddle.blocks]
+        assert math.isclose(sum(s * tau * r * c for s, (r, c) in zip(sigmas, sums)), 1.0)
+        # the baseline's scalar steps stay within sigma*tau <= 1/bound
+        # (Chambolle & Pock, Alg. 1)
         cp_tau = model.defaults.cp_tau
-        sigma, tau = step_sizes(model.saddle, cp_tau)
-        assert tau == (sigma if cp_tau is None else cp_tau)
-        assert sigma * tau <= bound * (1.0 + 1e-9)
+        sigmas, tau = baseline_steps(model.saddle, cp_tau)
+        assert len(set(sigmas)) == 1 and len(sigmas) == len(sums)
+        if cp_tau is None:
+            assert sigmas[0] == tau == 1.0 / math.sqrt(model.saddle.bound)
+        assert tau == (sigmas[0] if cp_tau is None else cp_tau)
+        assert sigmas[0] * tau <= bound * (1.0 + 1e-9)
         prm = default_inner(model, eta=2.0)
         assert prm.iters == model.defaults.inner_iters
 
@@ -386,20 +395,21 @@ def _cp_alg1(model, sigma, tau, iters):
 def test_cp_full_is_primal_dual_at_eta_zero():
     # the baseline is the accelerated routine at eta = 0, so gamma = 0 and
     # theta = 1, on a single subdomain with unit masks, and both are the
-    # plain Alg. 1 iteration, bit for bit, at the baseline's own steps (for
-    # TV-L1 and Hessian-L1 tau = cp_tau, not 1/sqrt(bound)), all three from
-    # the data
+    # plain Alg. 1 iteration, bit for bit, at the baseline's own scalar
+    # steps, one sigma for every block (for TV-L1 and Hessian-L1 tau =
+    # cp_tau, not 1/sqrt(bound)), all three from the data
     rng = np.random.default_rng(25)
     f = rng.uniform(0, 1, size=(12, 10))
     for model in (ChanVese(f=f, alpha=2.0, c1=0.6, c2=0.1),
                   TVL1Deblur(f=f, alpha=3.0, kernel=BlurKernel(1)),
                   HessianL1(f=f, alpha=1.0)):
-        sigma, tau = step_sizes(model.saddle, model.defaults.cp_tau)
+        sigmas, tau = baseline_steps(model.saddle, model.defaults.cp_tau)
+        (sigma,) = set(sigmas)
         res = cp_full(model, 300)
         local = _local(model, np.ones(f.shape), np.zeros(f.shape), 0.0)
         trace = []
         u0 = np.clip(f, 0.0, 1.0) if model.saddle.box else f.copy()
-        steps = primal_dual(local, u0, zero_duals(local, model.f), sigma, tau)
+        steps = primal_dual(local, u0, zero_duals(local, model.f), sigmas, tau)
         for it, (u, _) in enumerate(islice(steps, 300), 1):
             trace.append(energy(model, u))
         u_alg1, trace_alg1 = _cp_alg1(model, sigma, tau, 300)
@@ -410,9 +420,10 @@ def test_cp_full_is_primal_dual_at_eta_zero():
                 == trace_alg1.tobytes())
 
 
-def _out_of_place_primal_dual(sd, u, duals, sigma, tau):
+def _out_of_place_primal_dual(sd, u, duals, sigmas, tau):
     """primal_dual's recurrence written as its formulas, every operation
-    into a new array: the reference for its in-place steps."""
+    into a new array, block b's dual stepping by sigmas[b]: the reference
+    for its in-place steps."""
     duals = list(duals)
     masks = [None] * len(duals)
     lin = None if sd.linear is None else sd.linear[0] * sd.linear[1]
@@ -428,7 +439,7 @@ def _out_of_place_primal_dual(sd, u, duals, sigma, tau):
                 ku = ku - blk.shift
             if masks[b] is not None:
                 ku = ku * masks[b]
-            duals[b] = project_ball(duals[b] + sigma * ku, blk.radius, u.ndim)
+            duals[b] = project_ball(duals[b] + sigmas[b] * ku, blk.radius, u.ndim)
         v = reduce(add, (blk.transpose(y) for blk, y in zip(sd.blocks, duals)))
         if lin is not None:
             v = v + lin
@@ -439,7 +450,8 @@ def _out_of_place_primal_dual(sd, u, duals, sigma, tau):
             unew = (u - tau * v + (tau * eta) * uhat) / (1.0 + tau * eta)
         if sd.box:
             np.clip(unew, 0.0, 1.0, out=unew)
-        theta, sigma, tau = acceleration_schedule(sigma, tau, gamma)
+        theta = 1.0 / math.sqrt(1.0 + 2.0 * gamma * tau)
+        sigmas, tau = [s / theta for s in sigmas], tau * theta
         ubar = (1.0 + theta) * unew - theta * u
         u = unew
         yield u, duals
@@ -451,11 +463,13 @@ def test_primal_dual_is_its_out_of_place_recurrence():
     # yielded u stays as it was yielded, and it writes into none of its
     # inputs: not u (a view into a larger stack, as alm.u[run] is), the
     # duals, the shifts, the linear term, uhat or the core.  An identity
-    # block's K u is ubar itself and its K* y the dual itself.
+    # block's K u is ubar itself and its K* y the dual itself.  Each block
+    # steps by its own sigma_b, and a local solve, which starts at
+    # step_sizes(sd), gives the recurrence's iterate bit for bit.
     rng = np.random.default_rng(41)
     shape = (11, 9)
     f = rng.uniform(0, 1, size=shape) - 0.2
-    identity = Saddle(blocks=(Block(None, None, 0.3),), bound=1.0)
+    identity = Saddle(blocks=(Block(None, None, 0.3),))
     for sd in [m.saddle for m in (ChanVese(f=f + 0.2, alpha=2.0, c1=0.6, c2=0.1),
                                   TVL1Deblur(f=f, alpha=3.0, kernel=BlurKernel(1)),
                                   HessianL1(f=f, alpha=1.0))] + [identity]:
@@ -476,9 +490,10 @@ def test_primal_dual_is_its_out_of_place_recurrence():
                       local.core, local.prox and local.prox[1],
                       local.linear and local.linear[1]]
             before = [None if a is None else a.tobytes() for a in inputs]
-            sigma, tau = step_sizes(local)
-            got = primal_dual(local, u, duals, sigma, tau)
-            want = _out_of_place_primal_dual(local, u, duals, sigma, tau)
+            sigmas, tau = step_sizes(local)
+            got = primal_dual(local, u, duals, sigmas, tau)
+            want = _out_of_place_primal_dual(local, u, duals, sigmas, tau)
+            assert len(set(sigmas)) == len(sigmas)
             yielded = []
             for (u1, d1), (u2, d2) in islice(zip(got, want), 20):
                 assert u1.tobytes() == u2.tobytes()
@@ -486,6 +501,10 @@ def test_primal_dual_is_its_out_of_place_recurrence():
                 yielded.append((u1, u1.tobytes()))
             assert len(yielded) == 20
             assert all(a.tobytes() == b for a, b in yielded)
+            if local.prox is not None:
+                u3, d3, it, _ = local_solve(local, u, duals, InnerParams(iters=20))
+                assert it == 20 and u3.tobytes() == u2.tobytes()
+                assert [y.tobytes() for y in d3] == [y.tobytes() for y in d2]
             assert [None if a is None else a.tobytes() for a in inputs] == before
 
 
@@ -604,7 +623,7 @@ def test_concurrent_chunks_at_the_benchmark_layout(monkeypatch):
             assert runs[0] == runs[1] == runs[2]
     finally:
         sys.setswitchinterval(interval)
-    assert [info.solved for info in runs[0][1]] == [64, 64, 42, 21, 21]
+    assert [info.solved for info in runs[0][1]] == [64, 64, 42, 22, 21]
 
 
 # SHA-256 of alm.u and alm.lam, spread to (S, M, N) stacks by _stack_sha256,
@@ -612,12 +631,12 @@ def test_concurrent_chunks_at_the_benchmark_layout(monkeypatch):
 # of the decomposed solver must reproduce them bit for bit; a change that
 # alters the arithmetic on purpose re-derives them and records why.
 FROZEN_TRAJECTORY = {
-    "ccv": ("fde57511642aff89409bf4f53ef1069f5a923338c27bb881336ce5a380258969",
-            "4ef1d76d16f460c46dfd3c4e49b92b7209d051775b82cb0190de3eb7347a31ce"),
-    "tvl1": ("f6b6140dfee7551e1c158de6947acb8a51527f8502123637b7fc406b3de1212b",
-             "621626a4167b3449bee9072e5b779d948a2c544c70a0b1d8af339056deea2702"),
-    "hessl1": ("d14adb666a9468891d8532abd289f7899fb874bd4e4a55212ea377549821b00e",
-               "b09e9675e4e045200b0f7fe3e98a65f5748862452a5339bb172d81153b86f9d2"),
+    "ccv": ("c2d63a648e86a2550b8baab6ba8efe50711b4d89ebbfe1c1e58b9cf3e64325b8",
+            "e8a6cc34816e265562876694c2e07159237c384b520d78daca621214d1be1cfd"),
+    "tvl1": ("a476fd590bae1f013853a5ad131475beda93c9fc2d73030b4355c7bbb648b04b",
+             "1e0663c7f552533dc5203f578c3b0c13adb851d844111616c31099ab4162c84d"),
+    "hessl1": ("b035fa055ef1a9869d3b341e06fb9ac237113fd63ef87b40dc6fac4dd0c76974",
+               "140ff5f729bc2335a1c2cecf7f4cf8c3ec721f799f3f426289ab5397163300ca"),
 }
 
 
@@ -656,20 +675,20 @@ def test_frozen_trajectory():
 # channel planes moved last (the duals were hashed channel-last when these
 # were derived; the planar layout holds the same values).
 FROZEN_GAP_TRAJECTORY = {
-    "ccv": ([[200, 100, 150, 175, 125, 150], [150, 75, 100, 125, 75, 150]],
-            "a1412fbfd8be9358696adea4f187423439ac8e6f9da777052656d641d89214dd",
-            "969deabb8d50d135c8e936e6c117c3f634e69d27683f679a1f4c5003a8bc5e2f",
-            ("66190c84cf3f58bc056306a3dae35737b5e687032a89ab77e18109d2c4e012a8",)),
-    "tvl1": ([[1225, 1000, 1225, 1150, 1200, 975], [825, 1175, 1350, 850, 775, 1525]],
-             "0a676b2339e15b5b66ba88f5ea6f625aba4e836900afdef7374c46c49da63b99",
-             "e75d9684257ca9dc59a993cfc51712b7d7fe0696d1bffee09db03ffdabc0e2ae",
-             ("7b2bd3f4e1b549a1352eac4a545787f24a537e354c5ea808482b869baabca5fc",
-              "d0c9d43e88c47def4bc21de041bfad89e67f95695a6470f0ec04a802b7a9169c")),
-    "hessl1": ([[250, 200, 250, 125, 300, 200], [200, 225, 150, 225, 175, 250]],
-               "6e4cadb9a0748cb8bd1eefec0934dffdf0a9b92802428452904f0081f6d97a5c",
-               "76518472dcff5f4d7c084882824d6d45927e9b8808598a4d78eaf921aa362a71",
-               ("12e6901683e19ba553ac5fc2c24236b969f81e9596fdd2704b9bedaf40f11368",
-                "813d81934abd0bf5c989219742d64c5717672a9d9607315309502aaf63305c5c")),
+    "ccv": ([[200, 125, 175, 200, 150, 175], [150, 75, 125, 125, 75, 150]],
+            "9d84df07b77868f56ab7015571c63dcfb4cc6384d4c98c0327ee9216af4af38a",
+            "c3657daf85ba3cee1258a5cfc83b315aad4a0f8f81ffd9a6a0f859624dff46cd",
+            ("de1f20dd9254a8b025081039bb5d6aac05c25938a38ea2ea1852290c4e9b79fd",)),
+    "tvl1": ([[700, 750, 750, 750, 750, 600], [600, 725, 925, 475, 600, 1000]],
+             "947861560f12e96878094bdd4e64b5d2492f01bee780a5d2ac8aca2900cb6297",
+             "c792e0118f3c9fd85fdef7916ddcf1bd4aeb1dd4d2d59dad22170beab58c5367",
+             ("8fdfa03dfa2e9e0ed6079da995af10b3eb9cd893d7f6ada1985f2167ff199b09",
+              "35fbd14a508a76666ea6625ffa66b07d6191ab9dc38924b50a6cddb61c137165")),
+    "hessl1": ([[150, 125, 100, 100, 175, 100], [150, 100, 125, 100, 100, 125]],
+               "7d1a05cfc954652fd4655f7678bb40bc07c0f75cf9d4f0c539e15c16148dd71a",
+               "359fcdc93527167776311b7643f7b7d85ce10a08efeebe7fe174b66c0e01aeb8",
+               ("d4304d4f64efe376cb4fe5b5eed0e561da91bcdb991471ff94fb5ae866ab0fef",
+                "2f8dadef35c8bfba0bbe2cb090840d0a24e69d6004c486c23e2a7653e24acb3d")),
 }
 
 
@@ -732,8 +751,8 @@ class _StackedTVDenoise(BackwardTVDenoise):
     @cached_property
     def saddle(self):
         data = Block(None, None, self.alpha, shift=self.f)
-        tv = Block("stacked_grad_minus", "stacked_adjoint_grad_minus", 1.0)
-        return Saddle(blocks=(data, tv), bound=9.0)
+        tv = Block("stacked_grad_minus", "stacked_adjoint_grad_minus", 1.0, sums=(2, 4))
+        return Saddle(blocks=(data, tv))
 
 
 def test_a_block_may_name_an_operator_built_by_stacking(monkeypatch):
@@ -815,8 +834,8 @@ def test_solves_start_at_the_data():
         for y in alm.duals:
             assert not y.any() and not np.signbit(y).any(), type(model)
         sd = model.saddle
-        sigma, tau = step_sizes(sd, model.defaults.cp_tau)
-        first, _ = next(primal_dual(sd, u0, zero_duals(sd, u0), sigma, tau))
+        sigmas, tau = baseline_steps(sd, model.defaults.cp_tau)
+        first, _ = next(primal_dual(sd, u0, zero_duals(sd, u0), sigmas, tau))
         assert solve_single(model, None, 1).u.tobytes() == first.tobytes(), type(model)
 
 
@@ -1043,7 +1062,7 @@ def test_small_steps_solve_on_the_calling_thread(monkeypatch):
     alm = DecoupledAlm(model, layout, 1.0, default_inner(model, 1.0), workers=2)
     assert len(alm.chunks) == 2 and 42 * layout.tilde[0].size <= default
     steps = [(alm.step().solved, len(pools)) for _ in range(4)]
-    assert steps == [(64, 2), (64, 3), (42, 3), (21, 3)]
+    assert steps == [(64, 2), (64, 3), (42, 3), (22, 3)]
 
 
 def _whole_grid_solves(alm, state):
