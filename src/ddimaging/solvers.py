@@ -58,12 +58,13 @@ theta = 1 (Alg. 1), and it keeps the scalar steps of baseline_steps.
 
 A local problem is a Saddle too (see _local_saddle): the model's, cut to
 the subdomain's window, with its core masking every block to the tile,
-(K u - f) * core, and its prox adding (eta/2)||u - uhat||^2.  Its iterate
-stays on the enlarged patch with no mask of its own, because the patch is
-the footprint of the operators on the tile: K* of a dual that vanishes off
-the tile vanishes off the patch.  Each block's dual is packed too, exactly
-+0.0 off each subdomain's tile, and the tiles partition the image, so
-stack_sum() assembles the global dual field exactly.
+(K u - f) * core, and its prox adding (eta/2)||u - uhat||^2; all S are
+one Saddle over the stacked windows.  Its iterate stays on the enlarged
+patch with no mask of its own, because the patch is the footprint of the
+operators on the tile: K* of a dual that vanishes off the tile vanishes
+off the patch.  Each block's dual is packed too, exactly +0.0 off each
+subdomain's tile, and the tiles partition the image, so stack_sum()
+assembles the global dual field exactly.
 
 primal_dual() yields its iterates and never stops by itself; its callers own
 the loop.  local_solve() runs a fixed iteration budget by default; its
@@ -334,13 +335,13 @@ class DecoupledAlm:
     H, W) packed stacks whose alm.u[s] and alm.duals[b][..., s, :, :] are
     subdomain s's, and the consensus average `avg`, the global image.  A
     dual is +0.0 off its tile, so stack_sum(alm.duals[b], layout) is block
-    b's global dual field.  The
-    local solves run in chunks, slices of consecutive subdomains (see
-    _runs): alm.chunks holds one (run, saddle) pair per chunk, the saddle
-    its local problems, built once (see _local_saddle), and each step
-    solves it on its slice of the stacks with prox set to (eta, uhat) on a
-    copy.  Gap mode solves one window per chunk, so each gap sums its own
-    window.  The layout must be built for the model's grid and stencil,
+    b's global dual field.  alm.local holds the S local problems as one
+    Saddle, built once (see _local_saddle), and alm.runs the chunks, slices
+    of consecutive subdomains (see _runs).  A step computes one uhat for
+    the whole layout, which it keeps as the record, and solves each chunk
+    on its slice of the stacks and of alm.local, with prox (eta, uhat) set
+    on a copy.  Gap mode solves one window per chunk, so each gap sums its
+    own window.  The layout must be built for the model's grid and stencil,
     which the constructor checks.  `avg` starts at the data image (clipped
     to [0, 1] under the box, see _start) and the copies at its restriction,
     exactly +0.0 off the patches; the multiplier and the duals start at
@@ -355,8 +356,8 @@ class DecoupledAlm:
     exact, not a tolerance: a window's arithmetic does not depend on which
     windows share its stack, gap mode solves one window per chunk, and only
     step() writes `u` and `duals`.  The bits are compared as integers, so a
-    -0.0 where +0.0 was counts as changed.  A chunk solves the windows it
-    does not skip as one stack gathered from its saddle (see _take).  The
+    -0.0 where +0.0 was counts as changed.  A chunk that skips some of its
+    windows solves the others as one gathered stack (see _take).  The
     chunks run on the calling thread, whatever the worker count, when fewer
     than two of them have windows to solve or when those windows fit one
     chunk (_CHUNK_PX pixels): a thread given less work costs more than it
@@ -386,37 +387,28 @@ class DecoupledAlm:
         self.u = restrict_global(self.avg, layout) + 0.0
         self.lam = np.zeros(layout.tilde.shape)
         self.duals = zero_duals(model.saddle, self.u)
-        limit = 0 if inner_prm.gap_tol is not None else _CHUNK_PX
-        self.chunks = [(run, _local_saddle(model.saddle, layout, run))
-                       for run in _runs(layout, limit)]
+        self.local = _local_saddle(model.saddle, layout)
+        self.runs = _runs(layout, 0 if inner_prm.gap_tol is not None else _CHUNK_PX)
         # each subdomain's last local solve: whether it returned its warm
         # start bit for bit, the uhat it was given, and (iterations, gap)
         self._noop = np.zeros(layout.count, dtype=bool)
         self._uhat = np.zeros(layout.tilde.shape)
         self._counts = [None] * layout.count
 
-    def _plan(self, chunk):
-        """The chunk, its uhat and the indices in its run of the windows to solve."""
-        (run, _), lay = chunk, self.layout
-        uhat = cut(self.avg, lay.windows[run]) * lay.tilde[run] - self.lam[run] / self.eta
-        todo = np.flatnonzero(~(self._noop[run] & _same_bits(uhat, self._uhat[run])))
-        return chunk, uhat, todo
-
-    def _solve_chunk(self, plan):
-        (run, sd), uhat, todo = plan
-        sel = run
-        if len(todo) < len(uhat):
-            sd, uhat, sel = _take(sd, todo), uhat[todo], todo + run.start
+    def _solve_chunk(self, sel):
+        """Solve the windows `sel` of the stacks, a run's slice or an index array."""
+        sd = replace(_take(self.local, sel), prox=(self.eta, self._uhat[sel]))
         u0, y0 = self.u[sel], [y[..., sel, :, :] for y in self.duals]
-        u, duals, it, gap = local_solve(replace(sd, prox=(self.eta, uhat)), u0, y0, self.inner)
+        u, duals, it, gap = local_solve(sd, u0, y0, self.inner)
         noop = reduce(np.logical_and, map(_same_bits, duals, y0), _same_bits(u, u0))
-        # every worker writes its own windows of the stacks and records only
+        # the workers run at once: step() wrote the _uhat record before any
+        # started, and each writes only its own windows of u, the duals,
+        # _noop and _counts
         self.u[sel] = u
         for y, d in zip(self.duals, duals):
             y[..., sel, :, :] = d
         self._noop[sel] = noop
-        self._uhat[sel] = uhat
-        for s in todo + run.start:
+        for s in np.arange(self.layout.count)[sel]:
             self._counts[s] = it, gap
 
     def step(self):
@@ -427,11 +419,15 @@ class DecoupledAlm:
         """
         lay = self.layout
         eta = self.eta
-        work = [plan for plan in map(self._plan, self.chunks) if len(plan[2])]
-        solved = sum(len(todo) for _, _, todo in work)
+        uhat = restrict_global(self.avg, lay) - self.lam / eta
+        todo = ~(self._noop & _same_bits(uhat, self._uhat))
+        self._uhat = uhat
+        work = [run if todo[run].all() else np.flatnonzero(todo[run]) + run.start
+                for run in self.runs if todo[run].any()]
+        solved = int(np.count_nonzero(todo))
         if self.workers == 1 or len(work) < 2 or solved * lay.tilde[0].size <= _CHUNK_PX:
-            for plan in work:
-                self._solve_chunk(plan)
+            for sel in work:
+                self._solve_chunk(sel)
         else:
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
                 list(pool.map(self._solve_chunk, work))
@@ -482,27 +478,27 @@ def _with_data(sd, take, core):
                    core=core)
 
 
-def _local_saddle(sd, layout, run):
-    """The local problems of the subdomains in `run`, a slice, as one Saddle.
+def _local_saddle(sd, layout):
+    """The local problems of all the layout's subdomains as one Saddle.
 
     Subdomain s's problem is min J_s(u) + (eta/2)||u - uhat||^2, J_s the
     model's saddle sd with every term masked to the tile:
     r_b ||(K_b u - f_b) core||_1 and w*<u, c core>.  So the result is sd
-    with each block's shift and the linear term's c cut to the windows of
-    `run` and stacked, and with core their tiles' 0/1 float masks (faster
-    to multiply than a boolean); each step sets prox to (eta, uhat).  The
-    stacked windows, duals included, give the whole-grid problems' results
-    bit for bit (decomposition.OverlapLayout says why): every step is
-    elementwise over the stack, so each window sees the arithmetic it would
-    see alone.
+    with each block's shift and the linear term's c cut to the windows and
+    stacked, and with core the tiles' 0/1 float masks (faster to multiply
+    than a boolean); a chunk's problems are _take() of it, with prox set to
+    (eta, uhat).  The stacked windows, duals included, give the whole-grid
+    problems' results bit for bit (decomposition.OverlapLayout says why):
+    every step is elementwise over the stack, so each window sees the
+    arithmetic it would see alone.
     """
-    windows = layout.windows[run]
-    return _with_data(sd, lambda a: cut(a, windows), layout.core[run].astype(np.float64))
+    return _with_data(sd, lambda a: cut(a, layout.windows), layout.core.astype(np.float64))
 
 
-def _take(sd, idx):
-    """A chunk's local problems sd cut to the windows idx of its stack."""
-    return _with_data(sd, lambda a: a[..., idx, :, :], sd.core[idx])
+def _take(sd, sel):
+    """The local problems sd cut to the windows sel of its stack: views for
+    a slice, gathered copies for an index array."""
+    return _with_data(sd, lambda a: a[..., sel, :, :], sd.core[sel])
 
 
 def lyapunov_metric(layout, eta, avg_a, lam_a, avg_b, lam_b):

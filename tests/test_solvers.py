@@ -475,7 +475,7 @@ def test_primal_dual_is_its_out_of_place_recurrence():
                                   HessianL1(f=f, alpha=1.0))] + [identity]:
         stencil = tuple(replace(blk, shift=None) for blk in sd.blocks)
         layout = OverlapLayout.from_grid(shape, 2, 2, stencil)
-        chunk = solvers._local_saddle(sd, layout, slice(1, layout.count))
+        chunk = solvers._take(solvers._local_saddle(sd, layout), slice(1, layout.count))
         core = (rng.random(shape) < 0.6).astype(np.float64)
         cases = [sd, replace(sd, core=core, prox=(5.0, rng.normal(size=shape))),
                  replace(chunk, prox=(5.0, rng.normal(size=chunk.core.shape)))]
@@ -558,14 +558,13 @@ def test_dual_variables_stay_feasible():
         layout = OverlapLayout.from_grid(shape, 2, 2, stencil_of(model))
         alm = DecoupledAlm(model, layout, eta,
                            default_inner(model, eta, iters=7))
-        cores = [sd.core for _, sd in alm.chunks]
+        core = alm.local.core
         for _ in range(4):
             alm.step()
-        # each chunk's float core is built once; a step sets prox on a copy
-        for (run, sd), core in zip(alm.chunks, cores):
-            assert sd.core is core and sd.core.dtype == np.float64
-            assert np.array_equal(sd.core, layout.core[run])
-            assert sd.prox is None
+        # the float core is built once; a step sets prox on a copy
+        assert alm.local.core is core and core.dtype == np.float64
+        assert np.array_equal(core, layout.core)
+        assert alm.local.prox is None
         assert len(alm.duals) == len(model.saddle.blocks)
         for blk, y in zip(model.saddle.blocks, alm.duals):
             channels = blk.forward(np.zeros(shape)).shape[:-2]
@@ -617,7 +616,7 @@ def test_concurrent_chunks_at_the_benchmark_layout(monkeypatch):
             for workers in (1, 2, 4):
                 alm = DecoupledAlm(model, layout, eta, default_inner(model, eta),
                                    workers=workers)
-                assert len(alm.chunks) >= 2
+                assert len(alm.runs) >= 2
                 infos = [alm.step() for _ in range(steps)]
                 runs.append((_alm_state(alm), infos))
             assert runs[0] == runs[1] == runs[2]
@@ -1046,23 +1045,58 @@ def test_small_steps_solve_on_the_calling_thread(monkeypatch):
     model = TVL1Deblur(f=f, alpha=10.0, kernel=BlurKernel(1))
     layout = OverlapLayout.from_grid(f.shape, 3, 2, stencil_of(model))
     alm = DecoupledAlm(model, layout, 10.0, default_inner(model, 10.0, iters=5), workers=2)
-    assert len(alm.chunks) == 1
+    assert len(alm.runs) == 1
     assert [alm.step().solved for _ in range(3)] == [6, 6, 6] and not pools
     # black data: u = 0 and zero duals solve every local problem exactly
     model = ChanVese(f=np.zeros((20, 18)), alpha=10.0, c1=0.6, c2=0.1)
     layout = OverlapLayout.from_grid(f.shape, 3, 2, stencil_of(model))
     monkeypatch.setattr(solvers, "_CHUNK_PX", 0)
     alm = DecoupledAlm(model, layout, 1.0, default_inner(model, 1.0), workers=2)
-    assert len(alm.chunks) == 6
+    assert len(alm.runs) == 6
     assert [alm.step().solved for _ in range(3)] == [6, 0, 0] and len(pools) == 1
     assert not alm.u.any() and not alm.lam.any()
     monkeypatch.setattr(solvers, "_CHUNK_PX", default)
     model = ChanVese(f=camera_scene(256, 256), alpha=10.0, c1=0.6, c2=0.1)
     layout = OverlapLayout.from_grid(model.f.shape, 8, 8, stencil_of(model))
     alm = DecoupledAlm(model, layout, 1.0, default_inner(model, 1.0), workers=2)
-    assert len(alm.chunks) == 2 and 42 * layout.tilde[0].size <= default
+    assert len(alm.runs) == 2 and 42 * layout.tilde[0].size <= default
     steps = [(alm.step().solved, len(pools)) for _ in range(4)]
     assert steps == [(64, 2), (64, 3), (42, 3), (22, 3)]
+
+
+def test_whole_runs_solve_on_views(monkeypatch):
+    # a step hands local_solve a run whose every window it solves as the
+    # run's slice of the stacks, so the local problems, uhat, the warm start
+    # and the duals it reads are views, and a partly skipped run as copies
+    # gathered from its windows to solve: on the benchmark's ccv-8x8 layout
+    # both runs are whole at steps 1 and 2 and partly skipped at step 4
+    calls = []
+
+    def spy(sd, u, duals, prm):
+        calls.append((sd, u, duals))
+        return local_solve(sd, u, duals, prm)
+    monkeypatch.setattr(solvers, "local_solve", spy)
+    model = ChanVese(f=camera_scene(256, 256), alpha=10.0, c1=0.6, c2=0.1)
+    eta = model.defaults.eta
+    layout = OverlapLayout.from_grid(model.f.shape, 8, 8, stencil_of(model))
+    alm = DecoupledAlm(model, layout, eta, default_inner(model, eta), workers=2)
+    local = alm.local
+    assert len(alm.runs) == 2 and local.linear is not None
+
+    def shared(sd, u, duals):
+        pairs = [(sd.core, local.core), (sd.linear[1], local.linear[1]),
+                 (sd.prox[1], alm._uhat), (u, alm.u)] + list(zip(duals, alm.duals))
+        return [np.shares_memory(a, b) for a, b in pairs]
+    for n in range(1, 5):
+        calls.clear()
+        solved = alm.step().solved
+        assert all(sd.prox[0] == eta for sd, _, _ in calls)
+        if n in (1, 2):
+            assert solved == 64 and [len(u) for _, u, _ in calls] == [32, 32]
+            assert all(all(shared(*call)) for call in calls)
+        if n == 4:
+            assert solved == 22 and [len(u) for _, u, _ in calls] == [11, 11]
+            assert not any(any(shared(*call)) for call in calls)
 
 
 def _whole_grid_solves(alm, state):
@@ -1165,7 +1199,7 @@ def test_tile_terms_are_the_global_integrand_on_the_tile(m, n, kind, halfwidth, 
     model = _drawn_model(kind, rng.random((m, n)), halfwidth)
     layout = OverlapLayout.from_grid((m, n), p, q, stencil_of(model))
     u = rng.random((m, n))
-    sd = solvers._local_saddle(model.saddle, layout, slice(0, layout.count))
+    sd = solvers._local_saddle(model.saddle, layout)
     tiles = objective_terms(sd, cut(u, layout.windows))
     whole = objective_terms(model.saddle, u)
     assert [w for w, _ in tiles] == [w for w, _ in whole]
@@ -1463,9 +1497,9 @@ def test_fields_are_planar(monkeypatch):
         duals = zero_duals(model.saddle, np.zeros((s, h, w)))
         assert [y.shape for y in duals] == [c + (s, h, w) for c in channels]
         alm = DecoupledAlm(model, layout, eta, default_inner(model, eta, iters=3))
-        assert len(alm.chunks) > 1
+        assert len(alm.runs) > 1
         alm.step()
-        for run, _ in alm.chunks:
+        for run in alm.runs:
             n = len(range(s)[run])
             for y, c in zip(alm.duals, channels):
                 d = y[..., run, :, :]
