@@ -76,34 +76,28 @@ def _reach(stencil, side):
 # ---------------------------------------------------------------------------
 
 
+def bands(total, parts):
+    """Edges of `parts` consecutive bands that split range(total) as evenly
+    as possible, the larger first: sizes base + 1 then base, with base, rem
+    = divmod(total, parts), e.g. bands(5, 2) = [0, 3, 5]."""
+    base, rem = divmod(total, parts)
+    return [a * base + min(a, rem) for a in range(parts + 1)]
+
+
 def partition_rect(shape, p, q):
     """Split an M x N grid into p x q rectangular tiles.
 
-    Rows (and columns) are divided as evenly as possible with the larger
-    bands first, e.g. 5 rows over 2 bands gives heights 3, 2.  Returns the
-    tiles in row-major order as half-open index boxes (i0, i1, j0, j1).
+    Rows and columns are divided by bands(M, p) and bands(N, q), e.g. 5
+    rows over 2 bands gives heights 3, 2.  Returns the tiles in row-major
+    order as half-open index boxes (i0, i1, j0, j1).
     """
     m, n = shape
     check_count("p", p)
     check_count("q", q)
     if not (p <= m and q <= n):
         raise ValueError(f"cannot split {m}x{n} into {p}x{q} nonempty tiles")
-
-    def edges(total, parts):
-        base, rem = divmod(total, parts)
-        sizes = [base + 1] * rem + [base] * (parts - rem)
-        e = [0]
-        for sz in sizes:
-            e.append(e[-1] + sz)
-        return e
-
-    re = edges(m, p)
-    ce = edges(n, q)
-    return [
-        (re[a], re[a + 1], ce[b], ce[b + 1])
-        for a in range(p)
-        for b in range(q)
-    ]
+    re, ce = bands(m, p), bands(n, q)
+    return [(re[a], re[a + 1], ce[b], ce[b + 1]) for a in range(p) for b in range(q)]
 
 
 class OverlapLayout:
@@ -114,26 +108,29 @@ class OverlapLayout:
     enlargement stops short of the box's edges inside the grid and meets
     the image's edges where the box does.  So it depends only on the box's
     shape and the tile's place in it, and is computed once for each
-    distinct pair.
+    distinct pair, which keeps the enlargement cut to its bounding box and
+    that bounding box's offset in the box.
 
     Every window has the shape (H, W) of the largest bounding box of an
     enlarged mask.  Window s is the bounding box of subdomain s's enlarged
-    mask grown or shifted inward to that shape inside the grid: it starts
-    at row min(top, M - H) and column min(left, N - W), with (top, left)
-    the bounding box's corner.  A local problem posed on its window equals the
-    whole-grid problem bit for bit (see solvers._local_saddle).  On the core, K u
-    reads only patch pixels, which lie in the bounding box, and the
-    operators see the image border exactly where the whole grid does: the
-    window lies inside the grid and meets its border wherever the bounding
-    box does, a bounding box's last row or column is a core row or column
-    only when it is also the image's, and elsewhere the window's border rows
-    carry no core pixel, so the core mask removes what the window's Neumann
-    edge changes there.  Off the patch, uhat and the duals hold zeros, so
-    the iterate stays exactly +0.0 there, and the window's extra cells add
-    exact zeros to every sum, the blur's too.  The duals vanish off the
-    core, and their adjoints land inside the patch, so the window adds up
-    the same nonzero terms in the same order.  A hand-made tiling of very
-    unequal tiles pays S*H*W values per packed field.
+    mask grown or shifted inward to that shape inside the grid: it starts at
+    row min(top, M - H) and column min(left, N - W), with (top, left) the
+    bounding box's corner.  tilde[s] is the cut enlargement placed at
+    (top, left) on window s, and core[s] is the tile's own rectangle there.
+    A local problem posed on its window equals the whole-grid problem bit
+    for bit (see solvers._local_saddle).  On the core, K u reads only patch
+    pixels, which lie in the bounding box, and the operators see the image
+    border exactly where the whole grid does: the window lies inside the
+    grid and meets its border wherever the bounding box does, a bounding
+    box's last row or column is a core row or column only when it is also
+    the image's, and elsewhere the window's border rows carry no core pixel,
+    so the core mask removes what the window's Neumann edge changes there.
+    Off the patch, uhat and the duals hold zeros, so the iterate stays
+    exactly +0.0 there, and the window's extra cells add exact zeros to
+    every sum, the blur's too.  The duals vanish off the core, and their
+    adjoints land inside the patch, so the window adds up the same nonzero
+    terms in the same order.  A hand-made tiling of very unequal tiles pays
+    S*H*W values per packed field.
 
     Attributes
     ----------
@@ -174,21 +171,21 @@ class OverlapLayout:
                 core[box[2]:box[3], box[4]:box[5]] = True
                 tilde = essential_domain(core, stencil)
                 i, j = np.nonzero(tilde)
-                trim = np.s_[i.min():i.max() + 1, j.min():j.max() + 1]
-                by_box[box] = i.min(), j.min(), core[trim], tilde[trim]
-            di, dj, core, tilde = by_box[box]
-            patches.append((a0 + di, b0 + dj, core, tilde))
+                by_box[box] = (i.min(), j.min(),
+                               tilde[i.min():i.max() + 1, j.min():j.max() + 1])
+            di, dj, grown = by_box[box]
+            patches.append((a0 + di, b0 + dj, grown))
         h, w = map(max, zip(*(grown.shape for *_, grown in patches)))
         self.core = np.zeros((len(patches), h, w), dtype=bool)
         self.tilde = np.zeros_like(self.core)
         self.counts = np.zeros((m, n))
         self.windows = []
-        for s, (top, left, core, grown) in enumerate(patches):
-            i0, j0 = min(top, m - h), min(left, n - w)
-            self.windows.append(np.s_[i0:i0 + h, j0:j0 + w])
-            place = np.s_[top - i0:top - i0 + grown.shape[0],
-                          left - j0:left - j0 + grown.shape[1]]
-            self.core[s][place], self.tilde[s][place] = core, grown
+        for s, ((i0, i1, j0, j1), (top, left, grown)) in enumerate(zip(tiles, patches)):
+            wi, wj = min(top, m - h), min(left, n - w)
+            self.windows.append(np.s_[wi:wi + h, wj:wj + w])
+            self.core[s, i0 - wi:i1 - wi, j0 - wj:j1 - wj] = True
+            gh, gw = grown.shape
+            self.tilde[s, top - wi:top - wi + gh, left - wj:left - wj + gw] = grown
             self.counts[self.windows[s]] += self.tilde[s]
         self.shape = (m, n)
         self.stencil = tuple(stencil)

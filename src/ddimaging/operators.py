@@ -282,7 +282,7 @@ def op_norm_sq_estimate(op, adjoint, shape, iters=100, seed=0):
     x = rng.standard_normal(shape)
     n = norm2(x)
     if n == 0.0:
-        raise ValueError("degenerate start vector")
+        raise ValueError(f"degenerate start vector of shape {x.shape}")
     x = x / n
     est = 0.0
     for _ in range(iters):

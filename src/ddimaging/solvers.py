@@ -93,7 +93,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decomposition import consensus_norm_sq, cut, restrict_global, stack_sum
+from .decomposition import bands, consensus_norm_sq, cut, restrict_global, stack_sum
 from .fields import check_count, check_positive, inner, norm2, project_ball, psnr
 from .models import energy, objective_terms, stencil_of, weighted_sum
 # the blocks name their operators; primal_dual() and duality_gap()'s K* look
@@ -461,11 +461,12 @@ def _runs(layout, limit):
 
     A run holds per = max(1, limit // (H * W)) subdomains at most, H by W
     the layout's window shape; the S subdomains split into ceil(S / per)
-    runs, whose lengths differ by at most one, the longer first.
+    runs between consecutive edges of decomposition.bands(S, ceil(S / per)),
+    so their lengths differ by at most one, the longer first.
     """
     per = max(1, limit // layout.tilde[0].size)
-    return [slice(int(r[0]), int(r[-1]) + 1) for r in
-            np.array_split(np.arange(layout.count), math.ceil(layout.count / per))]
+    e = bands(layout.count, math.ceil(layout.count / per))
+    return [slice(a, b) for a, b in zip(e, e[1:])]
 
 
 def _with_data(sd, take, core):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from ddimaging import solvers
 from ddimaging.models import Block, Defaults, Saddle
 
 
@@ -108,6 +109,19 @@ class BackwardTVDenoise:
         data = Block(None, None, self.alpha, shift=self.f)
         tv = Block("grad_minus", "adjoint_grad_minus", 1.0, sums=(2, 4))
         return Saddle(blocks=(data, tv))
+
+
+def count_pools(monkeypatch):
+    """The list of every thread pool the solvers build for the rest of the
+    test: solvers.ThreadPoolExecutor is wrapped to append each one."""
+    pools = []
+
+    class Pool(solvers.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(solvers, "ThreadPoolExecutor", Pool)
+    return pools
 
 
 def on_grid(layout, s, a):

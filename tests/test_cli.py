@@ -8,14 +8,15 @@ import numpy as np
 
 from ddimaging import cli, solvers
 from ddimaging.cli import CSV_HEADER, main, write_metrics
+from ddimaging.decomposition import OverlapLayout
 from ddimaging.models import (TV, Block, ChanVese, Defaults, Saddle, salt_pepper,
-                              threshold_half)
+                              stencil_of, threshold_half)
 from ddimaging.operators import BlurKernel, blur
 from ddimaging.models import energy
 from ddimaging.pgmio import load_pgm, save_pgm
 from ddimaging.solvers import MetricsRow
 
-from conftest import blob_scene
+from conftest import blob_scene, count_pools
 
 
 def _write_scene(tmp_path, name="scene.pgm", shape=(24, 24)):
@@ -119,10 +120,18 @@ def test_solve_budget_exhaustion_exit_code(tmp_path):
     assert code == 2
 
 
-def test_solve_deterministic_across_workers(tmp_path):
-    src, _ = _write_scene(tmp_path)
+def test_solve_deterministic_across_workers(tmp_path, monkeypatch):
+    src, u = _write_scene(tmp_path)
+    # the 2x2 layout fits one default chunk, so the four workers run at a
+    # chunk of one window, which puts the steps on the pool
+    model = ChanVese(f=u, alpha=10.0, c1=0.5, c2=0.1)
+    window = OverlapLayout.from_grid(u.shape, 2, 2, stencil_of(model)).tilde[0].size
+    pools = count_pools(monkeypatch)
     outputs = []
     for tag, workers in (("w1", "1"), ("w4", "4")):
+        if workers == "4":
+            assert not pools
+            monkeypatch.setattr(solvers, "_CHUNK_PX", window)
         out = tmp_path / f"{tag}.pgm"
         csv = tmp_path / f"{tag}.csv"
         code = main(["solve", "--model", "ccv", "--alpha", "10",
@@ -133,7 +142,14 @@ def test_solve_deterministic_across_workers(tmp_path):
         assert code == 0
         outputs.append((out.read_bytes(), csv.read_bytes(),
                         (tmp_path / f"{tag}.mask.pgm").read_bytes()))
+    assert pools
     assert outputs[0] == outputs[1]
+
+
+def test_mask_path_replaces_only_a_pgm_suffix():
+    assert cli._mask_path("out/seg.pgm") == "out/seg.mask.pgm"
+    for output in ("out/seg.png", "out/seg", "seg.pgm.bak"):
+        assert cli._mask_path(output) == output + ".mask.pgm"
 
 
 def test_solve_tvl1_needs_kernel(tmp_path, capsys):

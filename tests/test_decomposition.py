@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ddimaging.decomposition import (
     OverlapLayout,
+    bands,
     consensus_norm_sq,
     essential_domain,
     partition_rect,
@@ -32,6 +33,18 @@ def tvl1(halfwidth):
 # ---------------------------------------------------------------------------
 # partitions
 # ---------------------------------------------------------------------------
+
+
+def test_bands_split_like_array_split():
+    # sizes differ by at most one, the larger first, as in numpy's
+    # array_split, with every edge a Python int
+    assert bands(5, 2) == [0, 3, 5]
+    for total in range(40):
+        for parts in range(1, 12):
+            edges = bands(total, parts)
+            sizes = [len(b) for b in np.array_split(np.arange(total), parts)]
+            assert edges == [0] + np.cumsum(sizes).tolist(), (total, parts)
+            assert all(type(e) is int for e in edges)
 
 
 def test_partition_2x2_of_4x4():

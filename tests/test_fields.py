@@ -1,7 +1,9 @@
 import contextlib
 import math
+import re
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ddimaging.fields import (
@@ -210,3 +212,12 @@ def test_psnr_matches_direct_formula():
         b = rng.uniform(0, 1, size=(12, 9))
         mse = ((a - b) ** 2).mean()
         assert abs(psnr(a, b) - 10.0 * math.log10(1.0 / mse)) <= 1e-10
+
+
+def test_fields_name_what_they_refuse():
+    for pair in (inner, psnr):
+        with pytest.raises(ValueError, match=re.escape("shape mismatch: (2, 3) vs (3, 2)")):
+            pair(np.zeros((2, 3)), np.zeros((3, 2)))
+    for r in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"ball radius must be positive, got {r!r}")):
+            project_ball(np.zeros((2, 3, 3)), r)

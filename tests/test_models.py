@@ -366,6 +366,27 @@ def test_salt_pepper_full_probability():
     assert np.isin(out, (0.0, 1.0)).all()
 
 
+def test_salt_pepper_refuses_a_probability_outside_the_unit_interval():
+    for p in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"must be in [0, 1], got {p!r}")):
+            salt_pepper(np.zeros((4, 4)), p, seed=1)
+
+
+def test_models_name_the_data_and_fields_they_refuse():
+    makers = (lambda f: ChanVese(f=f, alpha=1.0, c1=0.6, c2=0.1),
+              lambda f: TVL1Deblur(f=f, alpha=1.0, kernel=BlurKernel(1)),
+              lambda f: HessianL1(f=f, alpha=1.0))
+    for make in makers:
+        for f in (np.zeros(5), np.zeros((2, 2, 2)), np.zeros((0, 3))):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"data image must be a nonempty 2-D array, got shape {f.shape}")):
+                make(f)
+        model = make(np.zeros((4, 4)))
+        for measure in (energy, integrand):
+            with pytest.raises(ValueError, match=re.escape("shape mismatch: (4, 3) vs (4, 4)")):
+                measure(model, np.zeros((4, 3)))
+
+
 def test_salt_pepper_fraction_concentrates():
     u = np.full((256, 256), 0.5)
     out = salt_pepper(u, 0.2, seed=11)

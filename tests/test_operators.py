@@ -606,6 +606,17 @@ def test_norm_estimate_rejects_bad_iters():
     assert op_norm_sq_estimate(lambda x: x, lambda x: x, (4, 4), iters=np.int64(2)) > 0
 
 
+def test_norm_estimate_of_an_empty_shape_and_an_annihilating_operator():
+    try:
+        op_norm_sq_estimate(lambda x: x, lambda x: x, (0, 4))
+    except ValueError as exc:
+        assert "degenerate start vector of shape (0, 4)" in str(exc)
+    else:
+        raise AssertionError("an empty start vector accepted")
+    # the first power step reaches the zero vector: the norm is exactly 0
+    assert op_norm_sq_estimate(lambda x: 0.0 * x, lambda x: x, (4, 4)) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # the models' dual blocks restricted to one subdomain
 # ---------------------------------------------------------------------------

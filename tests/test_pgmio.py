@@ -119,6 +119,20 @@ def test_load_rejects_bad_maxval(tmp_path):
         load_pgm(path)
 
 
+def test_load_names_the_file_and_the_bad_header_or_samples(tmp_path):
+    path = tmp_path / "bad.pgm"
+    for body, match in ((b"P5\n4", "truncated header"),
+                        (b"P5\n4 ", "truncated header"),
+                        (b"P2\n0 3\n255\n", "bad dimensions 0x3"),
+                        (b"P2\n2 2\n255\n1 2 3\n", "expected 4 samples, got 3"),
+                        (b"P2\n2 2\n255\n1 2 3 4 5\n", "expected 4 samples, got 5"),
+                        (b"P5\n2 1\n100\n\x05\xc8", r"sample outside \[0, 100\]")):
+        path.write_bytes(body)
+        with pytest.raises(ValueError, match=match) as exc:
+            load_pgm(path)
+        assert str(exc.value).startswith(f"{path}: "), body
+
+
 def test_save_rejects_bad_inputs(tmp_path):
     with pytest.raises(ValueError):
         save_pgm(np.zeros((2, 2)), tmp_path / "x.pgm", maxval=70000)

@@ -57,7 +57,7 @@ from ddimaging.solvers import (
     zero_duals,
 )
 
-from conftest import BackwardTVDenoise, blob_scene, camera_scene, on_grid
+from conftest import BackwardTVDenoise, blob_scene, camera_scene, count_pools, on_grid
 
 
 def _local(model, core, uhat, eta):
@@ -572,7 +572,7 @@ def test_dual_variables_stay_feasible():
             assert magnitude(y, 3).max() <= blk.radius * (1.0 + 1e-12)
 
 
-def test_bitwise_determinism_across_worker_counts():
+def test_bitwise_determinism_across_worker_counts(monkeypatch):
     rng = np.random.default_rng(32)
     f = rng.uniform(0, 1, size=(18, 12))
     model = TVL1Deblur(f=f, alpha=2.0, kernel=BlurKernel(1))
@@ -580,11 +580,15 @@ def test_bitwise_determinism_across_worker_counts():
     runs = []
     # the workers share the packed copies and duals, each writing its own
     # slice of the stacks; a short switch interval interleaves them as often
-    # as it can
+    # as it can.  The layout fits one default chunk, so the four workers run
+    # at a chunk of one window, which puts every step on the pool
+    pools = count_pools(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 4):
+            if workers > 1:
+                monkeypatch.setattr(solvers, "_CHUNK_PX", layout.tilde[0].size)
             alm = DecoupledAlm(model, layout, 10.0,
                                default_inner(model, 10.0, iters=10),
                                workers=workers)
@@ -593,6 +597,7 @@ def test_bitwise_determinism_across_worker_counts():
             runs.append([alm.u.copy(), alm.lam.copy(), alm.avg.copy()] + alm.duals)
     finally:
         sys.setswitchinterval(interval)
+    assert len(pools) == 8
     for a, b in zip(*runs):
         assert np.array_equal(a, b)
 
@@ -653,16 +658,24 @@ def _frozen_cases():
             "hessl1": HessianL1(f=f, alpha=1.0)}
 
 
-def test_frozen_trajectory():
+def test_frozen_trajectory(monkeypatch):
+    # the layout fits one default chunk, so the two workers run at a chunk
+    # of one window, which puts every step on the pool
+    pools = count_pools(monkeypatch)
+    default = solvers._CHUNK_PX
     for name, model in _frozen_cases().items():
         eta = model.defaults.eta
         layout = OverlapLayout.from_grid(model.f.shape, 3, 2, stencil_of(model))
         for workers in (1, 2):
+            monkeypatch.setattr(solvers, "_CHUNK_PX",
+                                default if workers == 1 else layout.tilde[0].size)
+            pools.clear()
             alm = DecoupledAlm(model, layout, eta,
                                default_inner(model, eta, iters=7),
                                workers=workers)
             for _ in range(4):
                 alm.step()
+            assert len(pools) == (0 if workers == 1 else 4), (name, workers)
             got = tuple(_stack_sha256(a, layout) for a in (alm.u, alm.lam))
             assert got == FROZEN_TRAJECTORY[name], (name, workers)
 
@@ -846,7 +859,13 @@ def test_one_worker_solves_on_the_calling_thread(monkeypatch):
     eta = model.defaults.eta
     layout = OverlapLayout.from_grid(f.shape, 3, 2, stencil_of(model))
     prm = default_inner(model, eta, iters=5)
-    two = solve_dd(model, layout, eta, prm, None, 3, workers=2, timing=False)
+    # the layout fits one default chunk: at a chunk of one window the two
+    # workers solve every step on the pool
+    pools = count_pools(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_CHUNK_PX", layout.tilde[0].size)
+        two = solve_dd(model, layout, eta, prm, None, 3, workers=2, timing=False)
+    assert len(pools) == 3
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was built at workers=1")
@@ -1033,14 +1052,8 @@ def test_small_steps_solve_on_the_calling_thread(monkeypatch):
     # windows fit one chunk: a single chunk, the steps after the first on
     # data whose every local solve is a fixed point, and the benchmark's
     # ccv-8x8 layout once skips leave fewer than 65,536 pixels to solve
-    pools = []
+    pools = count_pools(monkeypatch)
     default = solvers._CHUNK_PX
-
-    class Pool(solvers.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
-    monkeypatch.setattr(solvers, "ThreadPoolExecutor", Pool)
     f = np.random.default_rng(42).random((20, 18))
     model = TVL1Deblur(f=f, alpha=10.0, kernel=BlurKernel(1))
     layout = OverlapLayout.from_grid(f.shape, 3, 2, stencil_of(model))
