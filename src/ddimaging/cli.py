@@ -232,10 +232,11 @@ def build_parser():
                     help="thread count for local solves (default 1; not for 1x1); "
                          "results are identical for any count; the local solves "
                          "run as chunks of at most 65,536 window pixels, and "
-                         "threads run only when a step's windows to solve hold "
-                         "more than 65,536 pixels: a second thread helped TV-L1 "
-                         "at 512x512 over 8x8 tiles, not CCV at 256x256 over "
-                         "8x8 (see README)")
+                         "threads run only when a step's windows to solve, times "
+                         "their pixels and the inner iterations, exceed 2.1M "
+                         "pixel-iterations: a second thread helped TV-L1 and "
+                         "Hessian-L1 at 256x256 over 8x8 tiles, not CCV (see "
+                         "README)")
     sp.add_argument("--reference-energy", type=float, default=None,
                     help="known minimum energy for the rel_gap column")
     sp.add_argument("--compute-reference-iters", type=positive_int, default=None,

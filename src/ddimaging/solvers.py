@@ -14,7 +14,8 @@ W) stacks of one window per subdomain, all of the layout's one shape (see
 decomposition.OverlapLayout).  A chunk is a slice of consecutive
 subdomains, and its local problems run as that slice of the stack, and of
 each block's channel-first dual stack, whose every channel is then one
-contiguous (n, H, W) block; the chunks run on a pool of `workers` threads.
+contiguous (n, H, W) block; the chunks run on a pool of `workers` threads
+when the step's work pays for them (see DecoupledAlm).
 Only the consensus averaging sees more than one subdomain's copy, and it
 always sums in ascending subdomain order, which makes runs with different
 worker counts identical bit for bit.
@@ -112,10 +113,16 @@ GAP_CHECK = 25
 GAP_MAX_ITERS = 500_000
 # an outer step runs its local solves as equal runs of consecutive
 # subdomains whose stacked windows hold at most this many pixels (see _runs),
-# whatever the worker count, and on one thread when the windows it solves
-# hold no more; a chunk's solve peaks at about 10 image-sized float arrays,
-# some 5 MB at this size
+# whatever the worker count; a chunk's solve peaks at about 10 image-sized
+# float arrays, some 5 MB at this size
 _CHUNK_PX = 65_536
+# and runs them on threads only when the windows it solves, times their
+# pixels and the inner iterations, exceed _POOL_ITERS * _CHUNK_PX
+# pixel-iterations (2.1M), computed at each step.  Any value between the two
+# cases of WORKERS_35.json (scripts/workers.py) nearest the boundary splits
+# them: CCV at 256^2 over 8x8, ccv-8x8's layout (0.70M, 1.01x on two
+# threads), and CCV at 512^2 over 8x8 (2.70M, 1.35x)
+_POOL_ITERS = 32
 # a local solve accelerates at gamma = _GAMMA_PER_ETA * eta, eta its
 # strong-convexity modulus (see primal_dual and scripts/steps_to_gap.py)
 _GAMMA_PER_ETA = 0.5
@@ -359,11 +366,13 @@ class DecoupledAlm:
     -0.0 where +0.0 was counts as changed.  A chunk that skips some of its
     windows solves the others as one gathered stack (see _take).  The
     chunks run on the calling thread, whatever the worker count, when fewer
-    than two of them have windows to solve or when those windows fit one
-    chunk (_CHUNK_PX pixels): a thread given less work costs more than it
-    saves (on 2 vCPUs, the ccv-8x8 benchmark's steps that solve 22 of 64
-    windows, 11 in each chunk, took 7.3 ms on two threads and 5.9 ms on
-    one).
+    than two of them have windows to solve or when the step's work, the
+    windows to solve times their pixels times the inner iterations, is at
+    most _POOL_ITERS * _CHUNK_PX pixel-iterations: a thread given less work
+    costs more than it saves.  In WORKERS_35.json (2 vCPUs) every case of
+    2.7M or more (CCV at 512^2, Hessian-L1 and TV-L1 at 256^2 and 512^2,
+    all over 8x8) ran 1.35-1.72x as fast on two threads, and CCV at 256^2
+    over 8x8 (0.70M) 1.01x as fast, for 2.7 MB more peak RSS.
     """
 
     def __init__(self, model, layout, eta, inner_prm, workers=1):
@@ -425,7 +434,8 @@ class DecoupledAlm:
         work = [run if todo[run].all() else np.flatnonzero(todo[run]) + run.start
                 for run in self.runs if todo[run].any()]
         solved = int(np.count_nonzero(todo))
-        if self.workers == 1 or len(work) < 2 or solved * lay.tilde[0].size <= _CHUNK_PX:
+        if (self.workers == 1 or len(work) < 2
+                or solved * lay.tilde[0].size * self.inner.iters <= _POOL_ITERS * _CHUNK_PX):
             for sel in work:
                 self._solve_chunk(sel)
         else:

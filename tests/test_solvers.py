@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import sys
 import time
@@ -8,6 +9,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from itertools import islice
 from operator import add
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -603,15 +605,19 @@ def test_bitwise_determinism_across_worker_counts(monkeypatch):
 
 
 def test_concurrent_chunks_at_the_benchmark_layout(monkeypatch):
-    # CCV at 256^2 over 8x8, the benchmark's ccv-8x8 layout, runs as several
-    # chunks at the default chunk size, so two workers solve chunks at once
-    # and write their slices of the shared stacks concurrently; at a chunk
-    # of 8 windows, four workers solve partly skipped chunks at once from
-    # the third step on, each writing its windows of the stacks and of the
-    # skip records
+    # CCV at 256^2 over 8x8, the benchmark's ccv-8x8 layout, runs as two
+    # chunks at the default chunk size, and at a chunk of 8 windows as
+    # eight.  Its work is too small to pool at the default constants, so
+    # the pool is forced at every step: two and four workers solve chunks at
+    # once and write their slices of the shared stacks concurrently, and at
+    # 8-window chunks solve partly skipped chunks at once from the third
+    # step on, each writing its windows of the stacks and of the skip
+    # records
     model = ChanVese(f=camera_scene(256, 256), alpha=10.0, c1=0.6, c2=0.1)
     eta = model.defaults.eta
     layout = OverlapLayout.from_grid(model.f.shape, 8, 8, stencil_of(model))
+    pools = count_pools(monkeypatch)
+    monkeypatch.setattr(solvers, "_POOL_ITERS", 0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -622,12 +628,52 @@ def test_concurrent_chunks_at_the_benchmark_layout(monkeypatch):
                 alm = DecoupledAlm(model, layout, eta, default_inner(model, eta),
                                    workers=workers)
                 assert len(alm.runs) >= 2
-                infos = [alm.step() for _ in range(steps)]
+                infos, built = [], []
+                for _ in range(steps):
+                    pools.clear()
+                    infos.append(alm.step())
+                    built.append(len(pools))
+                assert built == [0 if workers == 1 else 1] * steps, (limit, workers)
                 runs.append((_alm_state(alm), infos))
             assert runs[0] == runs[1] == runs[2]
     finally:
         sys.setswitchinterval(interval)
     assert [info.solved for info in runs[0][1]] == [64, 64, 42, 22, 21]
+
+
+def test_large_steps_pool_at_the_default_constants(monkeypatch):
+    # Hessian-L1 at 256^2 over 8x8: 64 windows of 34x34 in two chunks at 50
+    # inner iterations, 3.7M pixel-iterations a step, builds one pool per
+    # step at two workers with nothing patched, and gives one worker's bytes
+    model = HessianL1(f=camera_scene(256, 256), alpha=1.0)
+    eta = model.defaults.eta
+    layout = OverlapLayout.from_grid(model.f.shape, 8, 8, stencil_of(model))
+    pools = count_pools(monkeypatch)
+    runs = []
+    for workers in (1, 2):
+        alm = DecoupledAlm(model, layout, eta, default_inner(model, eta), workers=workers)
+        assert len(alm.runs) == 2
+        steps = []
+        for _ in range(2):
+            pools.clear()
+            steps.append((alm.step().solved, len(pools)))
+        assert steps == [(64, workers - 1)] * 2, workers
+        runs.append(_alm_state(alm))
+    assert runs[0] == runs[1]
+
+
+def test_the_pool_threshold_splits_the_committed_measurements():
+    # WORKERS_35.json (scripts/workers.py) times every case at 1 and 2
+    # workers: the cases where a second thread paid are those whose first
+    # step's work exceeds the threshold, and ccv-8x8's layout is not one
+    cases = json.loads((Path(__file__).parent.parent / "WORKERS_35.json").read_text())["cases"]
+    threshold = solvers._POOL_ITERS * solvers._CHUNK_PX
+    measured = [c for c in cases if c["pays"] is not None]
+    assert len(measured) >= 2
+    for c in measured:
+        assert c["identical"]
+        assert (c["work"] > threshold) == c["pays"] == c["pooled"][0], c
+    assert [c["pays"] for c in cases if (c["model"], c["side"]) == ("ccv", 256)] == [False]
 
 
 # SHA-256 of alm.u and alm.lam, spread to (S, M, N) stacks by _stack_sha256,
@@ -859,11 +905,14 @@ def test_one_worker_solves_on_the_calling_thread(monkeypatch):
     eta = model.defaults.eta
     layout = OverlapLayout.from_grid(f.shape, 3, 2, stencil_of(model))
     prm = default_inner(model, eta, iters=5)
-    # the layout fits one default chunk: at a chunk of one window the two
-    # workers solve every step on the pool
+    # the layout fits one default chunk, and its 6 windows at 5 iterations
+    # are far below the work that pays for a thread: at a chunk of one
+    # window and a work threshold of one window's pixels, the two workers
+    # solve every step on the pool
     pools = count_pools(monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(solvers, "_CHUNK_PX", layout.tilde[0].size)
+        patch.setattr(solvers, "_POOL_ITERS", 1)
         two = solve_dd(model, layout, eta, prm, None, 3, workers=2, timing=False)
     assert len(pools) == 3
 
@@ -1048,10 +1097,12 @@ def test_a_negative_zero_in_uhat_solves_its_window_again():
 
 def test_small_steps_solve_on_the_calling_thread(monkeypatch):
     # a step solves its chunks on the calling thread, whatever the worker
-    # count, when fewer than two of them have windows to solve or those
-    # windows fit one chunk: a single chunk, the steps after the first on
-    # data whose every local solve is a fixed point, and the benchmark's
-    # ccv-8x8 layout once skips leave fewer than 65,536 pixels to solve
+    # count, when fewer than two of them have windows to solve or when its
+    # windows to solve times the inner iterations are no more than
+    # _POOL_ITERS * _CHUNK_PX pixel-iterations: a single chunk, the steps
+    # after the first on data whose every local solve is a fixed point, and
+    # every step of the benchmark's ccv-8x8 layout, whose first step is
+    # 64 windows of 33x33 at 10 iterations, 0.70M pixel-iterations
     pools = count_pools(monkeypatch)
     default = solvers._CHUNK_PX
     f = np.random.default_rng(42).random((20, 18))
@@ -1069,12 +1120,20 @@ def test_small_steps_solve_on_the_calling_thread(monkeypatch):
     assert [alm.step().solved for _ in range(3)] == [6, 0, 0] and len(pools) == 1
     assert not alm.u.any() and not alm.lam.any()
     monkeypatch.setattr(solvers, "_CHUNK_PX", default)
+    pools.clear()
     model = ChanVese(f=camera_scene(256, 256), alpha=10.0, c1=0.6, c2=0.1)
     layout = OverlapLayout.from_grid(model.f.shape, 8, 8, stencil_of(model))
+    threshold = solvers._POOL_ITERS * default
     alm = DecoupledAlm(model, layout, 1.0, default_inner(model, 1.0), workers=2)
-    assert len(alm.runs) == 2 and 42 * layout.tilde[0].size <= default
+    assert len(alm.runs) == 2 and 64 * layout.tilde[0].size * 10 <= threshold
     steps = [(alm.step().solved, len(pools)) for _ in range(4)]
-    assert steps == [(64, 2), (64, 3), (42, 3), (22, 3)]
+    assert steps == [(64, 0), (64, 0), (42, 0), (22, 0)]
+    # at 40 inner iterations the same layout's full steps pool, 2.8M
+    # pixel-iterations, and the steps the skips cut below 2.1M do not
+    alm = DecoupledAlm(model, layout, 1.0, default_inner(model, 1.0, iters=40), workers=2)
+    assert 64 * layout.tilde[0].size * 40 > threshold
+    steps = [(alm.step().solved, len(pools)) for _ in range(4)]
+    assert steps == [(64, 1), (64, 2), (22, 2), (22, 2)]
 
 
 def test_whole_runs_solve_on_views(monkeypatch):
@@ -1150,7 +1209,8 @@ def test_local_solves_are_whole_grid_restrictions(m, n, kind, halfwidth, workers
                                                   chunk_px, seed, data):
     # any grid up to 12x12, one-pixel tiles included, blurs wider than the
     # image, and chunks of one window up to the default size; shifted data
-    # drives the iterates negative
+    # drives the iterates negative.  The pool is forced, so more than one
+    # worker solves on threads whenever two chunks have windows to solve
     p = data.draw(st.integers(1, m), label="p")
     q = data.draw(st.integers(1, n), label="q")
     f = np.random.default_rng(seed).random((m, n))
@@ -1158,21 +1218,22 @@ def test_local_solves_are_whole_grid_restrictions(m, n, kind, halfwidth, workers
     eta = model.defaults.eta
     prm = default_inner(model, eta, iters=4)
     layout = OverlapLayout.from_grid((m, n), p, q, stencil_of(model))
-    with mock.patch.object(solvers, "_CHUNK_PX", chunk_px):
+    with mock.patch.object(solvers, "_CHUNK_PX", chunk_px), \
+            mock.patch.object(solvers, "_POOL_ITERS", 0):
         ref = DecoupledAlm(model, layout, eta, prm)
         alm = DecoupledAlm(model, layout, eta, prm, workers=workers)
-    for _ in range(2):
-        state = [alm.u.copy(), alm.lam.copy(), alm.avg.copy(), [y.copy() for y in alm.duals]]
-        alm.step()
-        ref.step()
-        assert _alm_state(alm) == _alm_state(ref)
-        for s, (core, u_s, d) in enumerate(_whole_grid_solves(alm, state)):
-            assert on_grid(layout, s, alm.u[s]).tobytes() == u_s.tobytes(), s
-            for y, d_b in zip(alm.duals, d):
-                assert (y[..., s, :, :][..., layout.core[s]].tobytes()
-                        == d_b[..., core].tobytes()), s
-        lam_norm = norm2(alm.lam)
-        assert alm.multiplier_consensus_norm() <= 1e-10 * max(1.0, lam_norm)
+        for _ in range(2):
+            state = [alm.u.copy(), alm.lam.copy(), alm.avg.copy(), [y.copy() for y in alm.duals]]
+            alm.step()
+            ref.step()
+            assert _alm_state(alm) == _alm_state(ref)
+            for s, (core, u_s, d) in enumerate(_whole_grid_solves(alm, state)):
+                assert on_grid(layout, s, alm.u[s]).tobytes() == u_s.tobytes(), s
+                for y, d_b in zip(alm.duals, d):
+                    assert (y[..., s, :, :][..., layout.core[s]].tobytes()
+                            == d_b[..., core].tobytes()), s
+            lam_norm = norm2(alm.lam)
+            assert alm.multiplier_consensus_norm() <= 1e-10 * max(1.0, lam_norm)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -1355,16 +1416,20 @@ def test_stop_check_accepts_zero_data():
     assert not _fires(black, (1.0, u), (1.0, u + 5e-4))
 
 
-def test_non_finite_energy_stops_the_solve():
+def test_non_finite_energy_stops_the_solve(monkeypatch):
     # rows of 1.7e308 in f overflow the iterates to inf and NaN.  numpy warns
     # of the overflow, and the warnings filter, unlike np.errstate, also
-    # reaches the pool threads that run the local solves
+    # reaches the pool threads that run the local solves: at a chunk of one
+    # window and the pool forced, two workers solve every step on the pool
     f = np.random.default_rng(38).random((8, 8))
     f[2:4] = 1.7e308
+    pools = count_pools(monkeypatch)
+    monkeypatch.setattr(solvers, "_POOL_ITERS", 0)
     for model in (TVL1Deblur(f=f, alpha=1.0, kernel=BlurKernel(1)),
                   HessianL1(f=f, alpha=1.0)):
         eta = model.defaults.eta
         layout = OverlapLayout.from_grid(f.shape, 2, 2, stencil_of(model))
+        monkeypatch.setattr(solvers, "_CHUNK_PX", layout.tilde[0].size)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for workers in (1, 2):
@@ -1377,6 +1442,8 @@ def test_non_finite_energy_stops_the_solve():
                     solve_dd(model, layout, eta,
                              default_inner(model, eta, gap_tol=1e-5), 1e-3, 5,
                              workers=workers)
+                assert len(pools) == 2 * (workers - 1)
+                pools.clear()
             with pytest.raises(NonFiniteEnergyError, match="at iteration 1 is"):
                 cp_full(model, 5)
 
