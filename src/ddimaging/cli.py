@@ -231,10 +231,10 @@ def build_parser():
     sp.add_argument("--workers", type=positive_int, default=None,
                     help="thread count for local solves (default 1; not for 1x1); "
                          "results are identical for any count; the local solves "
-                         "run as chunks of at most 65,536 window pixels, and "
-                         "threads run only when a step's windows to solve, times "
-                         "their pixels and the inner iterations, exceed 2.1M "
-                         "pixel-iterations: a second thread helped TV-L1 and "
+                         "run as chunks of a fixed window-pixel size, and threads "
+                         "run only when a step's windows to solve, times their "
+                         "pixels and the inner iterations, exceed a fixed "
+                         "pixel-iteration threshold: a second thread helped TV-L1 and "
                          "Hessian-L1 at 256x256 over 8x8 tiles, not CCV (see "
                          "README)")
     sp.add_argument("--reference-energy", type=float, default=None,

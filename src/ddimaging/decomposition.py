@@ -101,7 +101,8 @@ def partition_rect(shape, p, q):
 
 
 class OverlapLayout:
-    """Masks, windows and counts for one overlapping decomposition.
+    """Masks, windows and counts for the overlapping decomposition of an
+    M x N grid cut into p x q tiles by partition_rect(shape, p, q).
 
     Each tile is enlarged (see essential_domain) on its box, the tile grown
     by the stencil's reach (see _reach) and clipped to the grid: the
@@ -129,8 +130,7 @@ class OverlapLayout:
     exactly +0.0 there, and the window's extra cells add exact zeros to
     every sum, the blur's too.  The duals vanish off the core, and their
     adjoints land inside the patch, so the window adds up the same nonzero
-    terms in the same order.  A hand-made tiling of very unequal tiles pays
-    S*H*W values per packed field.
+    terms in the same order.
 
     Attributes
     ----------
@@ -147,18 +147,9 @@ class OverlapLayout:
         Pixels contained in two or more enlarged masks.
     """
 
-    def __init__(self, shape, tiles, stencil):
+    def __init__(self, shape, p, q, stencil):
         m, n = shape
-        cover = np.zeros((m, n), dtype=np.intp)
-        for tile in tiles:
-            i0, i1, j0, j1 = tile
-            if not (0 <= i0 < i1 <= m and 0 <= j0 < j1 <= n):
-                raise ValueError(f"tile {tile} is empty or leaves the {m}x{n} grid")
-            cover[i0:i1, j0:j1] += 1
-        if cover.min() < 1:
-            raise ValueError("tiles do not cover the grid")
-        if cover.max() > 1:
-            raise ValueError("tiles overlap")
+        tiles = partition_rect(shape, p, q)
         r = _reach(stencil, max(m, n))
         by_box = {}
         patches = []
@@ -189,12 +180,13 @@ class OverlapLayout:
             self.counts[self.windows[s]] += self.tilde[s]
         self.shape = (m, n)
         self.stencil = tuple(stencil)
-        self.tiles = list(tiles)
+        self.tiles = tiles
         self.interface = self.counts >= 2.0
 
     @classmethod
     def from_grid(cls, shape, p, q, stencil):
-        return cls(shape, partition_rect(shape, p, q), stencil)
+        """The layout cls(shape, p, q, stencil), under the name callers use."""
+        return cls(shape, p, q, stencil)
 
     @property
     def count(self):

@@ -92,7 +92,6 @@ def save_pgm(field, path, maxval=255, binary=True):
         raise ValueError(f"{path}: cannot save {nans} NaN pixel(s)")
     clamped = np.clip(field, 0.0, 1.0)
     values = np.floor(clamped * maxval + 0.5).astype(np.int64)
-    values = np.clip(values, 0, maxval)
     height, width = field.shape
     magic = b"P5" if binary else b"P2"
     header = b"%s\n%d %d\n%d\n" % (magic, width, height, maxval)
@@ -104,7 +103,4 @@ def save_pgm(field, path, maxval=255, binary=True):
             else:
                 fh.write(values.astype(">u2").tobytes())
         else:
-            lines = []
-            for row in values:
-                lines.append(" ".join(str(v) for v in row))
-            fh.write(("\n".join(lines) + "\n").encode("ascii"))
+            np.savetxt(fh, values, fmt="%d")

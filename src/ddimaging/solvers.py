@@ -44,18 +44,9 @@ per block b and the primal step tau = 1/sum_b C_b, (R_b, C_b) the block's
 largest absolute row and column sums (models.Block).  That is the diagonal
 preconditioning of Pock & Chambolle, "Diagonal preconditioning for first
 order primal-dual algorithms in convex optimization" (ICCV 2011), at
-alpha = 1, taken block by block.  Against the scalar steps sigma = tau =
-1/sqrt(sum_b R_b*C_b) the local solves took before, it takes TV-L1 at
-128^2 over 4x4 tiles to a relative energy gap of 1e-3 in 281 outer steps
-instead of 347, and leaves Hessian-L1 (21) and CCV (1) where they were
-(STEPS_31.json against STEPS_29.json).  scripts/steps_to_gap.py chose the
-factor 1/2 when solves started at zero with scalar steps (STEPS_28.json):
-TV-L1 then took 409 outer steps against 633 at eta/8, at the same cost per
-step.  Gap mode pays in inner iterations: on the frozen test set-up CCV
-needs 1.15x and TV-L1 2.1x those at eta/8, and at gamma = eta every model
-needs 2.9-6.6x those at eta/2 (STEPS_31.json).  The baseline is the
-model's own saddle, which has neither core nor prox, so gamma = 0 and
-theta = 1 (Alg. 1), and it keeps the scalar steps of baseline_steps.
+alpha = 1, taken block by block.  The baseline is the model's own
+saddle, which has neither core nor prox, so gamma = 0 and theta = 1
+(Alg. 1), and it keeps the scalar steps of baseline_steps.
 
 A local problem is a Saddle too (see _local_saddle): the model's, cut to
 the subdomain's window, with its core masking every block to the tile,
@@ -124,7 +115,10 @@ _CHUNK_PX = 65_536
 # threads), and CCV at 512^2 over 8x8 (2.70M, 1.35x)
 _POOL_ITERS = 32
 # a local solve accelerates at gamma = _GAMMA_PER_ETA * eta, eta its
-# strong-convexity modulus (see primal_dual and scripts/steps_to_gap.py)
+# strong-convexity modulus (see primal_dual).  In STEPS_31.json
+# (scripts/steps_to_gap.py, 128^2 over 4x4 tiles) 1 takes TV-L1 to a
+# relative energy gap of 1e-3 in fewer outer steps than 1/2 (255 against
+# 281), but gap mode then needs 2.9-6.6x the inner iterations
 _GAMMA_PER_ETA = 0.5
 
 
@@ -369,10 +363,7 @@ class DecoupledAlm:
     than two of them have windows to solve or when the step's work, the
     windows to solve times their pixels times the inner iterations, is at
     most _POOL_ITERS * _CHUNK_PX pixel-iterations: a thread given less work
-    costs more than it saves.  In WORKERS_35.json (2 vCPUs) every case of
-    2.7M or more (CCV at 512^2, Hessian-L1 and TV-L1 at 256^2 and 512^2,
-    all over 8x8) ran 1.35-1.72x as fast on two threads, and CCV at 256^2
-    over 8x8 (0.70M) 1.01x as fast, for 2.7 MB more peak RSS.
+    costs more than it saves.
     """
 
     def __init__(self, model, layout, eta, inner_prm, workers=1):
@@ -456,7 +447,7 @@ class DecoupledAlm:
     def multiplier_consensus_norm(self):
         """Norm of the multiplier's consensus component (zero in theory)."""
         avg_lam = stack_sum(self.lam, self.layout) / self.layout.counts
-        return math.sqrt(max(consensus_norm_sq(avg_lam, self.layout), 0.0))
+        return math.sqrt(consensus_norm_sq(avg_lam, self.layout))
 
 
 def _same_bits(a, b):
@@ -616,16 +607,18 @@ class SolveResult:
     mult_ortho_max: float = 0.0
 
 
-def _run(model, step, budget, stop, e_star, ground_truth, timing, on_row, unit):
+def _run(model, step, budget, tol, e_star, ground_truth, timing, on_row, unit):
     """The loop of every solve: at most `budget` calls of step().
 
     step() advances the solve and returns (u, consensus residual, d_n).
     Each iterate's energy is checked finite (the error names the `unit` and
     its number) and recorded in a MetricsRow, which on_row receives when
-    given; the loop ends early when `stop`, a StopRule or None, fires.
-    rel_gap is (e - e_star)/|e_star|, with the denominator 1 when
-    |e_star| < 1e-12, and elapsed_s counts from this call.
+    given; the loop ends early when StopRule(model, tol) fires, and
+    tol=None runs the whole budget.  rel_gap is (e - e_star)/|e_star|, with
+    the denominator 1 when |e_star| < 1e-12, and elapsed_s counts from
+    after the stop rule is built.
     """
+    stop = None if tol is None else StopRule(model, tol)
     gap_denom = 1.0 if e_star is None or abs(e_star) < 1e-12 else abs(e_star)
     start = time.perf_counter()
     rows = []
@@ -660,7 +653,6 @@ def solve_dd(model, layout, eta, inner_prm, tol, max_outer, workers=1,
     step whose energy is not finite.
     """
     check_count("max_outer", max_outer)
-    stop = None if tol is None else StopRule(model, tol)
     alm = DecoupledAlm(model, layout, eta, inner_prm, workers=workers)
     ortho = [0.0]
 
@@ -668,7 +660,7 @@ def solve_dd(model, layout, eta, inner_prm, tol, max_outer, workers=1,
         info = alm.step()
         ortho.append(alm.multiplier_consensus_norm() / max(1.0, norm2(alm.lam)))
         return alm.avg, info.residual, info.d_n
-    res = _run(model, step, max_outer, stop, e_star, ground_truth, timing,
+    res = _run(model, step, max_outer, tol, e_star, ground_truth, timing,
                on_row, "outer step")
     res.mult_ortho_max = max(ortho)
     return res
@@ -686,12 +678,11 @@ def solve_single(model, tol, max_iters, e_star=None, ground_truth=None,
     defined without a coupling weight, so it stays empty.
     """
     check_count("max_iters", max_iters)
-    stop = None if tol is None else StopRule(model, tol)
     sd = model.saddle
     sigmas, tau = baseline_steps(sd, model.defaults.cp_tau)
     u = _start(model)
     steps = primal_dual(sd, u, zero_duals(sd, u), sigmas, tau)
-    return _run(model, lambda: (next(steps)[0], 0.0, None), max_iters, stop,
+    return _run(model, lambda: (next(steps)[0], 0.0, None), max_iters, tol,
                 e_star, ground_truth, timing, on_row, "iteration")
 
 

@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,24 +78,19 @@ def test_partition_disjoint_cover_many_shapes():
 
 
 def test_partition_rejects_too_many_tiles():
-    try:
-        partition_rect((3, 3), 4, 1)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("empty tiles accepted")
-    # tile counts are integers >= 1, and the message names them
-    for bad in (0, -1, 2.0, 2.5, True, None):
-        for name, call in (
-                ("p", lambda: partition_rect((8, 8), bad, 2)),
-                ("q", lambda: partition_rect((8, 8), 2, bad)),
-                ("p", lambda: OverlapLayout.from_grid((8, 8), bad, 2, CCV))):
-            try:
-                call()
-            except ValueError as exc:
-                assert f"{name} must be an integer >= 1, got {bad!r}" in str(exc)
-            else:
-                raise AssertionError(f"{name}={bad!r} accepted")
+    # a layout gets its tiles from partition_rect and raises its messages,
+    # built either way
+    for build in (partition_rect, lambda *grid: OverlapLayout(*grid, CCV),
+                  lambda *grid: OverlapLayout.from_grid(*grid, CCV)):
+        for p, q in ((4, 1), (1, 4)):
+            with pytest.raises(ValueError, match=f"cannot split 3x3 into {p}x{q} nonempty"):
+                build((3, 3), p, q)
+        # tile counts are integers >= 1, and the message names them
+        for bad in (0, -1, 2.0, 2.5, True, None):
+            for name, p, q in (("p", bad, 2), ("q", 2, bad)):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"{name} must be an integer >= 1, got {bad!r}")):
+                    build((8, 8), p, q)
     assert partition_rect((4, 4), np.int64(2), 2) == partition_rect((4, 4), 2, 2)
 
 
@@ -307,6 +305,67 @@ def test_layout_is_linear_in_the_grid():
         assert sum(a.nbytes for a in arrays) <= 16 * 256 * 256, tiles
 
 
+def _digest(a):
+    a = np.ascontiguousarray(a)
+    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+    h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _layout_fields(layout):
+    """A layout's tiles, windows (as row and column bounds), masks and counts."""
+    windows = [(r.start, r.stop, c.start, c.stop) for r, c in layout.windows]
+    return {"tiles": np.array(layout.tiles, dtype=np.int64),
+            "windows": np.array(windows, dtype=np.int64),
+            "core": layout.core, "tilde": layout.tilde, "counts": layout.counts}
+
+
+# SHA-256 of each field of _layout_fields, with its dtype and shape
+FROZEN_LAYOUTS = {
+    "ccv-8x8": ((256, 256), 8, CCV, {
+        "tiles": "f2d984163288ad8a463d94061e08b3d0cdd004b5cbc11dc61c31d78083f095e5",
+        "windows": "a98dfb5b69ff43c2b50f3d8e092890939b395c1bfdb8f5ae3c72d069212efbf9",
+        "core": "37f5b72b647c1fbf255875de8c3e9a0edc9e8be27857dec53b5784c7adfe68ea",
+        "tilde": "2d1fb445bbfb62668aa8364f24d7cb8f0ecca2b317591b08fc2b883d3a2c02c7",
+        "counts": "1cc47df21b0734d44c4e0320ea6b61ef38f106890035b05aa380418d9fa5e4b2"}),
+    "tvl1-4x4": ((128, 128), 4, tvl1(4), {
+        "tiles": "231aa6762b635592c8f05258bf122fe70076d87d254efdfdfcec3c6504a4a0fc",
+        "windows": "b15f3f5255f1870e1f29f50578f7ca7e0727f07e2274328875b741aba59e3e3f",
+        "core": "ad9a8fdd9ad56ce64cc966ead6a5b64f20217be7961c0a8d294e5afc54275d43",
+        "tilde": "d0d99548b798282adf49c0a550c4f0fa4ededf5d03d57eda7806bd82d61dfa96",
+        "counts": "e073d3cd69b0acf0c5492c2162a39a0294b51c4a06ffcae4e9fee6d2957178fa"}),
+    "hessl1-4x4": ((128, 128), 4, HESSL1, {
+        "tiles": "231aa6762b635592c8f05258bf122fe70076d87d254efdfdfcec3c6504a4a0fc",
+        "windows": "dd9e5a77fafa5fbe6ad136d919a6a5c9de2712ff1c33dfd48ca1884082e146a6",
+        "core": "e042f182f9926f5eef0ab8c6b81b99483afee0e4d8cf73e7eb5a20849112c3ca",
+        "tilde": "30d2ccf7710ba403a16d300c6038fa151c5ae8f9f78d6699c659bf691b2c70dd",
+        "counts": "4fd2bbc716ac6b82801b33aef13a8ddb928f8d2bd5667abd317024e04620855a"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_LAYOUTS))
+def test_layout_fields_are_frozen(name):
+    # the benchmark's two layouts and Hessian-L1's at the acceptance set-up
+    shape, tiles, stencil, want = FROZEN_LAYOUTS[name]
+    layout = OverlapLayout(shape, tiles, tiles, stencil)
+    got = {field: _digest(a) for field, a in _layout_fields(layout).items()}
+    assert got == want
+    assert np.array_equal(layout.interface, layout.counts >= 2.0)
+
+
+def test_from_grid_is_the_constructor():
+    assert isinstance(OverlapLayout.__dict__["from_grid"], classmethod)
+    for shape, p, q, stencil in (((6, 7), 2, 3, CCV), ((9, 5), 3, 1, tvl1(2)),
+                                 ((8, 8), 1, 1, HESSL1)):
+        a = OverlapLayout(shape, p, q, stencil)
+        b = OverlapLayout.from_grid(shape, p, q, stencil)
+        assert a.shape == b.shape == shape and a.stencil == b.stencil == stencil
+        assert a.tiles == b.tiles == partition_rect(shape, p, q)
+        assert a.windows == b.windows
+        for x, y in zip(_layout_fields(a).values(), _layout_fields(b).values()):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
 def _shipped_models(f):
     """The three shipped models, TV-L1 at blur halfwidths 1 to 4."""
     return [ChanVese(f=f, alpha=1.0, c1=0.6, c2=0.1), HessianL1(f=f, alpha=1.0)] + [
@@ -477,32 +536,3 @@ def test_pythagoras_for_projection():
     lhs = norm2(packed) ** 2
     rhs = norm2(proj) ** 2 + res ** 2
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, lhs)
-
-
-def test_layout_rejects_overlapping_tiles():
-    try:
-        OverlapLayout((4, 4), [(0, 3, 0, 4), (2, 4, 0, 4)], CCV)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("overlapping tiles accepted")
-
-
-def test_layout_rejects_gap():
-    try:
-        OverlapLayout((4, 4), [(0, 2, 0, 4)], CCV)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("uncovered pixels accepted")
-
-
-def test_layout_rejects_empty_and_outside_tiles():
-    for tiles in ([(0, 4, 0, 4), (2, 2, 0, 4)], [(0, 4, 0, 5)],
-                  [(-1, 4, 0, 4)]):
-        try:
-            OverlapLayout((4, 4), tiles, CCV)
-        except ValueError as exc:
-            assert "empty or leaves" in str(exc)
-        else:
-            raise AssertionError(f"tiles {tiles} accepted")

@@ -48,9 +48,11 @@ def test_save_rounds_half_up(tmp_path):
 
 def test_save_clips_out_of_range(tmp_path):
     path = tmp_path / "clip.pgm"
-    save_pgm(np.array([[-0.5, 1.5, -np.inf, np.inf]]), path)
-    back = load_pgm(path)
-    assert np.array_equal(back, [[0.0, 1.0, 0.0, 1.0]])
+    for maxval in (255, 65535):
+        for binary in (True, False):
+            save_pgm(np.array([[-0.5, 1.5, -np.inf, np.inf]]), path, maxval, binary)
+            back = load_pgm(path)
+            assert np.array_equal(back, [[0.0, 1.0, 0.0, 1.0]]), (maxval, binary)
 
 
 def test_p2_ascii_with_comments(tmp_path):
