@@ -346,8 +346,8 @@ FROZEN_LAYOUTS = {
 @pytest.mark.parametrize("name", sorted(FROZEN_LAYOUTS))
 def test_layout_fields_are_frozen(name):
     # the benchmark's two layouts and Hessian-L1's at the acceptance set-up
-    shape, tiles, stencil, want = FROZEN_LAYOUTS[name]
-    layout = OverlapLayout(shape, tiles, tiles, stencil)
+    shape, p, stencil, want = FROZEN_LAYOUTS[name]
+    layout = OverlapLayout(shape, p, p, stencil)
     got = {field: _digest(a) for field, a in _layout_fields(layout).items()}
     assert got == want
     assert np.array_equal(layout.interface, layout.counts >= 2.0)
